@@ -83,23 +83,19 @@ def _emit_scan_csv(report, out: str):
 
 
 def _search_options(fn):
-    fn = click.option("--tol", type=float, default=1e-6, show_default=True, help="relative search tolerance")(fn)
     fn = click.option("--r-long", type=int, default=64, show_default=True, help="long-arc copy threshold")(fn)
     fn = click.option("--max-periods", type=int, default=256, show_default=True, help="largest scanned arc in periods")(fn)
     fn = click.option("--certify", is_flag=True, help="attach a certified upper bound")(fn)
     fn = click.option("--threads", type=int, default=1, show_default=True)(fn)
-    fn = click.option("--seed", type=int, default=0, show_default=True)(fn)
     return fn
 
 
-def _config(tol, r_long, max_periods, certify, threads, seed) -> SearchConfig:
+def _config(r_long, max_periods, certify, threads) -> SearchConfig:
     return SearchConfig(
-        rel_tol=tol,
         r_long=r_long,
         max_periods=max_periods,
         certify=certify,
         threads=threads,
-        seed=seed,
         refine_iters=48,
     )
 
@@ -149,11 +145,11 @@ def eval_cmd(path, left, right, p, out):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--out", type=str, default=None)
 @_search_options
-def norm_cmd(path, p, fmt, out, tol, r_long, max_periods, certify, threads, seed):
+def norm_cmd(path, p, fmt, out, r_long, max_periods, certify, threads):
     """Oscillation seminorm search (interval or circle, by target carrier)."""
     _check_out(out)
     target = _load_target(path)
-    cfg = _config(tol, r_long, max_periods, certify, threads, seed)
+    cfg = _config(r_long, max_periods, certify, threads)
     collect = fmt == "csv"
     if getattr(target, "is_circle", False):
         report = circle_bmo_norm(target, p, cfg, collect_scan=collect)
@@ -174,11 +170,11 @@ def norm_cmd(path, p, fmt, out, tol, r_long, max_periods, certify, threads, seed
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--out", type=str, default=None)
 @_search_options
-def ap_cmd(path, p, fmt, out, tol, r_long, max_periods, certify, threads, seed):
+def ap_cmd(path, p, fmt, out, r_long, max_periods, certify, threads):
     """Weight-constant search; --p inf gives the limiting constant."""
     _check_out(out)
     target = _load_target(path)
-    cfg = _config(tol, r_long, max_periods, certify, threads, seed)
+    cfg = _config(r_long, max_periods, certify, threads)
     collect = fmt == "csv"
     if p.strip().lower() in ("inf", "infinity"):
         report = a_inf_constant(target, cfg, collect_scan=collect)
@@ -389,16 +385,14 @@ def _run_suite(report: dict, out: str | None) -> int:
 @click.option("--lambda-hom", type=float, default=0.9995, show_default=True)
 @click.option("--r-long", type=int, default=2000, show_default=True)
 @click.option("--max-periods", type=int, default=6000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=str, default=None)
-def verify_jn_cmd(delta, target_mass, depth, lambda_hom, r_long, max_periods, seed, out):
+def verify_jn_cmd(delta, target_mass, depth, lambda_hom, r_long, max_periods, out):
     """Transference mechanism end to end (staircase, membership, compile, bracket)."""
     _check_out(out)
     report = verify_mod.verify_jn(
         delta=delta,
         target_mass=target_mass,
         max_depth=depth,
-        seed=seed,
         lam_hom=lambda_hom,
         r_long=r_long,
         max_periods=max_periods,

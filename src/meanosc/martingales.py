@@ -381,12 +381,12 @@ def _edge_sweep_measure(dom, d0: DiscreteDistribution, d1: DiscreteDistribution,
     h = 1.0 / 2.0**level
     lo, hi = max(best_t - h, 0.0), min(best_t + h, 1.0)
     _, refined = _golden_max(
-        lambda t: dom.functional(dist_mix(d0, d1, min(max(t, 0.0), 1.0))),
-        lo,
-        hi,
+        lambda t: np.array([dom.functional(dist_mix(d0, d1, min(max(float(t[0]), 0.0), 1.0)))]),
+        [lo],
+        [hi],
         cfg.refine_iters,
     )
-    return max(best, refined)
+    return max(best, float(refined[0]))
 
 
 def _barycentric_grid(m: int, resolution: int):

@@ -70,30 +70,25 @@ class SearchConfig:
 
     ``grid_points`` controls the dyadic grid level inside each cell pair
     (rounded up to the next dyadic level so grids nest); ``refine_iters``
-    is the golden-section budget per refined coordinate; ``refine_top``
-    the number of leading candidates refined; ``r_long`` the copy-count
-    threshold of the long-arc regime; ``max_periods`` the largest scanned
-    arc length in periods.
+    is the golden-section budget per refined coordinate; ``r_long`` the
+    copy-count threshold of the long-arc regime; ``max_periods`` the
+    largest scanned arc length in periods; ``certify`` attaches an upper
+    bound to each report; ``threads`` the worker count of the pair scan;
+    ``refine_top`` the number of leading candidates refined per block.
     """
 
     grid_points: int = 3
     refine_iters: int = 40
-    rel_tol: float = 1e-6
     r_long: int = 64
     max_periods: int = 256
     certify: bool = False
     threads: int = 1
-    seed: int = 0
     refine_top: int = 32
 
     def __post_init__(self):
         for name in ("grid_points", "refine_iters", "r_long", "max_periods", "threads", "refine_top"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be positive")
-        if not 0.0 < self.rel_tol <= 0.1:
-            raise InputError(f"rel_tol must lie in (0, 0.1], got {self.rel_tol}")
-        if self.seed < 0:
-            raise InputError("seed must be nonnegative")
 
     @property
     def dyadic_level(self) -> int:
@@ -103,12 +98,10 @@ class SearchConfig:
         return {
             "grid_points": self.grid_points,
             "refine_iters": self.refine_iters,
-            "rel_tol": self.rel_tol,
             "r_long": self.r_long,
             "max_periods": self.max_periods,
             "certify": self.certify,
             "threads": self.threads,
-            "seed": self.seed,
             "refine_top": self.refine_top,
         }
 
@@ -352,26 +345,34 @@ class _Best:
         return self.left, self.right, self.value
 
 
-def _golden_max(f, lo: float, hi: float, iters: int):
-    """Golden-section ascent of a scalar function on [lo, hi]."""
+def _golden_max(f, lo, hi, iters: int):
+    """Golden-section ascent on the brackets ``[lo[k], hi[k]]`` in lockstep.
+
+    ``f`` maps an array holding one probe per lane to their values.  Every
+    lane takes exactly the steps a one-lane run would take, so lanes never
+    influence each other; each lane costs ``max(iters, 2)`` probes.
+    Returns the best probe and value of every lane.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    best_x, best_v = (c, fc) if fc >= fd else (d, fd)
+    up = fc >= fd
+    best_x, best_v = np.where(up, c, d), np.where(up, fc, fd)
     for _ in range(max(iters - 2, 0)):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        x, v = (c, fc) if fc >= fd else (d, fd)
-        if v > best_v:
-            best_x, best_v = x, v
+        # lanes with fc >= fd keep [a, d] and probe a new c; the rest keep
+        # [c, b] and probe a new d
+        a, b = np.where(up, a, c), np.where(up, d, b)
+        x = np.where(up, b - invphi * (b - a), a + invphi * (b - a))
+        fx = f(x)
+        keep, fkeep = np.where(up, c, d), np.where(up, fc, fd)
+        c, fc = np.where(up, x, keep), np.where(up, fx, fkeep)
+        d, fd = np.where(up, keep, x), np.where(up, fkeep, fx)
+        up = fc >= fd
+        x, v = np.where(up, c, d), np.where(up, fc, fd)
+        better = v > best_v
+        best_x, best_v = np.where(better, x, best_x), np.where(better, v, best_v)
     return best_x, best_v
 
 
@@ -436,26 +437,6 @@ class _FlatTarget:
         if np.any(short):
             raw[short] = self._overlap_raw(lefts[short], rights[short])
         return self.objective.value_from_raw(raw)
-
-    def value_single(self, left: float, right: float) -> float:
-        self.evaluations += 1
-        length = right - left
-        if self._tvals is not None and length >= self._short_cutoff:
-            n = self.values.size
-            i = min(max(int(np.searchsorted(self.bp, left, side="right")) - 1, 0), n - 1)
-            j = min(max(int(np.searchsorted(self.bp, right, side="right")) - 1, 0), n - 1)
-            means = []
-            for t in range(len(self._tvals)):
-                fa = self._prefix[t][i] + (left - self.bp[i]) * self._tvals[t][i]
-                fb = self._prefix[t][j] + (right - self.bp[j]) * self._tvals[t][j]
-                means.append((fb - fa) / length)
-            raw = self.objective.raw_from_means(means)
-        else:
-            lo = np.maximum(left, self.bp[:-1])
-            hi = np.minimum(right, self.bp[1:])
-            ov = np.maximum(hi - lo, 0.0)
-            raw = self.objective.raw_from_parts(ov[None, :], self.values, np.array([length]))[0]
-        return float(self.objective.value_from_raw(raw))
 
 
 def _candidate_points(f: StepFunction, level: int) -> np.ndarray:
@@ -526,21 +507,41 @@ def _chunked_pair_scan(target: _FlatTarget, points: np.ndarray, cfg: SearchConfi
 
 
 def _refine_leaders(target: _FlatTarget, lefts, rights, cfg: SearchConfig, best: _Best):
+    """Three rounds of left-then-right golden coordinate ascent, all leaders in lockstep.
+
+    Each end moves inside its own cell; a leader whose cell leaves no room
+    (``hi <= lo``) sits that step out.
+    """
     bp = target.bp
     eps = 1e-12 * (bp[-1] - bp[0])
-    for l0, r0 in zip(lefts, rights):
-        l, r = float(l0), float(r0)
-        for _ in range(3):
-            i = min(max(int(np.searchsorted(bp, l, side="right") - 1), 0), bp.size - 2)
-            lo, hi = bp[i], min(bp[i + 1], r - eps)
-            if hi > lo:
-                l, v = _golden_max(lambda x: target.value_single(x, r), lo, hi, cfg.refine_iters)
-                best.offer(v, l, r)
-            j = min(max(int(np.searchsorted(bp, r, side="left") - 1), 0), bp.size - 2)
-            lo, hi = max(bp[j], l + eps), bp[j + 1]
-            if hi > lo:
-                r, v = _golden_max(lambda x: target.value_single(l, x), lo, hi, cfg.refine_iters)
-                best.offer(v, l, r)
+    last = bp.size - 2
+    l, r = np.array(lefts, dtype=float), np.array(rights, dtype=float)
+    offers = []
+
+    def probe(ls, rs):
+        target.evaluations += ls.size
+        return target.value_batch(ls, rs)
+
+    for step in range(0, 6, 2):
+        i = np.clip(np.searchsorted(bp, l, side="right") - 1, 0, last)
+        lo, hi = bp[i], np.minimum(bp[i + 1], r - eps)
+        lanes = np.flatnonzero(hi > lo)
+        if lanes.size:
+            rs = r[lanes]
+            l[lanes], v = _golden_max(lambda x: probe(x, rs), lo[lanes], hi[lanes], cfg.refine_iters)
+            offers.extend(zip(lanes.tolist(), [step] * lanes.size, v.tolist(), l[lanes].tolist(), rs.tolist()))
+        j = np.clip(np.searchsorted(bp, r, side="left") - 1, 0, last)
+        lo, hi = np.maximum(bp[j], l + eps), bp[j + 1]
+        lanes = np.flatnonzero(hi > lo)
+        if lanes.size:
+            ls = l[lanes]
+            r[lanes], v = _golden_max(lambda x: probe(ls, x), lo[lanes], hi[lanes], cfg.refine_iters)
+            offers.extend(zip(lanes.tolist(), [step + 1] * lanes.size, v.tolist(), ls.tolist(), r[lanes].tolist()))
+    # _Best's tie tolerance follows the running maximum, so results are
+    # offered leader by leader, each leader's steps in order
+    offers.sort(key=lambda o: o[:2])
+    for _, _, v, wl, wr in offers:
+        best.offer(v, wl, wr)
 
 
 def _flat_interval_search(f: StepFunction, objective: _Objective, cfg: SearchConfig, collect_scan: bool):
@@ -703,33 +704,33 @@ class _DagSearch:
                 best.offer(v, l, r)
                 leaders.append((v, l, r))
         leaders.sort(key=lambda rec: -rec[0])
+        top = leaders[:4]
         log_hi = math.log(scale_hi)
         log_lo = math.log(max(scale_lo, 1e-13))
-        for v0, l0, r0 in leaders[:4]:
-            ell0 = r0 - l0
-            t0 = min(max((c - l0) / ell0, 0.0), 1.0) if ell0 > 0 else 0.5
+        ell0 = [r0 - l0 for _, l0, r0 in top]
+        t0 = [min(max((c - l0) / e, 0.0), 1.0) if e > 0 else 0.5 for (_, l0, _), e in zip(top, ell0)]
+        x0 = [math.log(e) if e > 0 else log_lo for e in ell0]
 
-            def val_at(l, r):
-                l, r = clipped(l, r)
-                if r - l <= 1e-15:
-                    return -math.inf
-                return self.value_at(node, l, r)
+        def values(ts, ells):
+            # one scalar query per lane; clipping can empty a probe arc
+            out = []
+            for t, ell in zip(ts, ells):
+                l, r = clipped(c - t * ell, c + (1.0 - t) * ell)
+                out.append(self.value_at(node, l, r) if r - l > 1e-15 else -math.inf)
+            return np.array(out)
 
-            x0 = math.log(ell0) if ell0 > 0 else log_lo
-            lx, _ = _golden_max(
-                lambda x: val_at(c - t0 * math.exp(x), c + (1.0 - t0) * math.exp(x)),
-                max(x0 - 2.0, log_lo),
-                min(x0 + 2.0, log_hi),
-                cfg.refine_iters,
-            )
-            ell1 = math.exp(lx)
-            tt, _ = _golden_max(
-                lambda t: val_at(c - t * ell1, c + (1.0 - t) * ell1),
-                0.0,
-                1.0,
-                cfg.refine_iters,
-            )
-            l, r = clipped(c - tt * ell1, c + (1.0 - tt) * ell1)
+        lx, _ = _golden_max(
+            lambda xs: values(t0, [math.exp(x) for x in xs.tolist()]),
+            [max(x - 2.0, log_lo) for x in x0],
+            [min(x + 2.0, log_hi) for x in x0],
+            cfg.refine_iters,
+        )
+        ell1 = [math.exp(x) for x in lx.tolist()]
+        tt, _ = _golden_max(
+            lambda ts: values(ts.tolist(), ell1), [0.0] * len(top), [1.0] * len(top), cfg.refine_iters
+        )
+        for t, ell in zip(tt.tolist(), ell1):
+            l, r = clipped(c - t * ell, c + (1.0 - t) * ell)
             if r - l > 1e-15:
                 best.offer(self.value_at(node, l, r), l, r)
 

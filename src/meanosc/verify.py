@@ -205,7 +205,6 @@ def verify_jn(
     delta: float = 0.3,
     target_mass: float = 2.0,
     max_depth: int = 60,
-    seed: int = 0,
     lam_hom: float = 0.9995,
     r_long: int = 2000,
     max_periods: int = 6000,

@@ -171,7 +171,7 @@ def test_criterion_7_weight_suite():
 
 def test_criterion_8_transference():
     with criterion(8, 1800.0):
-        report = verify_jn(delta=0.3, target_mass=2.0, max_depth=60, seed=7)
+        report = verify_jn(delta=0.3, target_mass=2.0, max_depth=60)
         assert report["pass"], report
         params = report["parameters"]
         assert params["depth"] <= 60

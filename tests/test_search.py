@@ -10,6 +10,7 @@ from meanosc.construct import constant, glue, homogenize, leaf, materialize, per
 from meanosc.errors import InputError
 from meanosc.search import (
     SearchConfig,
+    _golden_max,
     a_inf_constant,
     ap_constant,
     bmo_norm,
@@ -163,6 +164,65 @@ def test_lipschitz_composition_bound_across_p():
             assert composed <= g.lipschitz * base + 1e-6
 
 
+def _scalar_golden_max(f, lo, hi, iters):
+    # one-bracket reference with scalar branches, to check the lockstep routine against
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    best_x, best_v = (c, fc) if fc >= fd else (d, fd)
+    for _ in range(max(iters - 2, 0)):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+        x, v = (c, fc) if fc >= fd else (d, fd)
+        if v > best_v:
+            best_x, best_v = x, v
+    return best_x, best_v
+
+
+def test_golden_lanes_are_independent():
+    # a batch of k brackets returns, bitwise, what k batches of one and the
+    # scalar reference return; the last two lanes have a flat top, where
+    # only the tie rule picks the probe, and a -inf part, like a clipped
+    # junction probe
+    centers = np.linspace(-0.8, 0.9, 7)
+    powers = np.linspace(0.5, 3.0, 7)
+    lo = np.concatenate((centers - np.linspace(0.1, 1.3, 7), [0.0, 0.0]))
+    hi = np.concatenate((centers + np.linspace(1.1, 0.2, 7), [1.0, 1.0]))
+
+    def lane_value(k, x):
+        if k == centers.size:
+            return -max(abs(x - 0.4) - 0.3, 0.0)
+        if k == centers.size + 1:
+            return -math.inf if x < 0.5 else -((x - 0.55) ** 2)
+        return -abs(x - centers[k]) ** powers[k]
+
+    def batched(lanes, probes):
+        def f(xs):
+            assert xs.shape == (len(lanes),)
+            probes.append(xs.size)
+            return np.array([lane_value(k, x) for k, x in zip(lanes, xs.tolist())])
+
+        return f
+
+    for iters in (1, 2, 3, 40):
+        probes = []
+        xs, vs = _golden_max(batched(range(lo.size), probes), lo, hi, iters)
+        assert sum(probes) == lo.size * max(iters, 2)
+        for k in range(lo.size):
+            x1, v1 = _golden_max(batched([k], []), lo[k : k + 1], hi[k : k + 1], iters)
+            xr, vr = _scalar_golden_max(lambda x: lane_value(k, x), float(lo[k]), float(hi[k]), iters)
+            assert x1[0].tobytes() == xs[k].tobytes() == np.float64(xr).tobytes()
+            assert v1[0].tobytes() == vs[k].tobytes() == np.float64(vr).tobytes()
+        assert vs[-1] > -math.inf
+
+
 # -- circle searches -------------------------------------------------------------
 
 
@@ -298,8 +358,6 @@ def test_reverse_holder_values():
 
 
 def test_config_validation():
-    with pytest.raises(InputError):
-        SearchConfig(rel_tol=0.5)
     with pytest.raises(InputError):
         SearchConfig(grid_points=0)
     with pytest.raises(InputError):
