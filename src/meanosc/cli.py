@@ -15,7 +15,7 @@ import sys
 import click
 
 from . import constants as consts
-from .construct import ConstructExpr, expr_from_dict, homogenize as hom_node
+from .construct import ConstructExpr, default_levels, expr_from_dict, homogenize as hom_node
 from .construct import glue as glue_node
 from .construct import leaf, query
 from .errors import BudgetError, InputError
@@ -73,13 +73,20 @@ def _emit(obj, out: str | None):
             fh.write(text + "\n")
 
 
-def _emit_scan_csv(report, out: str):
+def _emit_report(report, fmt: str, out: str | None):
+    """JSON report to ``out``, or with ``csv`` the candidate scan to ``out`` and the report to stdout."""
+    if fmt == "json":
+        _emit(report.to_dict(), out)
+        return
+    if out is None:
+        raise InputError("--format csv requires --out")
     with open(out, "w") as fh:
         fh.write("left,right,length,value\n")
         for left, right, length, value in report.scan:
             fh.write(
                 f"{float(left)!r},{float(right)!r},{float(length)!r},{float(value)!r}\n"
             )
+    click.echo(json.dumps(report.to_dict(), indent=2))
 
 
 def _search_options(fn):
@@ -155,13 +162,7 @@ def norm_cmd(path, p, fmt, out, r_long, max_periods, certify, threads):
         report = circle_bmo_norm(target, p, cfg, collect_scan=collect)
     else:
         report = bmo_norm(target, p, cfg, collect_scan=collect)
-    if fmt == "csv":
-        if out is None:
-            raise InputError("--format csv requires --out")
-        _emit_scan_csv(report, out)
-        click.echo(json.dumps(report.to_dict(), indent=2))
-    else:
-        _emit(report.to_dict(), out)
+    _emit_report(report, fmt, out)
 
 
 @cli.command("ap")
@@ -180,13 +181,7 @@ def ap_cmd(path, p, fmt, out, r_long, max_periods, certify, threads):
         report = a_inf_constant(target, cfg, collect_scan=collect)
     else:
         report = ap_constant(target, float(p), cfg, collect_scan=collect)
-    if fmt == "csv":
-        if out is None:
-            raise InputError("--format csv requires --out")
-        _emit_scan_csv(report, out)
-        click.echo(json.dumps(report.to_dict(), indent=2))
-    else:
-        _emit(report.to_dict(), out)
+    _emit_report(report, fmt, out)
 
 
 @cli.command("weak")
@@ -288,7 +283,7 @@ def compile_cmd(path, lambda_hom, levels, out):
     if not isinstance(target, MartingaleTree):
         raise InputError("compile expects a martingale input")
     if levels is None:
-        levels = max(1, math.ceil(math.log(1e-3) / math.log(lambda_hom)))
+        levels = default_levels(lambda_hom)
     expr = compile_to_circle(target, (lambda_hom, levels))
     _emit(expr.to_dict(), out)
 

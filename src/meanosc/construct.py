@@ -58,6 +58,8 @@ _ATOM_TOL = 1e-12
 
 def default_levels(lam: float, floor: float = 1e-3) -> int:
     """Truncation level making the residual cells shorter than ``floor``."""
+    if not 0.0 < lam < 1.0:
+        raise InputError(f"homogenization ratio must lie in (0, 1), got {lam}")
     return max(1, int(math.ceil(math.log(floor) / math.log(lam))))
 
 
@@ -272,29 +274,12 @@ class HomExpr(ConstructExpr):
             k += 1
         return side, k
 
-    def _cell_key(self, side: int, k: int) -> int:
-        return side * k
-
-    def _recurse_cell(self, cell: tuple[int, int], l: float, r: float, ctx: _Ctx):
-        a, b = self._cell_bounds(*cell)
-        A, B = self.child.content_bounds()
-        scale = (B - A) / (b - a)
-        # snap cell-aligned ends exactly so recursion stays period-aligned
-        lo = A if l <= a else A + (l - a) * scale
-        hi = B if r >= b else A + (r - a) * scale
-        lo, hi = max(min(lo, B), A), max(min(hi, B), A)
-        if hi <= lo:
-            return np.zeros(self.atom_values.size)
-        vec, _ = self.child._measure(lo, hi, ctx)
-        # rescale mass back to parent coordinates
-        return vec * ((r - l) / (hi - lo))
-
     def _measure(self, l: float, r: float, ctx: _Ctx):
         ctx.enter()
         cl = self._locate(l)
         cr = self._locate(r)
         if cl == cr:
-            vec = self._recurse_cell(cl, l, r, ctx)
+            vec = _copy_measure(self.child, *self._cell_bounds(*cl), l, r, ctx)
             ctx.leave()
             return vec, r - l
         vec = np.zeros(self.atom_values.size)
@@ -305,13 +290,13 @@ class HomExpr(ConstructExpr):
         if l <= al:
             whole_start = al
         elif bl - l > 0:
-            vec += self._recurse_cell(cl, l, bl, ctx)
+            vec += _copy_measure(self.child, al, bl, l, bl, ctx)
             partial += bl - l
         whole_end = ar
         if r >= br:
             whole_end = br
         elif r - ar > 0:
-            vec += self._recurse_cell(cr, ar, r, ctx)
+            vec += _copy_measure(self.child, ar, br, ar, r, ctx)
             partial += r - ar
         if whole_end > whole_start:
             vec = vec + (whole_end - whole_start) * self.dist_vec
@@ -376,24 +361,13 @@ class GlueExpr(ConstructExpr):
         a = self.alpha
         lo, hi = max(u0, 0.0), min(u1, a)
         if hi > lo:
-            sub, _ = self._arm_measure(self.hom1, 0.0, a, lo, hi, ctx)
+            sub = _copy_measure(self.hom1, 0.0, a, lo, hi, ctx)
             vec += self._remap(sub, self._map1, self._slice1)
         lo, hi = max(u0, a), min(u1, 1.0)
         if hi > lo:
-            sub, _ = self._arm_measure(self.hom0, a, 1.0, lo, hi, ctx)
+            sub = _copy_measure(self.hom0, a, 1.0, lo, hi, ctx)
             vec += self._remap(sub, self._map0, self._slice0)
         return vec
-
-    @staticmethod
-    def _arm_measure(hom: HomExpr, arc_lo: float, arc_hi: float, l: float, r: float, ctx: _Ctx):
-        scale = 1.0 / (arc_hi - arc_lo)
-        lo = -0.5 if l <= arc_lo else -0.5 + (l - arc_lo) * scale
-        hi = 0.5 if r >= arc_hi else -0.5 + (r - arc_lo) * scale
-        lo, hi = max(lo, -0.5), min(hi, 0.5)
-        if hi <= lo:
-            return np.zeros(hom.atom_values.size), 0.0
-        vec, partial = hom._measure(lo, hi, ctx)
-        return vec * ((r - l) / (hi - lo)), partial
 
     def _measure(self, l: float, r: float, ctx: _Ctx):
         return _circle_measure(self, l, r, ctx)
@@ -424,21 +398,31 @@ class PeriodizeExpr(ConstructExpr):
         self.depth = child.depth + 1
 
     def _period_measure(self, u0: float, u1: float, ctx: _Ctx):
-        A, B = self.child.content_bounds()
-        scale = B - A
-        lo = A if u0 <= 0.0 else A + u0 * scale
-        hi = B if u1 >= 1.0 else A + u1 * scale
-        lo, hi = max(lo, A), min(hi, B)
-        if hi <= lo:
-            return np.zeros(self.atom_values.size)
-        vec, _ = self.child._measure(lo, hi, ctx)
-        return vec * ((u1 - u0) / (hi - lo))
+        return _copy_measure(self.child, 0.0, 1.0, u0, u1, ctx)
 
     def _measure(self, l: float, r: float, ctx: _Ctx):
         return _circle_measure(self, l, r, ctx)
 
     def to_dict(self) -> dict:
         return {"kind": "periodize", "child": self.child.to_dict()}
+
+
+def _copy_measure(child: ConstructExpr, a: float, b: float, l: float, r: float, ctx: _Ctx) -> np.ndarray:
+    """Mass of ``[l, r]`` inside the copy of ``child`` that occupies ``[a, b]``.
+
+    The range maps affinely onto the child's content bounds, the child
+    measures it, and the mass is rescaled to parent length units.
+    """
+    A, B = child.content_bounds()
+    scale = (B - A) / (b - a)
+    # snap copy-aligned ends exactly so recursion stays period-aligned
+    lo = A if l <= a else A + (l - a) * scale
+    hi = B if r >= b else A + (r - a) * scale
+    lo, hi = max(min(lo, B), A), max(min(hi, B), A)
+    if hi <= lo:
+        return np.zeros(child.atom_values.size)
+    vec, _ = child._measure(lo, hi, ctx)
+    return vec * ((r - l) / (hi - lo))
 
 
 def _circle_measure(node, l: float, r: float, ctx: _Ctx):
@@ -493,8 +477,6 @@ def homogenize(e: ConstructExpr, lam: float = 0.9, levels: int | None = None) ->
     The node distribution equals ``dist(e)`` exactly; neighbor cells have
     length ratio ``lam`` except at the truncation junction.
     """
-    if not 0.0 < lam < 1.0:
-        raise InputError(f"homogenization ratio must lie in (0, 1), got {lam}")
     if levels is None:
         levels = default_levels(lam)
     return HomExpr(e, lam, levels)
@@ -512,8 +494,6 @@ def glue(
     ``e1``'s homogenized content occupies ``[0, alpha)``; ``e0``'s occupies
     ``[alpha, 1)``.
     """
-    if not 0.0 < lam < 1.0:
-        raise InputError(f"homogenization ratio must lie in (0, 1), got {lam}")
     if levels is None:
         levels = default_levels(lam)
     return GlueExpr(e0, e1, alpha, lam, levels)

@@ -503,52 +503,35 @@ def lift(M: MartingaleTree, curve) -> MartingaleTree:
     return MartingaleTree(build(M.root))
 
 
-def _normalize_schedule(schedule):
-    if schedule is None:
-        lam = 0.9
-        return lambda depth: (lam, default_levels(lam))
-    if callable(schedule):
-        return schedule
-    if isinstance(schedule, tuple) and len(schedule) == 2 and np.isscalar(schedule[0]):
-        lam, levels = float(schedule[0]), int(schedule[1])
-        return lambda depth: (lam, levels)
-    entries = list(schedule)
-
-    def lookup(depth: int):
-        lam, levels = entries[min(depth, len(entries) - 1)]
-        return float(lam), int(levels)
-
-    return lookup
-
-
-def compile_to_circle(M: MartingaleTree, schedule=None) -> ConstructExpr:
+def compile_to_circle(M: MartingaleTree, schedule: tuple[float, int] | None = None) -> ConstructExpr:
     """Fold a measure-valued martingale with delta leaves into a circle function.
 
     Leaves become constants; an internal node becomes a left fold of
     gluings over its children with cumulative weights, so the resulting
     node distribution equals the root distribution exactly.  ``schedule``
-    maps tree depth to the ``(lam, levels)`` homogenization parameters
-    (constant pair, per-depth list, or callable).
+    is the ``(lam, levels)`` pair of homogenization parameters every gluing
+    uses; None means ``lam = 0.9`` with ``default_levels(0.9)``.
     """
     if M.kind != "measure":
         raise InputError("compile expects a measure-valued martingale")
     M.check_structure()
-    sched = _normalize_schedule(schedule)
+    if schedule is None:
+        schedule = (0.9, default_levels(0.9))
+    lam, levels = float(schedule[0]), int(schedule[1])
 
-    def build(node: MartNode, depth: int) -> ConstructExpr:
+    def build(node: MartNode) -> ConstructExpr:
         if node.is_leaf:
             if not node.value.is_delta:
                 raise InputError("leaves must be delta measures")
             return constant(float(node.value.values[0]))
-        exprs = [build(child, depth + 1) for _, child in node.children]
+        exprs = [build(child) for _, child in node.children]
         probs = [w for w, _ in node.children]
-        lam, levels = sched(depth)
         acc = exprs[0]
         for e, a in zip(exprs[1:], fold_alphas(probs)):
             acc = glue(acc, e, a, lam=lam, levels=levels)
         return acc
 
-    return periodize(build(M.root, 0))
+    return periodize(build(M.root))
 
 
 # -- staircase factories ------------------------------------------------------------------------

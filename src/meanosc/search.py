@@ -8,14 +8,16 @@ pair, and golden-section coordinate refinement of the leading candidates.
 Nesting the grids dyadically makes the reported lower bound monotone under
 enlargement of the grid or refinement budget.
 
-Flat step functions are evaluated in vectorized chunks through exact
-overlap matrices.  Construction DAGs use a structure-aware strategy:
-intervals inside a single copy are affine images of child intervals, so
-child searches recurse and their witnesses embed through a representative
-copy; boundary-straddling intervals are scanned around each junction type
-on a logarithmic length grid; arcs covering at least ``r_long`` whole
-periods have distributions within total variation ``2 / (r_long + 1)`` of
-the node distribution, which caps their values provably.
+Every search enters through ``_search``.  Flat step functions, and DAGs of
+at most ``_FLAT_LIMIT`` pieces once materialized, are evaluated in
+vectorized chunks through exact overlap matrices.  Larger construction
+DAGs use a structure-aware strategy: intervals inside a single copy are
+affine images of child intervals, so child searches recurse and their
+witnesses embed through a representative copy; boundary-straddling
+intervals are scanned around each junction type on a logarithmic length
+grid; arcs covering at least ``r_long`` whole periods have distributions
+within total variation ``2 / (r_long + 1)`` of the node distribution,
+which caps their values provably.
 
 When ``certify`` is set, reports carry an upper bound next to the lower
 bound.  For flat interval functions it is the per-cell-pair value-range
@@ -62,6 +64,7 @@ __all__ = [
 
 _FLAT_LIMIT = 600  # piece count up to which DAG targets are searched flat
 _CHUNK_BUDGET = 2_000_000  # floats per overlap-matrix chunk
+_REFINE_TOP = 32  # leading candidates refined per block of the pair scan
 
 
 @dataclass(frozen=True)
@@ -73,8 +76,7 @@ class SearchConfig:
     is the golden-section budget per refined coordinate; ``r_long`` the
     copy-count threshold of the long-arc regime; ``max_periods`` the
     largest scanned arc length in periods; ``certify`` attaches an upper
-    bound to each report; ``threads`` the worker count of the pair scan;
-    ``refine_top`` the number of leading candidates refined per block.
+    bound to each report; ``threads`` the worker count of the pair scan.
     """
 
     grid_points: int = 3
@@ -83,10 +85,9 @@ class SearchConfig:
     max_periods: int = 256
     certify: bool = False
     threads: int = 1
-    refine_top: int = 32
 
     def __post_init__(self):
-        for name in ("grid_points", "refine_iters", "r_long", "max_periods", "threads", "refine_top"):
+        for name in ("grid_points", "refine_iters", "r_long", "max_periods", "threads"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be positive")
 
@@ -102,7 +103,6 @@ class SearchConfig:
             "max_periods": self.max_periods,
             "certify": self.certify,
             "threads": self.threads,
-            "refine_top": self.refine_top,
         }
 
 
@@ -490,7 +490,7 @@ def _chunked_pair_scan(target: _FlatTarget, points: np.ndarray, cfg: SearchConfi
         best.offer_array(vals, lefts[s:e], rights[s:e])
         if collect is not None:
             collect.append(np.column_stack((lefts[s:e], rights[s:e], rights[s:e] - lefts[s:e], vals)))
-    if cfg.refine_top > 0 and results:
+    if results:
         allvals = np.concatenate(results)
         # stratified leaders: pair candidates and straddle candidates each
         # contribute their own top block, so half-jump optima always refine
@@ -499,7 +499,7 @@ def _chunked_pair_scan(target: _FlatTarget, points: np.ndarray, cfg: SearchConfi
         for block in (np.arange(n_pairs), np.arange(n_pairs, allvals.size)):
             if block.size == 0:
                 continue
-            k = min(cfg.refine_top, block.size)
+            k = min(_REFINE_TOP, block.size)
             top = block[np.argpartition(allvals[block], -k)[-k:]]
             leaders.extend(int(t) for t in top)
         idx = np.array(leaders, dtype=int)
@@ -571,6 +571,38 @@ def _geom_lengths(lo: float, hi: float, per_octave: int) -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
+def _long_arc_scan(raw_at, t0: float, objective: _Objective, cfg: SearchConfig, best: _Best) -> float:
+    """Offer arcs of 2 to ``max_periods`` periods, starting at ``t0`` plus dyadic offsets.
+
+    ``raw_at(l, r)`` returns the raw functional of the arc ``[l, r]``.
+    Returns the largest raw value seen, for the certificate.
+    """
+    lengths = _geom_lengths(2.0, float(cfg.max_periods), max(2, cfg.grid_points))
+    offsets = np.arange(0, 2**cfg.dyadic_level) / 2.0**cfg.dyadic_level
+    raw_max = -math.inf
+    for ell in lengths:
+        for u in offsets:
+            l, r = float(t0 + u), float(t0 + u + ell)
+            raw = raw_at(l, r)
+            raw_max = max(raw_max, raw)
+            best.offer(objective.value_from_raw(raw), l, r)
+    return raw_max
+
+
+def _certificate(objective: _Objective, cfg: SearchConfig, values, period: DiscreteDistribution, raw_max: float, best: _Best):
+    """Upper bound from the largest raw value seen, one period's included, plus a TV slack.
+
+    Arcs of at least ``r_long`` periods have distributions within total
+    variation ``2 / (r_long + 1)`` of one period.  None unless ``certify``.
+    """
+    if not cfg.certify:
+        return None
+    raw_max = max(raw_max, objective.raw_from_dist(period))
+    tv = 2.0 / (cfg.r_long + 1.0)
+    slack = objective.tv_slack(float(values.min()), float(values.max()), tv)
+    return max(objective.value_from_raw(raw_max + slack), best.value)
+
+
 def _flat_circle_search(f: StepFunction, objective: _Objective, cfg: SearchConfig, collect_scan: bool):
     best = _Best()
     collect: list | None = [] if collect_scan else None
@@ -579,30 +611,54 @@ def _flat_circle_search(f: StepFunction, objective: _Objective, cfg: SearchConfi
     flat = _FlatTarget(unrolled, objective)
     points = _candidate_points(unrolled, cfg.dyadic_level)
     _chunked_pair_scan(flat, points, cfg, best, collect)
-    evaluations = flat.evaluations
-    # long arcs on a logarithmic length grid, plus the one-period asymptote
-    period_raw = objective.raw_from_dist(f.distribution((t0, t0 + 1.0)))
-    raw_max = max(period_raw, objective.raw_of_value(best.value))
-    lengths = _geom_lengths(2.0, float(cfg.max_periods), max(2, cfg.grid_points))
-    offsets = np.arange(0, 2**cfg.dyadic_level) / 2.0**cfg.dyadic_level
-    for ell in lengths:
-        for u in offsets:
-            d = f.distribution((t0 + u, t0 + u + ell))
-            raw = objective.raw_from_dist(d)
-            raw_max = max(raw_max, raw)
-            best.offer(objective.value_from_raw(raw), t0 + u, float(t0 + u + ell))
-            evaluations += 1
-    upper = None
-    if cfg.certify:
-        vmin, vmax = float(f.values.min()), float(f.values.max())
-        tv = 2.0 / (cfg.r_long + 1.0)
-        upper = objective.value_from_raw(raw_max + objective.tv_slack(vmin, vmax, tv))
-        upper = max(upper, best.value)
+
+    def raw_at(l, r):
+        flat.evaluations += 1
+        return objective.raw_from_dist(f.distribution((l, r)))
+
+    # the pair-scan maximum is read before the long arcs join it
+    raw_max = max(objective.raw_of_value(best.value), _long_arc_scan(raw_at, t0, objective, cfg, best))
+    upper = _certificate(objective, cfg, f.values, f.distribution((t0, t0 + 1.0)), raw_max, best)
     scan = [tuple(row) for row in np.concatenate(collect)] if collect else []
-    return best, evaluations, upper, scan
+    return best, flat.evaluations, upper, scan
 
 
 # -- construction-DAG targets ----------------------------------------------------------
+
+
+def _layout(node: ConstructExpr):
+    """Full carrier or base period, ``(child, lo, hi)`` copies, ``(junction, shortest length)`` pairs."""
+    if isinstance(node, HomExpr):
+        a, b = node.carrier
+        lam, K = node.lam, node.levels
+        cell1 = 0.5 * (1.0 - lam)
+        resid = 0.5 * lam**K
+        # witnesses embed through the longer of the first and the residual cell
+        lo, hi = max(node._cell_bounds(1, 1), node._cell_bounds(1, K + 1), key=lambda cell: cell[1] - cell[0])
+        # junction types: center (ratio 1), generic (ratio lam),
+        # truncation junction (ratio lam/(1-lam)), and the carrier ends
+        junctions = [
+            (0.0, cell1 * 1e-3),
+            (node._ck(1), cell1 * lam * 1e-3),
+            (node._ck(K), min(resid, cell1 * lam ** (K - 1)) * 1e-3),
+            (b, resid * 1e-3),
+            (a, resid * 1e-3),
+        ]
+        return (a, b), [(node.child, lo, hi)], junctions
+    if isinstance(node, GlueExpr):
+        alpha = node.alpha
+        resid1 = 0.5 * node.lam**node.levels * alpha
+        resid0 = 0.5 * node.lam**node.levels * (1.0 - alpha)
+        smallest = min(resid0, resid1)
+        copies = [(node.hom1, 0.0, alpha), (node.hom0, alpha, 1.0)]
+        return (0.0, 1.0), copies, [(alpha, smallest * 1e-3), (1.0, smallest * 1e-3)]
+    if isinstance(node, PeriodizeExpr):
+        if isinstance(node.child, HomExpr):
+            smallest = 0.5 * node.child.lam**node.child.levels
+        else:
+            smallest = 1e-3
+        return (0.0, 1.0), [(node.child, 0.0, 1.0)], [(1.0, smallest * 1e-3)]
+    raise InputError(f"unsupported node kind {node!r}")  # pragma: no cover
 
 
 class _DagSearch:
@@ -623,13 +679,15 @@ class _DagSearch:
         self.raw_max = -math.inf
         self._memo: dict[int, tuple[float, tuple[float, float] | None]] = {}
 
-    def value_at(self, node: ConstructExpr, l: float, r: float) -> float:
+    def raw_at(self, node: ConstructExpr, l: float, r: float) -> float:
         self.evaluations += 1
-        d = dag_query(node, (l, r)).distribution
-        raw = self.objective.raw_from_dist(d)
+        raw = self.objective.raw_from_dist(dag_query(node, (l, r)).distribution)
         if raw > self.raw_max:
             self.raw_max = raw
-        return self.objective.value_from_raw(raw)
+        return raw
+
+    def value_at(self, node: ConstructExpr, l: float, r: float) -> float:
+        return self.objective.value_from_raw(self.raw_at(node, l, r))
 
     def search(self, node: ConstructExpr) -> tuple[float, tuple[float, float] | None]:
         key = id(node)
@@ -646,14 +704,8 @@ class _DagSearch:
             self.evaluations += evals
             self.raw_max = max(self.raw_max, self.objective.raw_of_value(sub.value))
             best.offer(sub.value, sub.left, sub.right)
-        elif isinstance(node, HomExpr):
-            self._search_hom(node, best)
-        elif isinstance(node, GlueExpr):
-            self._search_glue(node, best)
-        elif isinstance(node, PeriodizeExpr):
-            self._search_periodize(node, best)
-        else:  # pragma: no cover
-            raise InputError(f"unsupported node kind {node!r}")
+        else:
+            self._search_copies(node, *_layout(node), best)
         if math.isnan(best.left):
             out = (best.value, None)
         else:
@@ -661,6 +713,21 @@ class _DagSearch:
             out = (best.value, (wl, wr))
         self._memo[key] = out
         return out
+
+    def _search_copies(self, node, full, copies, junctions, best: _Best):
+        """Full arc, embedded child witnesses, junction scans, and long arcs on circles."""
+        a, b = full
+        best.offer(self.value_at(node, a, b), a, b)
+        for child, lo, hi in copies:
+            child_best, child_wit = self.search(child)
+            self.raw_max = max(self.raw_max, self.objective.raw_of_value(child_best))
+            self._embed(node, child, child_wit, lo, hi, best)
+        clip, scale_hi = (None, 2.0) if node.is_circle else (full, b - a)
+        for c, scale_lo in junctions:
+            self._junction_scan(node, c, scale_lo, scale_hi, best, clip)
+        if node.is_circle:
+            self.raw_max = max(self.raw_max, self.objective.raw_from_dist(node.distribution()))
+            _long_arc_scan(lambda l, r: self.raw_at(node, l, r), 0.0, self.objective, self.cfg, best)
 
     def _embed(self, node, child, witness, lo: float, hi: float, best: _Best):
         """Map a child witness through the copy occupying [lo, hi] of node."""
@@ -685,110 +752,47 @@ class _DagSearch:
             best.offer(self.value_at(node, wl, wr), wl, wr)
 
     def _junction_scan(self, node, c: float, scale_lo: float, scale_hi: float, best: _Best, clip: tuple[float, float] | None):
+        """Arcs straddling ``c`` on a (length x offset) grid, then the 4 leaders refined.
+
+        An arc ``(t, ell)`` has length ``ell`` with the fraction ``t`` of it
+        left of ``c``, clipped to ``clip`` on interval carriers.
+        """
         cfg = self.cfg
+
+        def arcs(ts, ells, offer: bool):
+            ls, rs = c - ts * ells, c + (1.0 - ts) * ells
+            if clip is not None:
+                ls, rs = np.maximum(ls, clip[0]), np.minimum(rs, clip[1])
+            # an arc that clipping empties is worth -inf
+            vs = np.full(ls.size, -math.inf)
+            for k, (l, r) in enumerate(zip(ls.tolist(), rs.tolist())):
+                if r - l > 1e-15:
+                    vs[k] = v = self.value_at(node, l, r)
+                    if offer:
+                        best.offer(v, l, r)
+            return ls, rs, vs
+
         lengths = _geom_lengths(max(scale_lo, 1e-13), scale_hi, max(2, cfg.grid_points))
         offsets = np.arange(1, 2**cfg.dyadic_level) / 2.0**cfg.dyadic_level
-        leaders: list[tuple[float, float, float]] = []
+        ls, rs, vs = arcs(np.tile(offsets, lengths.size), np.repeat(lengths, offsets.size), True)
+        top = [k for k in np.argsort(-vs, kind="stable")[:4] if vs[k] > -math.inf]
+        ell0 = (rs[top] - ls[top]).tolist()
+        t0 = np.array([min(max((c - l) / e, 0.0), 1.0) for l, e in zip(ls[top].tolist(), ell0)])
+        x0 = [math.log(e) for e in ell0]
+        log_lo, log_hi = math.log(max(scale_lo, 1e-13)), math.log(scale_hi)
 
-        def clipped(l, r):
-            if clip is not None:
-                l, r = max(l, clip[0]), min(r, clip[1])
-            return l, r
-
-        for ell in lengths:
-            for t in offsets:
-                l, r = clipped(c - t * ell, c + (1.0 - t) * ell)
-                if r - l <= 1e-15:
-                    continue
-                v = self.value_at(node, l, r)
-                best.offer(v, l, r)
-                leaders.append((v, l, r))
-        leaders.sort(key=lambda rec: -rec[0])
-        top = leaders[:4]
-        log_hi = math.log(scale_hi)
-        log_lo = math.log(max(scale_lo, 1e-13))
-        ell0 = [r0 - l0 for _, l0, r0 in top]
-        t0 = [min(max((c - l0) / e, 0.0), 1.0) if e > 0 else 0.5 for (_, l0, _), e in zip(top, ell0)]
-        x0 = [math.log(e) if e > 0 else log_lo for e in ell0]
-
-        def values(ts, ells):
-            # one scalar query per lane; clipping can empty a probe arc
-            out = []
-            for t, ell in zip(ts, ells):
-                l, r = clipped(c - t * ell, c + (1.0 - t) * ell)
-                out.append(self.value_at(node, l, r) if r - l > 1e-15 else -math.inf)
-            return np.array(out)
+        def exps(xs):
+            return np.array([math.exp(x) for x in xs.tolist()])
 
         lx, _ = _golden_max(
-            lambda xs: values(t0, [math.exp(x) for x in xs.tolist()]),
+            lambda xs: arcs(t0, exps(xs), False)[2],
             [max(x - 2.0, log_lo) for x in x0],
             [min(x + 2.0, log_hi) for x in x0],
             cfg.refine_iters,
         )
-        ell1 = [math.exp(x) for x in lx.tolist()]
-        tt, _ = _golden_max(
-            lambda ts: values(ts.tolist(), ell1), [0.0] * len(top), [1.0] * len(top), cfg.refine_iters
-        )
-        for t, ell in zip(tt.tolist(), ell1):
-            l, r = clipped(c - t * ell, c + (1.0 - t) * ell)
-            if r - l > 1e-15:
-                best.offer(self.value_at(node, l, r), l, r)
-
-    def _search_hom(self, node: HomExpr, best: _Best):
-        a, b = node.carrier
-        best.offer(self.value_at(node, a, b), a, b)
-        child_best, child_wit = self.search(node.child)
-        self.raw_max = max(self.raw_max, self.objective.raw_of_value(child_best))
-        c1 = node._cell_bounds(1, 1)
-        cres = node._cell_bounds(1, node.levels + 1)
-        lo, hi = max((c1, cres), key=lambda cell: cell[1] - cell[0])
-        self._embed(node, node.child, child_wit, lo, hi, best)
-        lam, K = node.lam, node.levels
-        cell1 = 0.5 * (1.0 - lam)
-        resid = 0.5 * lam**K
-        clip = (a, b)
-        # junction types: center (ratio 1), generic (ratio lam),
-        # truncation junction (ratio lam/(1-lam)), and the carrier ends
-        self._junction_scan(node, 0.0, cell1 * 1e-3, b - a, best, clip)
-        self._junction_scan(node, node._ck(1), cell1 * lam * 1e-3, b - a, best, clip)
-        self._junction_scan(node, node._ck(K), min(resid, cell1 * lam ** (K - 1)) * 1e-3, b - a, best, clip)
-        self._junction_scan(node, b, resid * 1e-3, b - a, best, clip)
-        self._junction_scan(node, a, resid * 1e-3, b - a, best, clip)
-
-    def _search_glue(self, node: GlueExpr, best: _Best):
-        best.offer(self.value_at(node, 0.0, 1.0), 0.0, 1.0)
-        alpha = node.alpha
-        for hom, arc_lo, arc_hi in ((node.hom1, 0.0, alpha), (node.hom0, alpha, 1.0)):
-            child_best, child_wit = self.search(hom)
-            self.raw_max = max(self.raw_max, self.objective.raw_of_value(child_best))
-            self._embed(node, hom, child_wit, arc_lo, arc_hi, best)
-        resid1 = 0.5 * node.lam**node.levels * alpha
-        resid0 = 0.5 * node.lam**node.levels * (1.0 - alpha)
-        smallest = min(resid0, resid1)
-        self._junction_scan(node, alpha, smallest * 1e-3, 2.0, best, None)
-        self._junction_scan(node, 1.0, smallest * 1e-3, 2.0, best, None)
-        self._long_arcs(node, best)
-
-    def _search_periodize(self, node: PeriodizeExpr, best: _Best):
-        best.offer(self.value_at(node, 0.0, 1.0), 0.0, 1.0)
-        child_best, child_wit = self.search(node.child)
-        self.raw_max = max(self.raw_max, self.objective.raw_of_value(child_best))
-        self._embed(node, node.child, child_wit, 0.0, 1.0, best)
-        if isinstance(node.child, HomExpr):
-            smallest = 0.5 * node.child.lam**node.child.levels
-        else:
-            smallest = 1e-3
-        self._junction_scan(node, 1.0, smallest * 1e-3, 2.0, best, None)
-        self._long_arcs(node, best)
-
-    def _long_arcs(self, node, best: _Best):
-        cfg = self.cfg
-        self.raw_max = max(self.raw_max, self.objective.raw_from_dist(node.distribution()))
-        lengths = _geom_lengths(2.0, float(cfg.max_periods), max(2, cfg.grid_points))
-        offsets = np.arange(0, 2**cfg.dyadic_level) / 2.0**cfg.dyadic_level
-        for ell in lengths:
-            for u in offsets:
-                best.offer(self.value_at(node, float(u), float(u + ell)), float(u), float(u + ell))
+        ell1 = exps(lx)
+        tt, _ = _golden_max(lambda ts: arcs(ts, ell1, False)[2], np.zeros(len(top)), np.ones(len(top)), cfg.refine_iters)
+        arcs(tt, ell1, True)
 
 
 def _dag_search(expr: ConstructExpr, objective: _Objective, cfg: SearchConfig):
@@ -797,21 +801,14 @@ def _dag_search(expr: ConstructExpr, objective: _Objective, cfg: SearchConfig):
     best = _Best()
     if witness is not None:
         best.offer(value, witness[0], witness[1])
-    upper = None
-    if cfg.certify:
-        vals = expr.atom_values
-        vmin, vmax = float(vals.min()), float(vals.max())
-        tv = 2.0 / (cfg.r_long + 1.0)
-        raw = max(engine.raw_max, objective.raw_from_dist(expr.distribution()))
-        upper = objective.value_from_raw(raw + objective.tv_slack(vmin, vmax, tv))
-        upper = max(upper, best.value)
-    return best, engine.evaluations, upper
+    upper = _certificate(objective, cfg, expr.atom_values, expr.distribution(), engine.raw_max, best)
+    return best, engine.evaluations, upper, []
 
 
 # -- public operations ------------------------------------------------------------------
 
 
-def _finish(best: _Best, evaluations: int, cfg: SearchConfig, upper, scan) -> SearchReport:
+def _finish(cfg: SearchConfig, best: _Best, evaluations: int, upper, scan) -> SearchReport:
     if not math.isfinite(best.value) or math.isnan(best.left):
         raise InputError("search produced no candidates")
     wl, wr, _ = best.finish()
@@ -825,9 +822,9 @@ def _finish(best: _Best, evaluations: int, cfg: SearchConfig, upper, scan) -> Se
     )
 
 
-def _is_interval_target(target) -> bool:
+def _is_circle(target) -> bool:
     if isinstance(target, (StepFunction, ConstructExpr)):
-        return not target.is_circle
+        return target.is_circle
     raise InputError(f"unsupported search target {target!r}")
 
 
@@ -840,66 +837,50 @@ def _check_positive(target):
             raise InputError("weight atoms must be strictly positive")
 
 
-def _interval_search(target, objective: _Objective, cfg: SearchConfig, collect_scan: bool) -> SearchReport:
-    if not _is_interval_target(target):
-        raise InputError("target carries circle content; use the circle search")
+def _search(target, objective: _Objective, cfg: SearchConfig | None, collect_scan: bool) -> SearchReport:
+    """The one search entry: flat for step functions and small DAGs, structural for large DAGs."""
+    circle = _is_circle(target)
     if objective.requires_positive:
         _check_positive(target)
-    if isinstance(target, StepFunction):
-        best, evals, upper, scan = _flat_interval_search(target, objective, cfg, collect_scan)
-        return _finish(best, evals, cfg, upper, scan)
-    if required_pieces(target) <= _FLAT_LIMIT:
-        flat = materialize(target, max_pieces=_FLAT_LIMIT)
-        best, evals, upper, scan = _flat_interval_search(flat, objective, cfg, collect_scan)
-        return _finish(best, evals, cfg, upper, scan)
-    best, evals, upper = _dag_search(target, objective, cfg)
-    return _finish(best, evals, cfg, upper, [])
-
-
-def _circle_search(target, objective: _Objective, cfg: SearchConfig, collect_scan: bool) -> SearchReport:
-    if _is_interval_target(target):
-        raise InputError("target carries interval content; use the circle search on circle targets only")
-    if objective.requires_positive:
-        _check_positive(target)
-    if isinstance(target, StepFunction):
-        best, evals, upper, scan = _flat_circle_search(target, objective, cfg, collect_scan)
-        return _finish(best, evals, cfg, upper, scan)
-    if required_pieces(target) <= _FLAT_LIMIT:
-        flat = materialize(target, max_pieces=_FLAT_LIMIT)
-        best, evals, upper, scan = _flat_circle_search(flat, objective, cfg, collect_scan)
-        return _finish(best, evals, cfg, upper, scan)
-    best, evals, upper = _dag_search(target, objective, cfg)
-    return _finish(best, evals, cfg, upper, [])
+    cfg = cfg or SearchConfig()
+    if isinstance(target, ConstructExpr):
+        pieces = required_pieces(target)
+        if pieces > _FLAT_LIMIT:
+            if collect_scan:
+                raise InputError(
+                    f"a candidate scan needs a target of at most {_FLAT_LIMIT} pieces, "
+                    f"this one has {pieces} and is searched as a DAG"
+                )
+            return _finish(cfg, *_dag_search(target, objective, cfg))
+        target = materialize(target, max_pieces=_FLAT_LIMIT)
+    flat_search = _flat_circle_search if circle else _flat_interval_search
+    return _finish(cfg, *flat_search(target, objective, cfg, collect_scan))
 
 
 def bmo_norm(target, p: float, cfg: SearchConfig | None = None, collect_scan: bool = False) -> SearchReport:
     """Supremum of the centered p-oscillation over subintervals of an interval target."""
-    cfg = cfg or SearchConfig()
-    return _interval_search(target, _BmoObjective(p), cfg, collect_scan)
+    objective = _BmoObjective(p)
+    if _is_circle(target):
+        raise InputError("target carries circle content; use the circle search")
+    return _search(target, objective, cfg, collect_scan)
 
 
 def circle_bmo_norm(target, p: float, cfg: SearchConfig | None = None, collect_scan: bool = False) -> SearchReport:
     """Supremum of the centered p-oscillation over all arcs of a circle target."""
-    cfg = cfg or SearchConfig()
-    return _circle_search(target, _BmoObjective(p), cfg, collect_scan)
+    objective = _BmoObjective(p)
+    if not _is_circle(target):
+        raise InputError("target carries interval content; use the circle search on circle targets only")
+    return _search(target, objective, cfg, collect_scan)
 
 
 def ap_constant(target, p: float, cfg: SearchConfig | None = None, collect_scan: bool = False) -> SearchReport:
     """Supremum of ``<w>_J <w^{-1/(p-1)}>_J^{p-1}`` over subintervals or arcs."""
-    cfg = cfg or SearchConfig()
-    objective = _ApObjective(p)
-    if _is_interval_target(target):
-        return _interval_search(target, objective, cfg, collect_scan)
-    return _circle_search(target, objective, cfg, collect_scan)
+    return _search(target, _ApObjective(p), cfg, collect_scan)
 
 
 def a_inf_constant(target, cfg: SearchConfig | None = None, collect_scan: bool = False) -> SearchReport:
     """Supremum of ``<w>_J exp(-<log w>_J)`` over subintervals or arcs."""
-    cfg = cfg or SearchConfig()
-    objective = _AInfObjective()
-    if _is_interval_target(target):
-        return _interval_search(target, objective, cfg, collect_scan)
-    return _circle_search(target, objective, cfg, collect_scan)
+    return _search(target, _AInfObjective(), cfg, collect_scan)
 
 
 def weak_distribution(f: StepFunction, q, lam: float) -> float:

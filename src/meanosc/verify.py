@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .constants import jn_weak_envelope, lp_equiv_constant
+from .construct import default_levels
 from .distributions import tv_distance
 from .martingales import (
     MomentDomain,
@@ -222,6 +223,7 @@ def verify_jn(
     from above, so the staircase (a log-like function, unbounded below) is
     integrated with a negated exponent, matching ``log(1/x)``.
     """
+    levels = default_levels(lam_hom)
     two_over_e = 2.0 / math.e
     lam = math.exp(delta / 5.0)
     c = two_over_e / (two_over_e + delta)
@@ -251,7 +253,6 @@ def verify_jn(
     checks.append(_check("membership_pass", "truthy", report.passed, 0.0))
     checks.append(_check_le("membership_worst_margin", report.worst_margin, 0.0, 0.0))
 
-    levels = max(1, int(math.ceil(math.log(1e-3) / math.log(lam_hom))))
     expr = compile_to_circle(M, (lam_hom, levels))
     tv = tv_distance(expr.distribution(), M.root.value)
     checks.append(_check_le("compiled_distribution_tv", tv, 0.0, 1e-12))

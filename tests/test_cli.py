@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from meanosc.construct import expr_from_dict
+from meanosc.construct import expr_from_dict, glue, homogenize, leaf, required_pieces
 from meanosc.distributions import tv_distance
+from meanosc.martingales import log_staircase
 from meanosc.stepfun import Interval, StepFunction
 
 
@@ -173,6 +174,35 @@ def test_exit_code_input_error(tmp_path):
     bad.write_text("{not json")
     res = run_cli("norm", "--in", str(bad), "--p", "2")
     assert res.returncode == 2
+
+
+def test_compile_invalid_lambda_is_input_error(tmp_path):
+    mart_path = tmp_path / "mart.json"
+    mart_path.write_text(json.dumps(log_staircase(1.5, 3)[1].to_dict()))
+    for lam in ("0", "1", "-0.5"):
+        res = run_cli("compile", "--in", str(mart_path), "--lambda-hom", lam)
+        assert res.returncode == 2, (lam, res.stderr)
+        assert res.stderr.startswith("input error:"), (lam, res.stderr)
+
+
+def test_verify_jn_invalid_lambda_is_input_error():
+    for lam in ("0", "1"):
+        res = run_cli("verify-jn", "--lambda-hom", lam)
+        assert res.returncode == 2, (lam, res.stderr)
+        assert res.stderr.startswith("input error:"), (lam, res.stderr)
+
+
+def test_csv_scan_of_dag_target_is_input_error(tmp_path):
+    sign = StepFunction(Interval(-1.0, 1.0), [-1.0, 0.0, 1.0], [-1.0, 1.0])
+    expr = glue(homogenize(homogenize(leaf(sign), 0.9)), leaf(sign), 0.5, 0.9)
+    assert required_pieces(expr) > 600  # searched as a DAG, not flat
+    expr_path = tmp_path / "dag.json"
+    expr_path.write_text(json.dumps(expr.to_dict()))
+    out_path = tmp_path / "scan.csv"
+    res = run_cli("norm", "--in", str(expr_path), "--p", "2", "--format", "csv", "--out", str(out_path))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("input error:"), res.stderr
+    assert not out_path.exists()
 
 
 def test_exit_code_unknown_flag(sign_file):

@@ -207,15 +207,29 @@ def test_materialize_budget_error_names_count():
 def test_query_materialize_agreement():
     rng = np.random.default_rng(11)
     e0, e1 = leaf(random_leaf(rng)), leaf(random_leaf(rng))
-    g = glue(e0, e1, 0.35, 0.6, 5)
-    m = materialize(g)
-    for _ in range(60):
-        a = float(rng.uniform(-2.0, 2.0))
-        b = a + float(rng.uniform(1e-6, 3.0))
-        qd = query(g, (a, b)).distribution
-        md = m.distribution((a, b))
-        assert tv_distance(qd, md) < 1e-10
-        assert qd.central_moment(1.0) == pytest.approx(md.central_moment(1.0), abs=1e-10)
+    # every caller of the copy map: glue arms, a periodized hom, and circle
+    # content inside hom copies (the glue-of-glues shape compile_to_circle emits)
+    cases = {
+        "glue": glue(e0, e1, 0.35, 0.6, 5),
+        "periodized hom": periodize(homogenize(e0, 0.7, 3)),
+        "glue of glues": glue(
+            glue(constant(0.0), constant(2.0), 0.3, 0.6, 3),
+            glue(constant(-1.0), e1, 0.55, 0.6, 3),
+            0.4,
+            0.7,
+            2,
+        ),
+    }
+    for name, g in cases.items():
+        m = materialize(g)
+        for k in range(80):
+            a = float(rng.uniform(-2.0, 2.0))
+            # the last 20 arcs span one to six periods
+            b = a + float(rng.uniform(1e-6, 3.0) if k < 60 else rng.uniform(1.0, 6.0))
+            qd = query(g, (a, b)).distribution
+            md = m.distribution((a, b))
+            assert tv_distance(qd, md) < 1e-10, (name, a, b)
+            assert qd.central_moment(1.0) == pytest.approx(md.central_moment(1.0), abs=1e-10), (name, a, b)
 
 
 def test_nested_hom_matches_materialized():
