@@ -73,13 +73,18 @@ def _emit(obj, out: str | None):
             fh.write(text + "\n")
 
 
+def _check_report_out(fmt: str, out: str | None):
+    """Reject report options before the search runs."""
+    _check_out(out)
+    if fmt == "csv" and out is None:
+        raise InputError("--format csv requires --out")
+
+
 def _emit_report(report, fmt: str, out: str | None):
     """JSON report to ``out``, or with ``csv`` the candidate scan to ``out`` and the report to stdout."""
     if fmt == "json":
         _emit(report.to_dict(), out)
         return
-    if out is None:
-        raise InputError("--format csv requires --out")
     with open(out, "w") as fh:
         fh.write("left,right,length,value\n")
         for left, right, length, value in report.scan:
@@ -154,7 +159,7 @@ def eval_cmd(path, left, right, p, out):
 @_search_options
 def norm_cmd(path, p, fmt, out, r_long, max_periods, certify, threads):
     """Oscillation seminorm search (interval or circle, by target carrier)."""
-    _check_out(out)
+    _check_report_out(fmt, out)
     target = _load_target(path)
     cfg = _config(r_long, max_periods, certify, threads)
     collect = fmt == "csv"
@@ -173,7 +178,7 @@ def norm_cmd(path, p, fmt, out, r_long, max_periods, certify, threads):
 @_search_options
 def ap_cmd(path, p, fmt, out, r_long, max_periods, certify, threads):
     """Weight-constant search; --p inf gives the limiting constant."""
-    _check_out(out)
+    _check_report_out(fmt, out)
     target = _load_target(path)
     cfg = _config(r_long, max_periods, certify, threads)
     collect = fmt == "csv"

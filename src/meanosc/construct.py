@@ -4,11 +4,13 @@ Deeply nested constructions (the output of the martingale compiler) would
 materialize exponentially many pieces, so they are represented as a DAG of
 five node kinds: a flat leaf, a constant, a geometric-tiling homogenization
 of a child, a two-arc circle gluing, and a periodization.  Interval queries
-are answered recursively: cells wholly inside the query contribute the
-cached node distribution scaled by length, and at most the two partial end
-cells recurse into the child.  The cost of a query is therefore linear in
-construction depth, independent of the (possibly astronomical) realized
-piece count.
+are answered a batch at a time: every node kind maps an array of ranges to
+a ``(ranges, atoms)`` mass matrix.  Cells wholly inside a range contribute
+the cached node distribution scaled by length, and the partial end cells of
+all ranges of the batch recurse into the child in one call.  The cost of a
+batch is therefore linear in construction depth, independent of the
+(possibly astronomical) realized piece count; a single query is a batch of
+one.
 
 Homogenization tiles the carrier ``[-1/2, 1/2]`` with cells shrinking
 geometrically by the ratio ``lam`` toward both endpoints, each cell holding
@@ -25,7 +27,9 @@ distribution is the exact mixture ``(1-alpha) * left + alpha * right``.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +51,8 @@ __all__ = [
     "periodize",
     "default_levels",
     "query",
+    "query_batch",
+    "QueryBatch",
     "materialize",
     "required_pieces",
     "QueryResult",
@@ -54,6 +60,10 @@ __all__ = [
 ]
 
 _ATOM_TOL = 1e-12
+_BATCH_BUDGET = 1 << 16  # floats per (ranges x atoms) mass matrix of one batch chunk
+# read-only cell-bound tables by (lam, levels), alive while a HomExpr holds one;
+# a compiled martingale repeats one schedule at every gluing
+_CELL_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def default_levels(lam: float, floor: float = 1e-3) -> int:
@@ -112,24 +122,36 @@ class QueryResult:
 
 
 class _Ctx:
-    __slots__ = ("visits", "max_depth", "depth", "limit")
+    """Recursion guard and per-row telemetry of one batched query.
+
+    Every node call records its recursion level and the query rows its
+    ranges belong to; a row that reaches a node through two partial end
+    cells counts two visits, as two separate queries would.
+    """
+
+    __slots__ = ("depth", "limit", "trail")
 
     def __init__(self, limit: int):
-        self.visits = 0
-        self.max_depth = 0
         self.depth = 0
         self.limit = limit
+        self.trail: list = []
 
-    def enter(self):
+    def enter(self, rows: np.ndarray):
         self.depth += 1
-        self.visits += 1
         if self.depth > self.limit:
             raise InternalError("query recursion exceeded 10x construction depth")
-        if self.depth > self.max_depth:
-            self.max_depth = self.depth
+        self.trail.append((self.depth, rows))
 
     def leave(self):
         self.depth -= 1
+
+    def stats(self, n: int):
+        """Node visits and deepest recursion level of each of the ``n`` query rows."""
+        rows = np.concatenate([r for _, r in self.trail])
+        levels = np.repeat([d for d, _ in self.trail], [r.size for _, r in self.trail])
+        deepest = np.zeros(n, dtype=int)
+        np.maximum.at(deepest, rows, levels)
+        return np.bincount(rows, minlength=n), deepest
 
 
 class ConstructExpr:
@@ -166,7 +188,14 @@ class ConstructExpr:
         mask = self.dist_vec > 0
         return DiscreteDistribution._presorted(self.atom_values[mask], self.dist_vec[mask])
 
-    def _measure(self, l: float, r: float, ctx: _Ctx):
+    def _measure_batch(self, q: np.ndarray, rows: np.ndarray, ctx: _Ctx):
+        """Masses of the ranges ``[q[0, i], q[1, i]]`` in length units, one row each.
+
+        ``q`` has shape ``(2, n)`` and ``rows`` names the query row each
+        range serves.  Returns the ``(n, atoms)`` mass matrix and, at the
+        outermost call only, the length of each range resolved through
+        partial end copies.
+        """
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -192,13 +221,15 @@ class LeafExpr(ConstructExpr):
         self.dist_vec = vec
         self.depth = 0
 
-    def _measure(self, l: float, r: float, ctx: _Ctx):
-        ctx.enter()
-        ov = self.function.overlaps((l, r))
-        vec = np.zeros(self.atom_values.size)
-        np.add.at(vec, self._value_idx, ov)
+    def _measure_batch(self, q, rows, ctx):
+        ctx.enter(rows)
+        bp = self.function.breakpoints
+        ov = np.maximum(np.minimum(q[1][:, None], bp[1:]) - np.maximum(q[0][:, None], bp[:-1]), 0.0)
+        out = np.zeros((rows.size, self.atom_values.size))
+        np.add.at(out, (slice(None), self._value_idx), ov)
+        partial = np.zeros(rows.size) if ctx.depth == 1 else None
         ctx.leave()
-        return vec, 0.0
+        return out, partial
 
     def to_dict(self) -> dict:
         return {"kind": "leaf", "function": self.function.to_dict()}
@@ -217,10 +248,11 @@ class ConstExpr(ConstructExpr):
         self.dist_vec.setflags(write=False)
         self.depth = 0
 
-    def _measure(self, l: float, r: float, ctx: _Ctx):
-        ctx.enter()
+    def _measure_batch(self, q, rows, ctx):
+        ctx.enter(rows)
+        partial = np.zeros(rows.size) if ctx.depth == 1 else None
         ctx.leave()
-        return np.array([r - l]), 0.0
+        return (q[1] - q[0])[:, None], partial
 
     def to_dict(self) -> dict:
         return {"kind": "const", "value": self.value}
@@ -259,49 +291,54 @@ class HomExpr(ConstructExpr):
             lo, hi = -hi, -lo
         return lo, hi
 
-    def _locate(self, x: float) -> tuple[int, int]:
-        side = 1 if x >= 0 else -1
-        u = abs(x)
-        cK = self._ck(self.levels)
-        if u >= cK:
-            return side, self.levels + 1
-        t = 1.0 - 2.0 * u
-        k = int(math.floor(math.log(t) / math.log(self.lam))) + 1
-        k = min(max(k, 1), self.levels)
-        while k > 1 and u < self._ck(k - 1):
-            k -= 1
-        while k < self.levels and u > self._ck(k):
-            k += 1
-        return side, k
+    @cached_property
+    def _bounds(self) -> np.ndarray:
+        """All ``2 * levels + 3`` cell bounds, ``-1/2, -c_K, ..., 0, ..., c_K, 1/2``.
 
-    def _measure(self, l: float, r: float, ctx: _Ctx):
-        ctx.enter()
-        cl = self._locate(l)
-        cr = self._locate(r)
-        if cl == cr:
-            vec = _copy_measure(self.child, *self._cell_bounds(*cl), l, r, ctx)
-            ctx.leave()
-            return vec, r - l
-        vec = np.zeros(self.atom_values.size)
-        partial = 0.0
-        al, bl = self._cell_bounds(*cl)
-        ar, br = self._cell_bounds(*cr)
-        whole_start = bl
-        if l <= al:
-            whole_start = al
-        elif bl - l > 0:
-            vec += _copy_measure(self.child, al, bl, l, bl, ctx)
-            partial += bl - l
-        whole_end = ar
-        if r >= br:
-            whole_end = br
-        elif r - ar > 0:
-            vec += _copy_measure(self.child, ar, br, ar, r, ctx)
-            partial += r - ar
-        if whole_end > whole_start:
-            vec = vec + (whole_end - whole_start) * self.dist_vec
+        Built with ``_ck``'s arithmetic, so they equal ``_cell_bounds``
+        bitwise; built on the first query, not at construction, and shared
+        by every live node with the same ``lam`` and ``levels``.
+        """
+        table = _CELL_TABLES.get((self.lam, self.levels))
+        if table is None:
+            pos = [self._ck(k) for k in range(1, self.levels + 1)]
+            table = np.array([-0.5, *(-c for c in reversed(pos)), 0.0, *pos, 0.5])
+            table.setflags(write=False)
+            _CELL_TABLES[(self.lam, self.levels)] = table
+        return table
+
+    def _measure_batch(self, q, rows, ctx):
+        ctx.enter(rows)
+        n = rows.size
+        bounds = self._bounds
+        # cell j is [bounds[j], bounds[j + 1]]; a point on a bound belongs to the cell it starts
+        j = bounds[1:-1].searchsorted(q, "right")
+        lo, hi = bounds[j], bounds[j + 1]
+        (l, r), (jl, jr), (al, ar), (bl, br) = q, j, lo, hi
+        same = jl == jr
+        cut_l = l > al
+        cut_r = (r > ar) & (r < br) & ~same
+        # one copy request per end, left ends then right ends: the whole
+        # range when it sits in one cell, else each partial end cell; a
+        # request with r == l is empty
+        req = np.empty((2, 2 * n))
+        req[0, :n] = l
+        req[0, n:] = ar
+        req[1, :n] = np.where(same, r, np.where(cut_l, bl, l))
+        req[1, n:] = np.where(cut_r, r, ar)
+        sub = _copy_measure(self.child, lo.ravel(), hi.ravel(), req, np.concatenate((rows, rows)), ctx)
+        out = sub[:n]
+        out += sub[n:]
+        # the whole cells between the end cells
+        whole = np.where(r >= br, br, ar) - np.where(cut_l, bl, al)
+        whole[same] = 0.0
+        out += np.maximum(whole, 0.0)[:, None] * self.dist_vec
+        partial = None
+        if ctx.depth == 1:
+            ends = np.where(cut_l, bl - l, 0.0) + np.where(cut_r, r - ar, 0.0)
+            partial = np.where(same, r - l, ends)
         ctx.leave()
-        return vec, partial
+        return out, partial
 
     def to_dict(self) -> dict:
         return {
@@ -336,41 +373,39 @@ class GlueExpr(ConstructExpr):
         self.atom_values = _merge_values(
             np.concatenate((e0.atom_values, e1.atom_values))
         )
-        self._map0 = _index_map(e0.atom_values, self.atom_values)
-        self._map1 = _index_map(e1.atom_values, self.atom_values)
-        self._slice0 = _contiguous_span(self._map0)
-        self._slice1 = _contiguous_span(self._map1)
+        map0 = _index_map(e0.atom_values, self.atom_values)
+        map1 = _index_map(e1.atom_values, self.atom_values)
+        # (copy, its range in the base period, child atom -> node atom map, contiguous span or None)
+        self._arms = (
+            (self.hom1, 0.0, self.alpha, map1, _contiguous_span(map1)),
+            (self.hom0, self.alpha, 1.0, map0, _contiguous_span(map0)),
+        )
         vec = np.zeros(self.atom_values.size)
-        np.add.at(vec, self._map0, (1.0 - self.alpha) * e0.dist_vec)
-        np.add.at(vec, self._map1, self.alpha * e1.dist_vec)
+        np.add.at(vec, map0, (1.0 - self.alpha) * e0.dist_vec)
+        np.add.at(vec, map1, self.alpha * e1.dist_vec)
         vec.setflags(write=False)
         self.dist_vec = vec
         self.depth = max(e0.depth, e1.depth) + 1
 
-    def _remap(self, vec: np.ndarray, mapping: np.ndarray, span) -> np.ndarray:
-        out = np.zeros(self.atom_values.size)
-        if span is not None:
-            out[span[0] : span[1]] = vec
-        else:
-            np.add.at(out, mapping, vec)
-        return out
+    def _period_measure_batch(self, u, rows, ctx):
+        """Masses over ``[u[0, i], u[1, i]]`` within the base period ``[0, 1]``, split by arm."""
+        out = None  # allocated after a recursion returns, so deep recursions do not stack it
+        for hom, a, b, mapping, span in self._arms:
+            # clamped to the arm; a range that misses it comes out empty
+            arm = np.minimum(np.maximum(u, a), b)
+            live = (arm[1] > arm[0]).nonzero()[0]
+            if live.size:
+                sub = _copy_measure(hom, a, b, arm[:, live], rows[live], ctx)
+                if out is None:
+                    out = np.zeros((rows.size, self.atom_values.size))
+                if span is None:
+                    np.add.at(out, (live[:, None], mapping), sub)
+                else:
+                    out[live, span[0] : span[1]] += sub
+        return np.zeros((rows.size, self.atom_values.size)) if out is None else out
 
-    def _period_measure(self, u0: float, u1: float, ctx: _Ctx):
-        """Measure over ``[u0, u1]`` within the base period ``[0, 1]``."""
-        vec = np.zeros(self.atom_values.size)
-        a = self.alpha
-        lo, hi = max(u0, 0.0), min(u1, a)
-        if hi > lo:
-            sub = _copy_measure(self.hom1, 0.0, a, lo, hi, ctx)
-            vec += self._remap(sub, self._map1, self._slice1)
-        lo, hi = max(u0, a), min(u1, 1.0)
-        if hi > lo:
-            sub = _copy_measure(self.hom0, a, 1.0, lo, hi, ctx)
-            vec += self._remap(sub, self._map0, self._slice0)
-        return vec
-
-    def _measure(self, l: float, r: float, ctx: _Ctx):
-        return _circle_measure(self, l, r, ctx)
+    def _measure_batch(self, q, rows, ctx):
+        return _circle_measure(self, q, rows, ctx)
 
     def to_dict(self) -> dict:
         return {
@@ -397,65 +432,72 @@ class PeriodizeExpr(ConstructExpr):
         self.dist_vec = child.dist_vec
         self.depth = child.depth + 1
 
-    def _period_measure(self, u0: float, u1: float, ctx: _Ctx):
-        return _copy_measure(self.child, 0.0, 1.0, u0, u1, ctx)
+    def _period_measure_batch(self, u, rows, ctx):
+        return _copy_measure(self.child, 0.0, 1.0, u, rows, ctx)
 
-    def _measure(self, l: float, r: float, ctx: _Ctx):
-        return _circle_measure(self, l, r, ctx)
+    def _measure_batch(self, q, rows, ctx):
+        return _circle_measure(self, q, rows, ctx)
 
     def to_dict(self) -> dict:
         return {"kind": "periodize", "child": self.child.to_dict()}
 
 
-def _copy_measure(child: ConstructExpr, a: float, b: float, l: float, r: float, ctx: _Ctx) -> np.ndarray:
-    """Mass of ``[l, r]`` inside the copy of ``child`` that occupies ``[a, b]``.
+def _copy_measure(child: ConstructExpr, a, b, q: np.ndarray, rows: np.ndarray, ctx: _Ctx) -> np.ndarray:
+    """Mass of each range ``q[:, i]`` inside the copy of ``child`` that occupies ``[a, b]``.
 
-    The range maps affinely onto the child's content bounds, the child
-    measures it, and the mass is rescaled to parent length units.
+    The ranges map affinely onto the child's content bounds, the child
+    measures the non-empty ones in one call, and the masses are rescaled to
+    parent length units.  ``a`` and ``b`` are scalars or one per range.
     """
     A, B = child.content_bounds()
-    scale = (B - A) / (b - a)
-    # snap copy-aligned ends exactly so recursion stays period-aligned
-    lo = A if l <= a else A + (l - a) * scale
-    hi = B if r >= b else A + (r - a) * scale
-    lo, hi = max(min(lo, B), A), max(min(hi, B), A)
-    if hi <= lo:
-        return np.zeros(child.atom_values.size)
-    vec, _ = child._measure(lo, hi, ctx)
-    return vec * ((r - l) / (hi - lo))
+    m = A + (q - a) * ((B - A) / (b - a))
+    # snap copy-aligned ends exactly so recursion stays period-aligned (a
+    # left end l <= a lands on A through the clamp)
+    m[1][q[1] >= b] = B
+    m = np.maximum(np.minimum(m, B), A)
+    live = (m[1] > m[0]).nonzero()[0]
+    if live.size == rows.size:
+        sub, _ = child._measure_batch(m, rows, ctx)
+        return sub * ((q[1] - q[0]) / (m[1] - m[0]))[:, None]
+    if not live.size:
+        return np.zeros((rows.size, child.atom_values.size))
+    m, q = m[:, live], q[:, live]
+    sub, _ = child._measure_batch(m, rows[live], ctx)
+    out = np.zeros((rows.size, child.atom_values.size))
+    out[live] = sub * ((q[1] - q[0]) / (m[1] - m[0]))[:, None]
+    return out
 
 
-def _circle_measure(node, l: float, r: float, ctx: _Ctx):
-    """Shared period decomposition for circle nodes."""
-    ctx.enter()
-    first_end = math.ceil(l)
-    last_start = math.floor(r)
-    if first_end >= r or last_start <= l or first_end > last_start:
-        # the query sits inside one period (possibly crossing the wrap once)
-        k = math.floor(l)
-        u0, u1 = l - k, r - k
-        if u1 <= 1.0:
-            vec = node._period_measure(u0, u1, ctx)
-        else:
-            vec = node._period_measure(u0, 1.0, ctx) + node._period_measure(
-                0.0, u1 - 1.0, ctx
-            )
-        ctx.leave()
-        return vec, r - l
-    vec = np.zeros(node.atom_values.size)
-    partial = 0.0
-    if first_end > l:
-        k = math.floor(l)
-        vec += node._period_measure(l - k, 1.0, ctx)
-        partial += first_end - l
-    if r > last_start:
-        vec += node._period_measure(0.0, r - last_start, ctx)
-        partial += r - last_start
-    whole = last_start - first_end
-    if whole > 0:
-        vec = vec + whole * node.dist_vec
+def _circle_measure(node, q: np.ndarray, rows: np.ndarray, ctx: _Ctx):
+    """Shared period decomposition for circle nodes.
+
+    A range with no period start strictly inside sits in one period and is
+    one piece.  Any other range splits into a head piece up to its first
+    period end and a tail piece from its last period start (either may be
+    empty), and the whole periods between them take the node distribution.
+    All pieces go to one call of the node's ``_period_measure_batch``.
+    """
+    ctx.enter(rows)
+    n = rows.size
+    fl = np.floor(q)  # the start's period, and the end's last period start
+    first_end = np.ceil(q[0])
+    one = (first_end >= q[1]) | (fl[1] <= q[0])
+    u = q - fl[0]
+    pieces = np.zeros((2, 2 * n))
+    # a head ends at the range end, else at its period end (1) or, for a
+    # range starting on a period start, nowhere (0); tails start at 0
+    pieces[0, :n] = u[0]
+    pieces[1, :n] = np.where(one, u[1], first_end - fl[0])
+    pieces[1, n:] = (q[1] - fl[1]) * ~one
+    sub = node._period_measure_batch(pieces, np.concatenate((rows, rows)), ctx)
+    out = sub[:n]
+    out += sub[n:]
+    out += ((fl[1] - first_end) * ~one)[:, None] * node.dist_vec
+    partial = None
+    if ctx.depth == 1:
+        partial = np.where(one, q[1] - q[0], (first_end - q[0]) + (q[1] - fl[1]))
     ctx.leave()
-    return vec, partial
+    return out, partial
 
 
 # -- public construction surface ------------------------------------------------
@@ -509,41 +551,98 @@ def periodize(e: ConstructExpr) -> ConstructExpr:
 # -- queries ---------------------------------------------------------------------
 
 
+class QueryBatch:
+    """Outcome of a batch of interval queries, one row per query.
+
+    ``masses`` holds each query's restriction masses over ``atom_values`` in
+    length units; ``depth``, ``partial_end_weight`` and ``nodes_visited``
+    are per row what :class:`QueryResult` reports for one query (the first
+    two are tallied on first access).
+    """
+
+    def __init__(self, atom_values: np.ndarray, masses: np.ndarray, partial_end_weight: np.ndarray, ctxs: list):
+        self.atom_values = atom_values
+        self.masses = masses
+        self.partial_end_weight = partial_end_weight
+        self._ctxs = ctxs  # (row count, _Ctx) per chunk
+
+    @cached_property
+    def _telemetry(self):
+        stats = [ctx.stats(n) for n, ctx in self._ctxs] or [(np.zeros(0, int), np.zeros(0, int))]
+        return tuple(np.concatenate(col) for col in zip(*stats))
+
+    @property
+    def nodes_visited(self) -> np.ndarray:
+        return self._telemetry[0]
+
+    @property
+    def depth(self) -> np.ndarray:
+        return self._telemetry[1]
+
+    def result(self, i: int, functional=None) -> QueryResult:
+        """Row ``i`` as a :class:`QueryResult` (see :func:`query` for ``functional``)."""
+        vec = self.masses[i]
+        mask = vec > 0
+        dist = DiscreteDistribution._presorted(self.atom_values[mask], vec[mask] / vec.sum())
+        if functional is None:
+            value = None
+        elif callable(functional):
+            value = float(functional(dist))
+        else:
+            from .distributions import dist_functional
+
+            name, params = functional
+            value = float(dist_functional(dist, name, **params))
+        return QueryResult(
+            value=value,
+            distribution=dist,
+            depth=int(self.depth[i]),
+            partial_end_weight=float(self.partial_end_weight[i]),
+            nodes_visited=int(self.nodes_visited[i]),
+        )
+
+
+def query_batch(e: ConstructExpr, lefts, rights) -> QueryBatch:
+    """Exact interval queries ``[lefts[i], rights[i]]`` against a construction node, all at once.
+
+    The batch runs in chunks of at most ``_BATCH_BUDGET`` mass-matrix
+    floats.  Rows never influence each other, so a batch of n queries
+    equals n batches of one bitwise.
+    """
+    ls = np.asarray(lefts, dtype=float)
+    rs = np.asarray(rights, dtype=float)
+    if ls.ndim != 1 or ls.shape != rs.shape or not (np.isfinite(ls).all() and np.isfinite(rs).all() and (ls < rs).all()):
+        raise InputError("queries need finite ends with left < right, as two 1-D arrays of one length")
+    if not e.is_circle:
+        a, b = e.carrier
+        outside = (ls < a - 1e-12) | (rs > b + 1e-12)
+        if outside.any():
+            k = int(outside.argmax())
+            raise InputError(f"query [{ls[k]}, {rs[k]}] outside carrier [{a}, {b}]")
+    limit = 10 * (e.depth + 1) + 10
+    chunk = max(1, _BATCH_BUDGET // e.atom_values.size)
+    masses, partial, ctxs = [], [], []
+    for s in range(0, ls.size, chunk):
+        cl, cr = ls[s : s + chunk], rs[s : s + chunk]
+        ctx = _Ctx(limit)
+        m, p = e._measure_batch(np.stack((cl, cr)), np.arange(cl.size), ctx)
+        masses.append(m)
+        partial.append(p / (cr - cl))
+        ctxs.append((cl.size, ctx))
+    if not masses:  # an empty batch
+        masses, partial = [np.zeros((0, e.atom_values.size))], [np.zeros(0)]
+    return QueryBatch(e.atom_values, np.concatenate(masses), np.concatenate(partial), ctxs)
+
+
 def query(e: ConstructExpr, q, functional=None) -> QueryResult:
-    """Exact interval query against a construction node.
+    """Exact interval query against a construction node (a batch of one).
 
     ``functional`` may be ``None`` (raw distribution), a callable taking a
     :class:`DiscreteDistribution`, or a ``(name, params)`` pair understood
     by :func:`meanosc.distributions.dist_functional`.
     """
     q = as_query(q)
-    if not e.is_circle:
-        a, b = e.carrier
-        if q.left < a - 1e-12 or q.right > b + 1e-12:
-            raise InputError(
-                f"query [{q.left}, {q.right}] outside carrier [{a}, {b}]"
-            )
-    ctx = _Ctx(limit=10 * (e.depth + 1) + 10)
-    vec, partial = e._measure(q.left, q.right, ctx)
-    total = vec.sum()
-    mask = vec > 0
-    dist = DiscreteDistribution._presorted(e.atom_values[mask], vec[mask] / total)
-    if functional is None:
-        value = None
-    elif callable(functional):
-        value = float(functional(dist))
-    else:
-        from .distributions import dist_functional
-
-        name, params = functional
-        value = float(dist_functional(dist, name, **params))
-    return QueryResult(
-        value=value,
-        distribution=dist,
-        depth=ctx.max_depth,
-        partial_end_weight=partial / q.length,
-        nodes_visited=ctx.visits,
-    )
+    return query_batch(e, [q.left], [q.right]).result(0, functional)
 
 
 # -- materialization ----------------------------------------------------------------

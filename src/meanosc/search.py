@@ -19,6 +19,14 @@ grid; arcs covering at least ``r_long`` whole periods have distributions
 within total variation ``2 / (r_long + 1)`` of the node distribution,
 which caps their values provably.
 
+DAG arcs are evaluated a batch at a time through ``construct.query_batch``:
+the junction grids of a node are one query, the golden refinement of all
+its junction leaders runs in lockstep with one query per step, and the
+long-arc grid is one query; full arcs and embedded child witnesses are
+single queries.  Offers replay junction by junction in the order a
+junction-at-a-time scan makes them, so the batching changes no witness
+choice.
+
 When ``certify`` is set, reports carry an upper bound next to the lower
 bound.  For flat interval functions it is the per-cell-pair value-range
 bound.  For circle targets it is the maximum evaluated raw functional
@@ -44,6 +52,7 @@ from .construct import (
     PeriodizeExpr,
     materialize,
     query as dag_query,
+    query_batch,
     required_pieces,
 )
 from .distributions import DiscreteDistribution
@@ -169,6 +178,14 @@ class _Objective:
     def raw_from_dist(self, d: DiscreteDistribution) -> float:
         raise NotImplementedError
 
+    def raw_from_weights(self, w: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Raw functional of each row of probability weights ``w`` over the atoms ``values``.
+
+        Row sums run through ``einsum``, never BLAS, so a row's value does
+        not depend on the other rows of the batch.
+        """
+        raise NotImplementedError
+
     def value_from_raw(self, raw):
         return raw
 
@@ -208,6 +225,10 @@ class _BmoObjective(_Objective):
 
     def raw_from_dist(self, d):
         return d.central_moment(self.p)
+
+    def raw_from_weights(self, w, values):
+        m = np.einsum("ij,j->i", w, values)
+        return np.einsum("ij,ij->i", w, _abs_power(values[None, :] - m[:, None], self.p))
 
     def value_from_raw(self, raw):
         return raw ** (1.0 / self.p)
@@ -249,6 +270,11 @@ class _ApObjective(_Objective):
     def raw_from_dist(self, d):
         return d.ap_form(self.p)
 
+    def raw_from_weights(self, w, values):
+        a = np.einsum("ij,j->i", w, values)
+        b = np.einsum("ij,j->i", w, values ** (-1.0 / (self.p - 1.0)))
+        return a * b ** (self.p - 1.0)
+
     def range_bound(self, vmin, vmax):
         return vmax / vmin
 
@@ -275,6 +301,11 @@ class _AInfObjective(_Objective):
 
     def raw_from_dist(self, d):
         return d.geometric_form()
+
+    def raw_from_weights(self, w, values):
+        a = np.einsum("ij,j->i", w, values)
+        g = np.einsum("ij,j->i", w, np.log(values))
+        return a * np.exp(-g)
 
     def range_bound(self, vmin, vmax):
         return vmax / vmin
@@ -574,19 +605,18 @@ def _geom_lengths(lo: float, hi: float, per_octave: int) -> np.ndarray:
 def _long_arc_scan(raw_at, t0: float, objective: _Objective, cfg: SearchConfig, best: _Best) -> float:
     """Offer arcs of 2 to ``max_periods`` periods, starting at ``t0`` plus dyadic offsets.
 
-    ``raw_at(l, r)`` returns the raw functional of the arc ``[l, r]``.
-    Returns the largest raw value seen, for the certificate.
+    ``raw_at(ls, rs)`` returns the raw functional of every arc ``[ls[i], rs[i]]``;
+    the whole grid is one call.  Returns the largest raw value seen, for
+    the certificate.
     """
     lengths = _geom_lengths(2.0, float(cfg.max_periods), max(2, cfg.grid_points))
     offsets = np.arange(0, 2**cfg.dyadic_level) / 2.0**cfg.dyadic_level
-    raw_max = -math.inf
-    for ell in lengths:
-        for u in offsets:
-            l, r = float(t0 + u), float(t0 + u + ell)
-            raw = raw_at(l, r)
-            raw_max = max(raw_max, raw)
-            best.offer(objective.value_from_raw(raw), l, r)
-    return raw_max
+    ls = t0 + np.tile(offsets, lengths.size)
+    rs = ls + np.repeat(lengths, offsets.size)
+    raws = raw_at(ls, rs)
+    for raw, l, r in zip(raws.tolist(), ls.tolist(), rs.tolist()):
+        best.offer(objective.value_from_raw(raw), l, r)
+    return float(raws.max())
 
 
 def _certificate(objective: _Objective, cfg: SearchConfig, values, period: DiscreteDistribution, raw_max: float, best: _Best):
@@ -612,9 +642,9 @@ def _flat_circle_search(f: StepFunction, objective: _Objective, cfg: SearchConfi
     points = _candidate_points(unrolled, cfg.dyadic_level)
     _chunked_pair_scan(flat, points, cfg, best, collect)
 
-    def raw_at(l, r):
-        flat.evaluations += 1
-        return objective.raw_from_dist(f.distribution((l, r)))
+    def raw_at(ls, rs):
+        flat.evaluations += ls.size
+        return np.array([objective.raw_from_dist(f.distribution(q)) for q in zip(ls.tolist(), rs.tolist())])
 
     # the pair-scan maximum is read before the long arcs join it
     raw_max = max(objective.raw_of_value(best.value), _long_arc_scan(raw_at, t0, objective, cfg, best))
@@ -679,15 +709,23 @@ class _DagSearch:
         self.raw_max = -math.inf
         self._memo: dict[int, tuple[float, tuple[float, float] | None]] = {}
 
-    def raw_at(self, node: ConstructExpr, l: float, r: float) -> float:
-        self.evaluations += 1
-        raw = self.objective.raw_from_dist(dag_query(node, (l, r)).distribution)
-        if raw > self.raw_max:
-            self.raw_max = raw
+    def raw_at(self, node: ConstructExpr, ls: np.ndarray, rs: np.ndarray) -> np.ndarray:
+        """Raw functional of every arc ``[ls[i], rs[i]]`` of ``node``, in one batched query."""
+        self.evaluations += ls.size
+        masses = query_batch(node, ls, rs).masses
+        raw = self.objective.raw_from_weights(masses / masses.sum(axis=1)[:, None], node.atom_values)
+        self.raw_max = max(self.raw_max, float(raw.max()))
         return raw
 
-    def value_at(self, node: ConstructExpr, l: float, r: float) -> float:
-        return self.objective.value_from_raw(self.raw_at(node, l, r))
+    def value_at(self, node: ConstructExpr, ls: np.ndarray, rs: np.ndarray) -> np.ndarray:
+        return self.objective.value_from_raw(self.raw_at(node, ls, rs))
+
+    def _offer_one(self, node: ConstructExpr, l: float, r: float, best: _Best):
+        """Offer one arc, through a single query: full arcs and embedded witnesses."""
+        self.evaluations += 1
+        raw = self.objective.raw_from_dist(dag_query(node, (l, r)).distribution)
+        self.raw_max = max(self.raw_max, raw)
+        best.offer(self.objective.value_from_raw(raw), l, r)
 
     def search(self, node: ConstructExpr) -> tuple[float, tuple[float, float] | None]:
         key = id(node)
@@ -695,8 +733,7 @@ class _DagSearch:
             return self._memo[key]
         best = _Best()
         if isinstance(node, ConstExpr):
-            a, b = node.carrier
-            best.offer(self.value_at(node, a, b), a, b)
+            self._offer_one(node, *node.carrier, best)
         elif isinstance(node, LeafExpr):
             sub, evals, _, _ = _flat_interval_search(
                 node.function, self.objective, replace(self.cfg, certify=False), False
@@ -717,17 +754,16 @@ class _DagSearch:
     def _search_copies(self, node, full, copies, junctions, best: _Best):
         """Full arc, embedded child witnesses, junction scans, and long arcs on circles."""
         a, b = full
-        best.offer(self.value_at(node, a, b), a, b)
+        self._offer_one(node, a, b, best)
         for child, lo, hi in copies:
             child_best, child_wit = self.search(child)
             self.raw_max = max(self.raw_max, self.objective.raw_of_value(child_best))
             self._embed(node, child, child_wit, lo, hi, best)
         clip, scale_hi = (None, 2.0) if node.is_circle else (full, b - a)
-        for c, scale_lo in junctions:
-            self._junction_scan(node, c, scale_lo, scale_hi, best, clip)
+        self._junction_scan(node, junctions, scale_hi, best, clip)
         if node.is_circle:
             self.raw_max = max(self.raw_max, self.objective.raw_from_dist(node.distribution()))
-            _long_arc_scan(lambda l, r: self.raw_at(node, l, r), 0.0, self.objective, self.cfg, best)
+            _long_arc_scan(lambda ls, rs: self.raw_at(node, ls, rs), 0.0, self.objective, self.cfg, best)
 
     def _embed(self, node, child, witness, lo: float, hi: float, best: _Best):
         """Map a child witness through the copy occupying [lo, hi] of node."""
@@ -749,50 +785,60 @@ class _DagSearch:
         wr = lo + (b - A) * scale
         span = 1.0 + abs(wl) + abs(wr)
         if wr - wl > 1e-12 * span:
-            best.offer(self.value_at(node, wl, wr), wl, wr)
+            self._offer_one(node, wl, wr, best)
 
-    def _junction_scan(self, node, c: float, scale_lo: float, scale_hi: float, best: _Best, clip: tuple[float, float] | None):
-        """Arcs straddling ``c`` on a (length x offset) grid, then the 4 leaders refined.
+    def _junction_scan(self, node, junctions, scale_hi: float, best: _Best, clip: tuple[float, float] | None):
+        """Arcs straddling each junction on a (length x offset) grid, then each junction's 4 leaders refined.
 
-        An arc ``(t, ell)`` has length ``ell`` with the fraction ``t`` of it
-        left of ``c``, clipped to ``clip`` on interval carriers.
+        ``junctions`` lists ``(c, shortest length)`` pairs.  An arc
+        ``(c, t, ell)`` has length ``ell`` with the fraction ``t`` of it left
+        of ``c``, clipped to ``clip`` on interval carriers.  The grids of all
+        junctions are one batched query, and the leaders of all junctions
+        refine in lockstep, one batched query per golden step; the offers
+        then replay junction by junction, grid first, in the order a
+        junction-at-a-time scan makes them.
         """
         cfg = self.cfg
 
-        def arcs(ts, ells, offer: bool):
-            ls, rs = c - ts * ells, c + (1.0 - ts) * ells
+        def arcs(cs, ts, ells):
+            ls, rs = cs - ts * ells, cs + (1.0 - ts) * ells
             if clip is not None:
                 ls, rs = np.maximum(ls, clip[0]), np.minimum(rs, clip[1])
             # an arc that clipping empties is worth -inf
             vs = np.full(ls.size, -math.inf)
-            for k, (l, r) in enumerate(zip(ls.tolist(), rs.tolist())):
-                if r - l > 1e-15:
-                    vs[k] = v = self.value_at(node, l, r)
-                    if offer:
-                        best.offer(v, l, r)
+            live = rs - ls > 1e-15
+            if live.any():
+                vs[live] = self.value_at(node, ls[live], rs[live])
             return ls, rs, vs
 
-        lengths = _geom_lengths(max(scale_lo, 1e-13), scale_hi, max(2, cfg.grid_points))
         offsets = np.arange(1, 2**cfg.dyadic_level) / 2.0**cfg.dyadic_level
-        ls, rs, vs = arcs(np.tile(offsets, lengths.size), np.repeat(lengths, offsets.size), True)
-        top = [k for k in np.argsort(-vs, kind="stable")[:4] if vs[k] > -math.inf]
-        ell0 = (rs[top] - ls[top]).tolist()
-        t0 = np.array([min(max((c - l) / e, 0.0), 1.0) for l, e in zip(ls[top].tolist(), ell0)])
-        x0 = [math.log(e) for e in ell0]
-        log_lo, log_hi = math.log(max(scale_lo, 1e-13)), math.log(scale_hi)
+        lengths = [_geom_lengths(max(s, 1e-13), scale_hi, max(2, cfg.grid_points)) for _, s in junctions]
+        owner = np.repeat(np.arange(len(junctions)), [g.size * offsets.size for g in lengths])
+        cs = np.array([c for c, _ in junctions])
+        ls, rs, vs = arcs(cs[owner], np.tile(offsets, owner.size // offsets.size), np.repeat(np.concatenate(lengths), offsets.size))
+        # the 4 best grid arcs of every junction are the lanes of the refinement
+        tops = [np.flatnonzero(owner == j)[np.argsort(-vs[owner == j], kind="stable")[:4]] for j in range(len(junctions))]
+        lanes = np.concatenate(tops)
+        lanes = lanes[vs[lanes] > -math.inf]
+        lc, ell0 = cs[owner[lanes]], rs[lanes] - ls[lanes]
+        t0 = np.minimum(np.maximum((lc - ls[lanes]) / ell0, 0.0), 1.0)
+        x0 = [math.log(e) for e in ell0.tolist()]
+        log_lo = [math.log(max(junctions[j][1], 1e-13)) for j in owner[lanes].tolist()]
+        log_hi = math.log(scale_hi)
 
         def exps(xs):
             return np.array([math.exp(x) for x in xs.tolist()])
 
-        lx, _ = _golden_max(
-            lambda xs: arcs(t0, exps(xs), False)[2],
-            [max(x - 2.0, log_lo) for x in x0],
-            [min(x + 2.0, log_hi) for x in x0],
-            cfg.refine_iters,
-        )
+        lo, hi = [max(x - 2.0, a) for x, a in zip(x0, log_lo)], [min(x + 2.0, log_hi) for x in x0]
+        lx, _ = _golden_max(lambda xs: arcs(lc, t0, exps(xs))[2], lo, hi, cfg.refine_iters)
         ell1 = exps(lx)
-        tt, _ = _golden_max(lambda ts: arcs(ts, ell1, False)[2], np.zeros(len(top)), np.ones(len(top)), cfg.refine_iters)
-        arcs(tt, ell1, True)
+        tt, _ = _golden_max(lambda ts: arcs(lc, ts, ell1)[2], np.zeros(lanes.size), np.ones(lanes.size), cfg.refine_iters)
+        fl, fr, fv = arcs(lc, tt, ell1)
+        # replay junction by junction, grid arcs first, as a junction-at-a-time scan offers them
+        order = np.argsort(np.concatenate((owner, owner[lanes])), kind="stable")
+        for v, l, r in zip(*(np.concatenate(pair)[order].tolist() for pair in ((vs, fv), (ls, fl), (rs, fr)))):
+            if v > -math.inf:
+                best.offer(v, l, r)
 
 
 def _dag_search(expr: ConstructExpr, objective: _Objective, cfg: SearchConfig):

@@ -205,6 +205,26 @@ def test_csv_scan_of_dag_target_is_input_error(tmp_path):
     assert not out_path.exists()
 
 
+def test_csv_without_out_fails_before_the_search(sign_file, weight_file, monkeypatch, capsys):
+    import meanosc.cli as cli_mod
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran before the options were checked")
+
+    for name in ("bmo_norm", "circle_bmo_norm", "ap_constant", "a_inf_constant"):
+        monkeypatch.setattr(cli_mod, name, no_search)
+    for args in (
+        ("norm", "--in", sign_file, "--p", "1"),
+        ("ap", "--in", weight_file, "--p", "2"),
+        ("ap", "--in", weight_file, "--p", "inf"),
+    ):
+        monkeypatch.setattr(sys, "argv", ["meanosc", *args, "--format", "csv"])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_mod.main()
+        assert exit_info.value.code == 2, args
+        assert "--format csv requires --out" in capsys.readouterr().err, args
+
+
 def test_exit_code_unknown_flag(sign_file):
     res = run_cli("norm", "--in", sign_file, "--p", "2", "--bogus", "1")
     assert res.returncode == 2

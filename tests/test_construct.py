@@ -13,6 +13,7 @@ from meanosc.construct import (
     materialize,
     periodize,
     query,
+    query_batch,
     required_pieces,
 )
 from meanosc.distributions import dist_mix, tv_distance
@@ -57,6 +58,21 @@ def test_hom_neighbor_length_ratio():
     # the truncation junction degrades to lam/(1-lam)
     last_ratio = lengths[-1] / lengths[-2]
     assert last_ratio == pytest.approx(lam / (1.0 - lam), rel=1e-9)
+
+
+def test_hom_cell_table_matches_cell_bounds():
+    # the searchsorted table holds exactly the bounds _cell_bounds gives,
+    # and nodes with one schedule share one read-only table
+    for lam, levels in ((0.7, 6), (0.9, 40), (0.999, 700)):
+        h = homogenize(leaf(sign_step()), lam, levels)
+        table = h._bounds
+        assert table.size == 2 * levels + 3 and not table.flags.writeable
+        for k in range(1, levels + 2):
+            lo, hi = h._cell_bounds(1, k)
+            assert (table[levels + k], table[levels + k + 1]) == (lo, hi)
+            lo, hi = h._cell_bounds(-1, k)
+            assert (table[levels + 1 - k], table[levels + 2 - k]) == (lo, hi)
+        assert homogenize(constant(1.0), lam, levels)._bounds is table
 
 
 def test_hom_parameter_validation():
@@ -293,3 +309,61 @@ def test_cycle_guard_raises_internal_error():
     h.child = h  # forge a malformed self-referential DAG
     with pytest.raises(InternalError):
         query(h, (-0.0923, 0.0617))
+
+
+def _batch_cases(rng):
+    e0, e1 = leaf(random_leaf(rng)), leaf(random_leaf(rng))
+    return {
+        # the three expressions of test_query_materialize_agreement
+        "glue": glue(e0, e1, 0.35, 0.6, 5),
+        "periodized hom": periodize(homogenize(e0, 0.7, 3)),
+        "glue of glues": glue(
+            glue(constant(0.0), constant(2.0), 0.3, 0.6, 3),
+            glue(constant(-1.0), e1, 0.55, 0.6, 3),
+            0.4,
+            0.7,
+            2,
+        ),
+        # the criterion-5 shape, and an interval carrier for carrier-end clipping
+        "criterion 5": periodize(glue(homogenize(e0, 0.9), e1, 0.45, 0.9)),
+        "nested hom": homogenize(homogenize(e1, 0.5, 2), 0.6, 2),
+    }
+
+
+def _batch_arcs(rng, e):
+    if not e.is_circle:
+        a = rng.uniform(-0.5, 0.45, 12)
+        b = a + rng.uniform(1e-6, 0.5, 12)
+        cells = np.array([e._ck(k) for k in (1, 2, 3)])
+        ls = np.concatenate((a, [-0.5, -0.5, 0.1, -0.3], cells - 1e-4, cells[:1]))
+        rs = np.concatenate((np.minimum(b, 0.5), [0.5, 0.2, 0.5, 0.5], cells - 2e-5, cells[1:2]))
+        return ls, rs
+    a = rng.uniform(-3.0, 3.0, 24)
+    spans = np.concatenate((
+        rng.uniform(1e-3, 0.9, 6),  # inside one period or across the wrap
+        rng.uniform(1.0, 6.0, 6),  # one to six periods
+        rng.uniform(1e-9, 1e-6, 6),  # inside one cell
+        np.arange(1.0, 7.0),  # whole periods
+    ))
+    ints = np.floor(a[:4])
+    # arcs ending on period ends and on the glue junction
+    ls = np.concatenate((a, ints, ints + 0.25, [0.35, 0.1]))
+    rs = np.concatenate((a + spans, ints + 1.0, ints + 2.0, [1.0, 0.35]))
+    return ls, rs
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_batched_query_matches_batches_of_one(seed):
+    rng = np.random.default_rng(seed)
+    for name, e in _batch_cases(rng).items():
+        ls, rs = _batch_arcs(rng, e)
+        batch = query_batch(e, ls, rs)
+        assert batch.masses.shape == (ls.size, e.atom_values.size)
+        for i, (l, r) in enumerate(zip(ls.tolist(), rs.tolist())):
+            assert batch.masses[i].tobytes() == query_batch(e, [l], [r]).masses[0].tobytes(), (name, l, r)
+            many, one = batch.result(i), query(e, (l, r))
+            for field in ("depth", "nodes_visited", "partial_end_weight"):
+                assert getattr(many, field) == getattr(one, field), (name, l, r, field)
+            assert many.distribution.values.tobytes() == one.distribution.values.tobytes(), (name, l, r)
+            assert many.distribution.weights.tobytes() == one.distribution.weights.tobytes(), (name, l, r)

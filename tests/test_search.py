@@ -10,7 +10,12 @@ from meanosc.construct import constant, glue, homogenize, leaf, materialize, per
 from meanosc.errors import InputError
 from meanosc.search import (
     SearchConfig,
+    _Best,
+    _BmoObjective,
+    _DagSearch,
+    _geom_lengths,
     _golden_max,
+    _layout,
     a_inf_constant,
     ap_constant,
     bmo_norm,
@@ -221,6 +226,87 @@ def test_golden_lanes_are_independent():
             assert x1[0].tobytes() == xs[k].tobytes() == np.float64(xr).tobytes()
             assert v1[0].tobytes() == vs[k].tobytes() == np.float64(vr).tobytes()
         assert vs[-1] > -math.inf
+
+
+class _RecordingBest(_Best):
+    def __init__(self):
+        super().__init__()
+        self.offers = []
+
+    def offer(self, value, left, right):
+        self.offers.append((float(value).hex(), float(left).hex(), float(right).hex()))
+        super().offer(value, left, right)
+
+
+def _reference_junction_scan(engine, node, c, scale_lo, scale_hi, best, clip):
+    # one junction at a time, one arc per query: the offers the lockstep scan must replay
+    cfg = engine.cfg
+
+    def arcs(ts, ells, offer):
+        ls, rs = c - ts * ells, c + (1.0 - ts) * ells
+        if clip is not None:
+            ls, rs = np.maximum(ls, clip[0]), np.minimum(rs, clip[1])
+        vs = np.full(ls.size, -math.inf)
+        for k, (l, r) in enumerate(zip(ls.tolist(), rs.tolist())):
+            if r - l > 1e-15:
+                vs[k] = v = engine.value_at(node, np.array([l]), np.array([r]))[0]
+                if offer:
+                    best.offer(v, l, r)
+        return ls, rs, vs
+
+    lengths = _geom_lengths(max(scale_lo, 1e-13), scale_hi, max(2, cfg.grid_points))
+    offsets = np.arange(1, 2**cfg.dyadic_level) / 2.0**cfg.dyadic_level
+    ls, rs, vs = arcs(np.tile(offsets, lengths.size), np.repeat(lengths, offsets.size), True)
+    top = [k for k in np.argsort(-vs, kind="stable")[:4] if vs[k] > -math.inf]
+    ell0 = (rs[top] - ls[top]).tolist()
+    t0 = np.array([min(max((c - l) / e, 0.0), 1.0) for l, e in zip(ls[top].tolist(), ell0)])
+    x0 = [math.log(e) for e in ell0]
+    log_lo, log_hi = math.log(max(scale_lo, 1e-13)), math.log(scale_hi)
+
+    def exps(xs):
+        return np.array([math.exp(x) for x in xs.tolist()])
+
+    lo, hi = [max(x - 2.0, log_lo) for x in x0], [min(x + 2.0, log_hi) for x in x0]
+    lx, _ = _golden_max(lambda xs: arcs(t0, exps(xs), False)[2], lo, hi, cfg.refine_iters)
+    ell1 = exps(lx)
+    tt, _ = _golden_max(lambda ts: arcs(ts, ell1, False)[2], np.zeros(len(top)), np.ones(len(top)), cfg.refine_iters)
+    arcs(tt, ell1, True)
+
+
+def _dag_leaves():
+    f = StepFunction(Interval(0.0, 1.0), [0.0, 0.3, 0.7, 1.0], [0.0, 2.0, -1.0])
+    g = StepFunction(Interval(0.0, 1.0), [0.0, 0.5, 1.0], [1.0, -0.5])
+    return leaf(f), leaf(g)
+
+
+def test_junction_scan_replays_per_junction_order():
+    # all junctions of a node in one grid query and one query per golden
+    # step must offer, bitwise and in order, what one junction at a time
+    # with one arc per query offers
+    f, g = _dag_leaves()
+    nodes = (glue(homogenize(f, 0.95), g, 0.4, 0.95), homogenize(homogenize(f, 0.9), 0.95))
+    cfg = SearchConfig(refine_iters=12)
+    for node in nodes:
+        full, _, junctions = _layout(node)
+        clip, scale_hi = (None, 2.0) if node.is_circle else (full, full[1] - full[0])
+        for p in (1.0, 2.0):
+            lockstep, reference = _DagSearch(_BmoObjective(p), cfg), _DagSearch(_BmoObjective(p), cfg)
+            got, want = _RecordingBest(), _RecordingBest()
+            lockstep._junction_scan(node, junctions, scale_hi, got, clip)
+            for c, scale_lo in junctions:
+                _reference_junction_scan(reference, node, c, scale_lo, scale_hi, want, clip)
+            assert len(want.offers) > 100
+            assert got.offers == want.offers, (node, p)
+            assert lockstep.evaluations == reference.evaluations
+            assert lockstep.raw_max == reference.raw_max
+
+
+def test_dag_circle_report_keeps_evaluation_count():
+    # the count a junction-at-a-time scan with one query per arc made
+    f, g = _dag_leaves()
+    e = periodize(glue(homogenize(f, 0.95), g, 0.4, 0.95))
+    for p in (1.0, 2.0):
+        assert circle_bmo_norm(e, p, SearchConfig(refine_iters=24, certify=True)).evaluations == 23580
 
 
 # -- circle searches -------------------------------------------------------------
