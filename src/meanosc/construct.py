@@ -224,9 +224,13 @@ class LeafExpr(ConstructExpr):
     def _measure_batch(self, q, rows, ctx):
         ctx.enter(rows)
         bp = self.function.breakpoints
-        ov = np.maximum(np.minimum(q[1][:, None], bp[1:]) - np.maximum(q[0][:, None], bp[:-1]), 0.0)
         out = np.zeros((rows.size, self.atom_values.size))
-        np.add.at(out, (slice(None), self._value_idx), ov)
+        # the (ranges x pieces) overlaps in slices of at most _BATCH_BUDGET floats (or one range)
+        step = max(1, _BATCH_BUDGET // self.function.piece_count)
+        for s in range(0, rows.size, step):
+            l, r = q[:, s : s + step, None]
+            ov = np.maximum(np.minimum(r, bp[1:]) - np.maximum(l, bp[:-1]), 0.0)
+            np.add.at(out[s : s + step], (slice(None), self._value_idx), ov)
         partial = np.zeros(rows.size) if ctx.depth == 1 else None
         ctx.leave()
         return out, partial
@@ -314,29 +318,23 @@ class HomExpr(ConstructExpr):
         # cell j is [bounds[j], bounds[j + 1]]; a point on a bound belongs to the cell it starts
         j = bounds[1:-1].searchsorted(q, "right")
         lo, hi = bounds[j], bounds[j + 1]
-        (l, r), (jl, jr), (al, ar), (bl, br) = q, j, lo, hi
-        same = jl == jr
-        cut_l = l > al
-        cut_r = (r > ar) & (r < br) & ~same
+        (l, r), (al, ar), (bl, br) = q, lo, hi
+        same = j[0] == j[1]
+        # the whole cells run from wl to wr; wl == l when l starts its cell
+        wl = np.where(l > al, bl, al)
+        inner = r < br
+        wr = np.where(inner, ar, br)
         # one copy request per end, left ends then right ends: the whole
         # range when it sits in one cell, else each partial end cell; a
         # request with r == l is empty
-        req = np.empty((2, 2 * n))
-        req[0, :n] = l
-        req[0, n:] = ar
-        req[1, :n] = np.where(same, r, np.where(cut_l, bl, l))
-        req[1, n:] = np.where(cut_r, r, ar)
+        req = np.concatenate((l, ar, np.where(same, r, wl), np.where(inner & ~same, r, ar))).reshape(2, -1)
         sub = _copy_measure(self.child, lo.ravel(), hi.ravel(), req, np.concatenate((rows, rows)), ctx)
         out = sub[:n]
         out += sub[n:]
-        # the whole cells between the end cells
-        whole = np.where(r >= br, br, ar) - np.where(cut_l, bl, al)
-        whole[same] = 0.0
-        out += np.maximum(whole, 0.0)[:, None] * self.dist_vec
+        out += np.where(same, 0.0, wr - wl)[:, None] * self.dist_vec
         partial = None
         if ctx.depth == 1:
-            ends = np.where(cut_l, bl - l, 0.0) + np.where(cut_r, r - ar, 0.0)
-            partial = np.where(same, r - l, ends)
+            partial = np.where(same, r - l, (wl - l) + (r - wr))
         ctx.leave()
         return out, partial
 
@@ -454,7 +452,7 @@ def _copy_measure(child: ConstructExpr, a, b, q: np.ndarray, rows: np.ndarray, c
     # snap copy-aligned ends exactly so recursion stays period-aligned (a
     # left end l <= a lands on A through the clamp)
     m[1][q[1] >= b] = B
-    m = np.maximum(np.minimum(m, B), A)
+    np.maximum(np.minimum(m, B, out=m), A, out=m)
     live = (m[1] > m[0]).nonzero()[0]
     if live.size == rows.size:
         sub, _ = child._measure_batch(m, rows, ctx)
@@ -483,16 +481,15 @@ def _circle_measure(node, q: np.ndarray, rows: np.ndarray, ctx: _Ctx):
     first_end = np.ceil(q[0])
     one = (first_end >= q[1]) | (fl[1] <= q[0])
     u = q - fl[0]
-    pieces = np.zeros((2, 2 * n))
-    # a head ends at the range end, else at its period end (1) or, for a
-    # range starting on a period start, nowhere (0); tails start at 0
-    pieces[0, :n] = u[0]
-    pieces[1, :n] = np.where(one, u[1], first_end - fl[0])
-    pieces[1, n:] = (q[1] - fl[1]) * ~one
+    # heads then tails: a head ends at the range end, else at its period
+    # end (1) or, for a range starting on a period start, nowhere (0);
+    # tails start at 0
+    many = ~one
+    pieces = np.concatenate((u[0], np.zeros(n), np.where(one, u[1], first_end - fl[0]), (q[1] - fl[1]) * many)).reshape(2, -1)
     sub = node._period_measure_batch(pieces, np.concatenate((rows, rows)), ctx)
     out = sub[:n]
     out += sub[n:]
-    out += ((fl[1] - first_end) * ~one)[:, None] * node.dist_vec
+    out += ((fl[1] - first_end) * many)[:, None] * node.dist_vec
     partial = None
     if ctx.depth == 1:
         partial = np.where(one, q[1] - q[0], (first_end - q[0]) + (q[1] - fl[1]))

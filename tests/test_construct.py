@@ -1,4 +1,6 @@
 """Construction DAG: distribution preservation, queries, materialization."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -367,3 +369,27 @@ def test_batched_query_matches_batches_of_one(seed):
                 assert getattr(many, field) == getattr(one, field), (name, l, r, field)
             assert many.distribution.values.tobytes() == one.distribution.values.tobytes(), (name, l, r)
             assert many.distribution.weights.tobytes() == one.distribution.weights.tobytes(), (name, l, r)
+
+
+def test_batched_query_of_a_long_two_valued_leaf_stays_small():
+    # a 0/1 leaf of 20000 pieces has two atoms, so its batches are long;
+    # the leaf's (ranges x pieces) overlaps must still come in small slices
+    pieces = 20_000
+    f = StepFunction(Interval(0.0, 1.0), np.linspace(0.0, 1.0, pieces + 1), np.arange(pieces) % 2.0)
+    e = homogenize(leaf(f), 0.6, 6)
+    rng = np.random.default_rng(0)
+    ls = rng.uniform(-0.5, 0.45, 300)
+    rs = np.minimum(ls + rng.uniform(1e-6, 0.3, 300), 0.5)
+    tracemalloc.start()
+    try:
+        batch = query_batch(e, ls, rs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # unsliced, the overlaps of the 300 to 600 leaf ranges take 48 to 96 MB
+    assert peak < 8 * 2**20
+    assert np.allclose(batch.masses.sum(axis=1), rs - ls, rtol=1e-12, atol=0.0)
+    for i in range(0, 300, 15):
+        one = query_batch(e, ls[i : i + 1], rs[i : i + 1])
+        assert batch.masses[i].tobytes() == one.masses[0].tobytes()
+        assert batch.result(i).nodes_visited == one.result(0).nodes_visited
