@@ -4,13 +4,17 @@ Deeply nested constructions (the output of the martingale compiler) would
 materialize exponentially many pieces, so they are represented as a DAG of
 five node kinds: a flat leaf, a constant, a geometric-tiling homogenization
 of a child, a two-arc circle gluing, and a periodization.  Interval queries
-are answered a batch at a time: every node kind maps an array of ranges to
-a ``(ranges, atoms)`` mass matrix.  Cells wholly inside a range contribute
-the cached node distribution scaled by length, and the partial end cells of
-all ranges of the batch recurse into the child in one call.  The cost of a
-batch is therefore linear in construction depth, independent of the
-(possibly astronomical) realized piece count; a single query is a batch of
-one.
+are answered a batch at a time, and the rows of one batch may belong to
+different nodes of a DAG.  Cells wholly inside a range contribute the
+cached node distribution scaled by length; the partial end cells become
+copy requests for the child.  A batch is one topological pass: top down,
+parents before children, every node gathers all the ranges it receives
+(its own rows and its parents' copy requests) into one array and splits
+them into copy requests; bottom up, it combines its children's
+``(ranges, atoms)`` mass matrices.  Each distinct node runs once per
+batch and a row's ranges grow linearly with construction depth,
+independent of the (possibly astronomical) realized piece count; a single
+query is a batch of one.
 
 Homogenization tiles the carrier ``[-1/2, 1/2]`` with cells shrinking
 geometrically by the ratio ``lam`` toward both endpoints, each cell holding
@@ -52,6 +56,7 @@ __all__ = [
     "default_levels",
     "query",
     "query_batch",
+    "query_batches",
     "QueryBatch",
     "materialize",
     "required_pieces",
@@ -121,37 +126,13 @@ class QueryResult:
     nodes_visited: int
 
 
-class _Ctx:
-    """Recursion guard and per-row telemetry of one batched query.
-
-    Every node call records its recursion level and the query rows its
-    ranges belong to; a row that reaches a node through two partial end
-    cells counts two visits, as two separate queries would.
-    """
-
-    __slots__ = ("depth", "limit", "trail")
-
-    def __init__(self, limit: int):
-        self.depth = 0
-        self.limit = limit
-        self.trail: list = []
-
-    def enter(self, rows: np.ndarray):
-        self.depth += 1
-        if self.depth > self.limit:
-            raise InternalError("query recursion exceeded 10x construction depth")
-        self.trail.append((self.depth, rows))
-
-    def leave(self):
-        self.depth -= 1
-
-    def stats(self, n: int):
-        """Node visits and deepest recursion level of each of the ``n`` query rows."""
-        rows = np.concatenate([r for _, r in self.trail])
-        levels = np.repeat([d for d, _ in self.trail], [r.size for _, r in self.trail])
-        deepest = np.zeros(n, dtype=int)
-        np.maximum.at(deepest, rows, levels)
-        return np.bincount(rows, minlength=n), deepest
+def _ends_and_whole(sub: np.ndarray, whole: np.ndarray, dist_vec: np.ndarray) -> np.ndarray:
+    """Masses of n ranges: their left and right end pieces (the ``(2n, atoms)`` ``sub``) plus ``whole`` lengths of ``dist_vec``."""
+    n = whole.size
+    out = sub[:n]
+    out += sub[n:]
+    out += whole[:, None] * dist_vec
+    return out
 
 
 class ConstructExpr:
@@ -163,6 +144,10 @@ class ConstructExpr:
     atom_values: np.ndarray
     dist_vec: np.ndarray
     depth: int
+    # the nodes a query sends copy requests to, and a rank above every
+    # child's, so that sorting by rank puts parents before children
+    children: tuple = ()
+    rank: int = 0
 
     @property
     def is_circle(self) -> bool:
@@ -188,14 +173,34 @@ class ConstructExpr:
         mask = self.dist_vec > 0
         return DiscreteDistribution._presorted(self.atom_values[mask], self.dist_vec[mask])
 
-    def _measure_batch(self, q: np.ndarray, rows: np.ndarray, ctx: _Ctx):
-        """Masses of the ranges ``[q[0, i], q[1, i]]`` in length units, one row each.
+    @cached_property
+    def nodes(self) -> list:
+        """This node and every node below it, each once, parents before children."""
+        seen: dict = {}
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen[id(node)] = node
+                stack.extend(node.children)
+        return sorted(seen.values(), key=lambda node: -node.rank)
 
-        ``q`` has shape ``(2, n)`` and ``rows`` names the query row each
-        range serves.  Returns the ``(n, atoms)`` mass matrix and, at the
-        outermost call only, the length of each range resolved through
-        partial end copies.
+    def _split(self, q: np.ndarray):
+        """Top-down step of a query pass over the ``(2, n)`` ranges ``q``.
+
+        Returns the copy requests ``(child, a, b, ranges, src)``, each a
+        ``(2, k)`` array of ranges in this node's coordinates inside the
+        copy of ``child`` occupying ``[a, b]``, with ``src`` indexing ``q``
+        taken twice (None when the request is all ``2n`` of it); the state
+        ``_combine`` needs; and a function returning the length of each
+        range resolved through partial end copies, called only for the
+        ranges of a query's own root.  A node without children requests
+        nothing and keeps its ranges as the state.
         """
+        return [], q, lambda: np.zeros(q.shape[1])
+
+    def _combine(self, state, subs: list) -> np.ndarray:
+        """Bottom-up step: the ``(n, atoms)`` masses in length units, from each request's ``(k, child atoms)`` masses."""
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -221,19 +226,16 @@ class LeafExpr(ConstructExpr):
         self.dist_vec = vec
         self.depth = 0
 
-    def _measure_batch(self, q, rows, ctx):
-        ctx.enter(rows)
+    def _combine(self, q, subs):
         bp = self.function.breakpoints
-        out = np.zeros((rows.size, self.atom_values.size))
+        out = np.zeros((q.shape[1], self.atom_values.size))
         # the (ranges x pieces) overlaps in slices of at most _BATCH_BUDGET floats (or one range)
         step = max(1, _BATCH_BUDGET // self.function.piece_count)
-        for s in range(0, rows.size, step):
+        for s in range(0, q.shape[1], step):
             l, r = q[:, s : s + step, None]
             ov = np.maximum(np.minimum(r, bp[1:]) - np.maximum(l, bp[:-1]), 0.0)
             np.add.at(out[s : s + step], (slice(None), self._value_idx), ov)
-        partial = np.zeros(rows.size) if ctx.depth == 1 else None
-        ctx.leave()
-        return out, partial
+        return out
 
     def to_dict(self) -> dict:
         return {"kind": "leaf", "function": self.function.to_dict()}
@@ -252,11 +254,8 @@ class ConstExpr(ConstructExpr):
         self.dist_vec.setflags(write=False)
         self.depth = 0
 
-    def _measure_batch(self, q, rows, ctx):
-        ctx.enter(rows)
-        partial = np.zeros(rows.size) if ctx.depth == 1 else None
-        ctx.leave()
-        return (q[1] - q[0])[:, None], partial
+    def _combine(self, q, subs):
+        return (q[1] - q[0])[:, None]
 
     def to_dict(self) -> dict:
         return {"kind": "const", "value": self.value}
@@ -273,12 +272,17 @@ class HomExpr(ConstructExpr):
         if levels < 1:
             raise InputError(f"truncation level must be >= 1, got {levels}")
         self.child = child
+        self.rank = child.rank + 1
         self.lam = float(lam)
         self.levels = int(levels)
         self.carrier = (-0.5, 0.5)
         self.atom_values = child.atom_values
         self.dist_vec = child.dist_vec
         self.depth = child.depth + 1
+
+    @property
+    def children(self):
+        return (self.child,)
 
     # -- cell geometry -----------------------------------------------------
 
@@ -311,9 +315,7 @@ class HomExpr(ConstructExpr):
             _CELL_TABLES[(self.lam, self.levels)] = table
         return table
 
-    def _measure_batch(self, q, rows, ctx):
-        ctx.enter(rows)
-        n = rows.size
+    def _split(self, q):
         bounds = self._bounds
         # cell j is [bounds[j], bounds[j + 1]]; a point on a bound belongs to the cell it starts
         j = bounds[1:-1].searchsorted(q, "right")
@@ -328,15 +330,14 @@ class HomExpr(ConstructExpr):
         # range when it sits in one cell, else each partial end cell; a
         # request with r == l is empty
         req = np.concatenate((l, ar, np.where(same, r, wl), np.where(inner & ~same, r, ar))).reshape(2, -1)
-        sub = _copy_measure(self.child, lo.ravel(), hi.ravel(), req, np.concatenate((rows, rows)), ctx)
-        out = sub[:n]
-        out += sub[n:]
-        out += np.where(same, 0.0, wr - wl)[:, None] * self.dist_vec
-        partial = None
-        if ctx.depth == 1:
-            partial = np.where(same, r - l, (wl - l) + (r - wr))
-        ctx.leave()
-        return out, partial
+
+        def partial():
+            return np.where(same, r - l, (wl - l) + (r - wr))
+
+        return [(self.child, lo.ravel(), hi.ravel(), req, None)], np.where(same, 0.0, wr - wl), partial
+
+    def _combine(self, whole, subs):
+        return _ends_and_whole(subs[0], whole, self.dist_vec)
 
     def to_dict(self) -> dict:
         return {
@@ -347,7 +348,45 @@ class HomExpr(ConstructExpr):
         }
 
 
-class GlueExpr(ConstructExpr):
+class _CircleExpr(ConstructExpr):
+    """Period-1 circle node: the shared period decomposition of glue and periodize nodes."""
+
+    def _period_split(self, u: np.ndarray):
+        """Copy requests and state for the ``(2, m)`` ranges ``u`` inside the base period ``[0, 1]``."""
+        raise NotImplementedError
+
+    def _period_combine(self, state, subs: list) -> np.ndarray:
+        raise NotImplementedError
+
+    def _split(self, q):
+        # A range with no period start strictly inside sits in one period
+        # and is one piece.  Any other range splits into a head piece up to
+        # its first period end and a tail piece from its last period start
+        # (either may be empty), and the whole periods between them take
+        # the node distribution.
+        n = q.shape[1]
+        fl = np.floor(q)  # the start's period, and the end's last period start
+        first_end = np.ceil(q[0])
+        one = (first_end >= q[1]) | (fl[1] <= q[0])
+        u = q - fl[0]
+        # heads then tails: a head ends at the range end, else at its period
+        # end (1) or, for a range starting on a period start, nowhere (0);
+        # tails start at 0
+        many = ~one
+        pieces = np.concatenate((u[0], np.zeros(n), np.where(one, u[1], first_end - fl[0]), (q[1] - fl[1]) * many)).reshape(2, -1)
+        reqs, state = self._period_split(pieces)
+
+        def partial():
+            return np.where(one, q[1] - q[0], (first_end - q[0]) + (q[1] - fl[1]))
+
+        return reqs, (state, (fl[1] - first_end) * many), partial
+
+    def _combine(self, state, subs):
+        pstate, whole = state
+        return _ends_and_whole(self._period_combine(pstate, subs), whole, self.dist_vec)
+
+
+class GlueExpr(_CircleExpr):
     """Circle function gluing homogenized copies of two children.
 
     The right child's homogenization occupies ``[0, alpha)`` and the left
@@ -365,9 +404,9 @@ class GlueExpr(ConstructExpr):
         self.alpha = float(alpha)
         self.hom0 = HomExpr(e0, lam, levels)
         self.hom1 = HomExpr(e1, lam, levels)
+        self.rank = max(self.hom0.rank, self.hom1.rank) + 1
         self.lam = float(lam)
         self.levels = int(levels)
-        self.carrier = None
         self.atom_values = _merge_values(
             np.concatenate((e0.atom_values, e1.atom_values))
         )
@@ -385,25 +424,30 @@ class GlueExpr(ConstructExpr):
         self.dist_vec = vec
         self.depth = max(e0.depth, e1.depth) + 1
 
-    def _period_measure_batch(self, u, rows, ctx):
-        """Masses over ``[u[0, i], u[1, i]]`` within the base period ``[0, 1]``, split by arm."""
-        out = None  # allocated after a recursion returns, so deep recursions do not stack it
+    @property
+    def children(self):
+        return (self.hom1, self.hom0)
+
+    def _period_split(self, u):
+        reqs, arms = [], []
         for hom, a, b, mapping, span in self._arms:
             # clamped to the arm; a range that misses it comes out empty
             arm = np.minimum(np.maximum(u, a), b)
             live = (arm[1] > arm[0]).nonzero()[0]
             if live.size:
-                sub = _copy_measure(hom, a, b, arm[:, live], rows[live], ctx)
-                if out is None:
-                    out = np.zeros((rows.size, self.atom_values.size))
-                if span is None:
-                    np.add.at(out, (live[:, None], mapping), sub)
-                else:
-                    out[live, span[0] : span[1]] += sub
-        return np.zeros((rows.size, self.atom_values.size)) if out is None else out
+                reqs.append((hom, a, b, arm[:, live], live))
+                arms.append((live, mapping, span))
+        return reqs, (u.shape[1], arms)
 
-    def _measure_batch(self, q, rows, ctx):
-        return _circle_measure(self, q, rows, ctx)
+    def _period_combine(self, state, subs):
+        m, arms = state
+        out = np.zeros((m, self.atom_values.size))
+        for (live, mapping, span), sub in zip(arms, subs):
+            if span is None:
+                np.add.at(out, (live[:, None], mapping), sub)
+            else:
+                out[live, span[0] : span[1]] += sub
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -416,7 +460,7 @@ class GlueExpr(ConstructExpr):
         }
 
 
-class PeriodizeExpr(ConstructExpr):
+class PeriodizeExpr(_CircleExpr):
     """Periodic extension of an interval-carried child, period 1."""
 
     kind = "periodize"
@@ -425,76 +469,23 @@ class PeriodizeExpr(ConstructExpr):
         if child.is_circle:
             raise InputError("child is already a circle function")
         self.child = child
-        self.carrier = None
+        self.rank = child.rank + 1
         self.atom_values = child.atom_values
         self.dist_vec = child.dist_vec
         self.depth = child.depth + 1
 
-    def _period_measure_batch(self, u, rows, ctx):
-        return _copy_measure(self.child, 0.0, 1.0, u, rows, ctx)
+    @property
+    def children(self):
+        return (self.child,)
 
-    def _measure_batch(self, q, rows, ctx):
-        return _circle_measure(self, q, rows, ctx)
+    def _period_split(self, u):
+        return [(self.child, 0.0, 1.0, u, None)], None
+
+    def _period_combine(self, state, subs):
+        return subs[0]
 
     def to_dict(self) -> dict:
         return {"kind": "periodize", "child": self.child.to_dict()}
-
-
-def _copy_measure(child: ConstructExpr, a, b, q: np.ndarray, rows: np.ndarray, ctx: _Ctx) -> np.ndarray:
-    """Mass of each range ``q[:, i]`` inside the copy of ``child`` that occupies ``[a, b]``.
-
-    The ranges map affinely onto the child's content bounds, the child
-    measures the non-empty ones in one call, and the masses are rescaled to
-    parent length units.  ``a`` and ``b`` are scalars or one per range.
-    """
-    A, B = child.content_bounds()
-    m = A + (q - a) * ((B - A) / (b - a))
-    # snap copy-aligned ends exactly so recursion stays period-aligned (a
-    # left end l <= a lands on A through the clamp)
-    m[1][q[1] >= b] = B
-    np.maximum(np.minimum(m, B, out=m), A, out=m)
-    live = (m[1] > m[0]).nonzero()[0]
-    if live.size == rows.size:
-        sub, _ = child._measure_batch(m, rows, ctx)
-        return sub * ((q[1] - q[0]) / (m[1] - m[0]))[:, None]
-    if not live.size:
-        return np.zeros((rows.size, child.atom_values.size))
-    m, q = m[:, live], q[:, live]
-    sub, _ = child._measure_batch(m, rows[live], ctx)
-    out = np.zeros((rows.size, child.atom_values.size))
-    out[live] = sub * ((q[1] - q[0]) / (m[1] - m[0]))[:, None]
-    return out
-
-
-def _circle_measure(node, q: np.ndarray, rows: np.ndarray, ctx: _Ctx):
-    """Shared period decomposition for circle nodes.
-
-    A range with no period start strictly inside sits in one period and is
-    one piece.  Any other range splits into a head piece up to its first
-    period end and a tail piece from its last period start (either may be
-    empty), and the whole periods between them take the node distribution.
-    All pieces go to one call of the node's ``_period_measure_batch``.
-    """
-    ctx.enter(rows)
-    n = rows.size
-    fl = np.floor(q)  # the start's period, and the end's last period start
-    first_end = np.ceil(q[0])
-    one = (first_end >= q[1]) | (fl[1] <= q[0])
-    u = q - fl[0]
-    # heads then tails: a head ends at the range end, else at its period
-    # end (1) or, for a range starting on a period start, nowhere (0);
-    # tails start at 0
-    many = ~one
-    pieces = np.concatenate((u[0], np.zeros(n), np.where(one, u[1], first_end - fl[0]), (q[1] - fl[1]) * many)).reshape(2, -1)
-    sub = node._period_measure_batch(pieces, np.concatenate((rows, rows)), ctx)
-    out = sub[:n]
-    out += sub[n:]
-    out += ((fl[1] - first_end) * many)[:, None] * node.dist_vec
-    partial = None
-    if ctx.depth == 1:
-        partial = np.where(one, q[1] - q[0], (first_end - q[0]) + (q[1] - fl[1]))
-    ctx.leave()
-    return out, partial
 
 
 # -- public construction surface ------------------------------------------------
@@ -548,24 +539,184 @@ def periodize(e: ConstructExpr) -> ConstructExpr:
 # -- queries ---------------------------------------------------------------------
 
 
+def _topological(roots: list) -> list:
+    """Every node reachable from ``roots``, parents before children."""
+    if len(roots) == 1:
+        return roots[0].nodes
+    seen: dict = {}
+    for root in roots:
+        if id(root) not in seen:
+            for node in root.nodes:
+                seen.setdefault(id(node), node)
+    return sorted(seen.values(), key=lambda node: -node.rank)
+
+
+class _Trail:
+    """Telemetry of one pass, tallied on first use.
+
+    Every node run lists where its ranges came from: ``(None, (s, e))`` for
+    the query rows ``s:e`` of a root, or ``(run, k)`` for a copy request of
+    the earlier run ``run``, whose ranges taken twice ``k`` indexes.  A copy
+    request sits one recursion level below the range it came from, and a
+    row that reaches a node through two partial end cells counts two
+    visits, as two separate queries would.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.sources: list = []  # per run
+        self.rows: list = []  # per tallied run, the query row of each range
+        self.levels: list = []  # per tallied run, the recursion level of each range
+
+    def tally(self):
+        """Rows and levels of the ranges of every run recorded so far."""
+        for parts in self.sources[len(self.rows) :]:
+            rows, levels = [], []
+            for src, k in parts:
+                if src is None:
+                    rows.append(np.arange(*k))
+                    levels.append(np.ones(k[1] - k[0], dtype=int))
+                else:
+                    r, lv = self.rows[src], self.levels[src]
+                    rows.append(np.concatenate((r, r))[k])
+                    levels.append(np.concatenate((lv, lv))[k] + 1)
+            self.rows.append(np.concatenate(rows))
+            self.levels.append(np.concatenate(levels))
+
+    @cached_property
+    def stats(self):
+        """Node visits and deepest recursion level of each of the ``n`` query rows."""
+        self.tally()
+        rows = np.concatenate(self.rows)
+        deepest = np.zeros(self.n, dtype=int)
+        np.maximum.at(deepest, rows, np.concatenate(self.levels))
+        return np.bincount(rows, minlength=self.n), deepest
+
+
+def _pass(groups: list, q: np.ndarray, limits: np.ndarray):
+    """Answer the ranges of several root nodes in one topological pass.
+
+    ``groups`` lists ``(root, start, stop)``: the columns ``start:stop`` of
+    the ``(2, n)`` array ``q`` are ranges of ``root``.  Top down, parents
+    before children, every node gathers all the ranges it receives, its
+    own rows' and all its parents' copy requests, into one array and splits
+    them into copy requests for its children; bottom up, every node
+    combines its children's masses.  Each distinct node runs once.  A range
+    that reached a node through ``k`` copies sits at recursion level
+    ``k + 1``, which may not exceed its row's entry of ``limits``; every
+    part a node receives carries a lower bound on that margin, and only a
+    negative bound makes the node check its ranges one by one.
+
+    Returns, per group, its ``(rows, atoms)`` masses in length units and a
+    ``(partial, start)`` pair whose ``partial()[start:]`` begins with its
+    lengths resolved through partial end copies; and the telemetry.
+    """
+    trail = _Trail(q.shape[1])
+    order = _topological([root for root, _, _ in groups])
+    boxes: dict = {id(node): [] for node in order}  # parts sent to a node not yet run: (ranges, source, margin)
+    received: dict = {}  # node id -> ranges sent to it
+    readers: dict = {}  # node id -> parents' slices of its masses still to be read
+
+    def send(node, ranges, source, margin) -> int:
+        key = id(node)
+        if key not in boxes:
+            raise InternalError("a copy request reached a node that already ran: the construction DAG has a cycle")
+        boxes[key].append((ranges, source, margin))
+        start = received.get(key, 0)
+        received[key] = start + ranges.shape[1]
+        return start
+
+    # a root's own rows come first in its box
+    slots = [(root, send(root, q[:, s:e], (None, (s, e)), int(limits[s]) - 1), e - s) for root, s, e in groups]
+    roots: dict = {}  # root id -> its own rows
+    for root, _, k in slots:
+        roots[id(root)] = roots.get(id(root), 0) + k
+    runs, partials = [], {}
+    for node in order:
+        parts = boxes.pop(id(node))
+        if not parts:
+            continue
+        rq = parts[0][0] if len(parts) == 1 else np.concatenate([p[0] for p in parts], axis=1)
+        run = len(trail.sources)
+        trail.sources.append([p[1] for p in parts])
+        margin = min(p[2] for p in parts)
+        if margin < 0:
+            trail.tally()
+            if (trail.levels[run] > limits[trail.rows[run]]).any():
+                raise InternalError("query recursion exceeded 10x construction depth")
+        reqs, state, partial = node._split(rq)
+        if id(node) in roots:
+            partials[id(node)] = partial
+        copies = []
+        for child, a, b, cq, src in reqs:
+            # the ranges map affinely onto the child's content bounds; snap
+            # copy-aligned ends exactly so recursion stays period-aligned (a
+            # left end l <= a lands on A through the clamp)
+            A, B = child.content_bounds()
+            m = A + (cq - a) * ((B - A) / (b - a))
+            m[1][cq[1] >= b] = B
+            np.maximum(np.minimum(m, B, out=m), A, out=m)
+            live = (m[1] > m[0]).nonzero()[0]
+            total, start, scale = cq.shape[1], 0, None
+            if live.size:
+                if live.size < total:
+                    m, cq = m[:, live], cq[:, live]
+                start = send(child, m, (run, live if src is None else src[live]), margin - 1)
+                readers[id(child)] = readers.get(id(child), 0) + 1
+                # the child's masses rescale to this node's length units
+                scale = ((cq[1] - cq[0]) / (m[1] - m[0]))[:, None]
+            copies.append((child, start, live, total, scale))
+        runs.append((node, state, copies))
+
+    masses: dict = {}
+
+    def settle(key):
+        # no parent reads these masses any more: a root keeps its own rows, compactly
+        if key in roots:
+            masses[key] = masses[key][: roots[key]].copy()
+        else:
+            del masses[key]
+
+    for node, state, copies in reversed(runs):
+        subs = []
+        for child, start, live, total, scale in copies:
+            out = np.zeros((total, child.atom_values.size)) if live.size < total else None
+            if live.size:
+                key = id(child)
+                sub = masses[key][start : start + live.size] * scale
+                readers[key] -= 1
+                if not readers[key]:
+                    settle(key)
+                if out is None:
+                    out = sub
+                else:
+                    out[live] = sub
+            subs.append(out)
+        masses[id(node)] = node._combine(state, subs)
+        if not readers.get(id(node)):
+            settle(id(node))
+    return [(masses[id(root)][s : s + k], (partials[id(root)], s)) for root, s, k in slots], trail
+
+
 class QueryBatch:
     """Outcome of a batch of interval queries, one row per query.
 
     ``masses`` holds each query's restriction masses over ``atom_values`` in
     length units; ``depth``, ``partial_end_weight`` and ``nodes_visited``
-    are per row what :class:`QueryResult` reports for one query (the first
-    two are tallied on first access).
+    are per row what :class:`QueryResult` reports for one query (tallied
+    on first access).
     """
 
-    def __init__(self, atom_values: np.ndarray, masses: np.ndarray, partial_end_weight: np.ndarray, ctxs: list):
+    def __init__(self, atom_values: np.ndarray, masses: np.ndarray, lengths: np.ndarray, chunks: list):
         self.atom_values = atom_values
         self.masses = masses
-        self.partial_end_weight = partial_end_weight
-        self._ctxs = ctxs  # (row count, _Ctx) per chunk
+        self._lengths = lengths
+        # per chunk, the (visits, depth) pair and the partial-end lengths of its rows, or functions returning them
+        self._chunks = chunks
 
     @cached_property
     def _telemetry(self):
-        stats = [ctx.stats(n) for n, ctx in self._ctxs] or [(np.zeros(0, int), np.zeros(0, int))]
+        stats = [t() if callable(t) else t for t, _ in self._chunks] or [(np.zeros(0, int), np.zeros(0, int))]
         return tuple(np.concatenate(col) for col in zip(*stats))
 
     @property
@@ -575,6 +726,11 @@ class QueryBatch:
     @property
     def depth(self) -> np.ndarray:
         return self._telemetry[1]
+
+    @cached_property
+    def partial_end_weight(self) -> np.ndarray:
+        parts = [p() if callable(p) else p for _, p in self._chunks]
+        return np.concatenate(parts or [np.zeros(0)]) / self._lengths
 
     def result(self, i: int, functional=None) -> QueryResult:
         """Row ``i`` as a :class:`QueryResult` (see :func:`query` for ``functional``)."""
@@ -599,36 +755,75 @@ class QueryBatch:
         )
 
 
-def query_batch(e: ConstructExpr, lefts, rights) -> QueryBatch:
-    """Exact interval queries ``[lefts[i], rights[i]]`` against a construction node, all at once.
+def query_batches(requests) -> list[QueryBatch]:
+    """Exact interval queries against several construction nodes, answered together.
 
-    The batch runs in chunks of at most ``_BATCH_BUDGET`` mass-matrix
-    floats.  Rows never influence each other, so a batch of n queries
-    equals n batches of one bitwise.
+    ``requests`` lists ``(node, lefts, rights)`` triples; the result holds
+    one :class:`QueryBatch` per triple.  All rows go through one
+    topological pass over the nodes' DAGs, in chunks of rows whose roots'
+    atom counts sum to at most ``_BATCH_BUDGET`` (or of one row).  Rows
+    never influence each other, so every row equals a batch of one against
+    its own node bitwise.
     """
-    ls = np.asarray(lefts, dtype=float)
-    rs = np.asarray(rights, dtype=float)
-    if ls.ndim != 1 or ls.shape != rs.shape or not (np.isfinite(ls).all() and np.isfinite(rs).all() and (ls < rs).all()):
+    nodes = [e for e, _, _ in requests]
+    ls = [np.asarray(l, dtype=float) for _, l, _ in requests]
+    rs = [np.asarray(r, dtype=float) for _, _, r in requests]
+    if any(l.ndim != 1 or l.shape != r.shape for l, r in zip(ls, rs)):
         raise InputError("queries need finite ends with left < right, as two 1-D arrays of one length")
-    if not e.is_circle:
-        a, b = e.carrier
-        outside = (ls < a - 1e-12) | (rs > b + 1e-12)
-        if outside.any():
-            k = int(outside.argmax())
-            raise InputError(f"query [{ls[k]}, {rs[k]}] outside carrier [{a}, {b}]")
-    limit = 10 * (e.depth + 1) + 10
-    chunk = max(1, _BATCH_BUDGET // e.atom_values.size)
-    masses, partial, ctxs = [], [], []
-    for s in range(0, ls.size, chunk):
-        cl, cr = ls[s : s + chunk], rs[s : s + chunk]
-        ctx = _Ctx(limit)
-        m, p = e._measure_batch(np.stack((cl, cr)), np.arange(cl.size), ctx)
-        masses.append(m)
-        partial.append(p / (cr - cl))
-        ctxs.append((cl.size, ctx))
-    if not masses:  # an empty batch
-        masses, partial = [np.zeros((0, e.atom_values.size))], [np.zeros(0)]
-    return QueryBatch(e.atom_values, np.concatenate(masses), np.concatenate(partial), ctxs)
+    sizes = [l.size for l in ls]
+    q = np.stack((np.concatenate(ls or [np.zeros(0)]), np.concatenate(rs or [np.zeros(0)])))
+    if not (np.isfinite(q).all() and (q[0] < q[1]).all()):
+        raise InputError("queries need finite ends with left < right, as two 1-D arrays of one length")
+    carriers = [(-math.inf, math.inf) if e.is_circle else e.carrier for e in nodes]
+    outside = (q[0] < np.repeat([a - 1e-12 for a, _ in carriers], sizes)) | (q[1] > np.repeat([b + 1e-12 for _, b in carriers], sizes))
+    if outside.any():
+        k = int(outside.argmax())
+        a, b = carriers[int(np.searchsorted(np.cumsum(sizes), k, "right"))]
+        raise InputError(f"query [{q[0, k]}, {q[1, k]}] outside carrier [{a}, {b}]")
+    ends = np.cumsum(sizes).tolist()
+    weight = np.cumsum(np.repeat([e.atom_values.size for e in nodes], sizes))
+    limits = np.repeat([10 * (e.depth + 1) + 10 for e in nodes], sizes)
+    bounds, s = [], 0
+    while s < weight.size:
+        e = max(s + 1, int(weight.searchsorted((weight[s - 1] if s else 0) + _BATCH_BUDGET, "right")))
+        bounds.append((s, e))
+        s = e
+    masses: list = [None] * len(nodes)
+    chunks: list = [[] for _ in nodes]
+    for s, e in bounds:
+        groups = [(g, max(b - n, s) - s, min(b, e) - s) for g, (n, b) in enumerate(zip(sizes, ends)) if b - n < e and b > s]
+        results, trail = _pass([(nodes[g], a, b) for g, a, b in groups], q[:, s:e], limits[s:e])
+        for (g, a, b), (mass, (partial, start)) in zip(groups, results):
+            if b - a == sizes[g]:
+                masses[g] = mass
+            else:
+                if masses[g] is None:
+                    masses[g] = np.empty((sizes[g], nodes[g].atom_values.size))
+                first = s + a - (ends[g] - sizes[g])
+                masses[g][first : first + b - a] = mass
+
+            def telemetry(trail=trail, a=a, b=b):
+                return tuple(col[a:b] for col in trail.stats)
+
+            def partial_end(partial=partial, start=start, k=b - a):
+                return partial()[start : start + k]
+
+            # a batch of several chunks settles each chunk before the next
+            # runs, so that no chunk's pass outlives it
+            chunks[g].append((telemetry, partial_end) if len(bounds) == 1 else (telemetry(), partial_end()))
+    return [
+        QueryBatch(node.atom_values, np.zeros((0, node.atom_values.size)) if m is None else m, r - l, c)
+        for node, m, l, r, c in zip(nodes, masses, ls, rs, chunks)
+    ]
+
+
+def query_batch(e: ConstructExpr, lefts, rights) -> QueryBatch:
+    """Exact interval queries ``[lefts[i], rights[i]]`` against one construction node, all at once.
+
+    The one-root case of :func:`query_batches`: a batch of n queries equals
+    n batches of one bitwise.
+    """
+    return query_batches([(e, lefts, rights)])[0]
 
 
 def query(e: ConstructExpr, q, functional=None) -> QueryResult:

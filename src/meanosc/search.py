@@ -19,13 +19,16 @@ grid; arcs covering at least ``r_long`` whole periods have distributions
 within total variation ``2 / (r_long + 1)`` of the node distribution,
 which caps their values provably.
 
-DAG arcs are evaluated a batch at a time through ``construct.query_batch``:
-the junction grids of a node are one query, the golden refinement of all
-its junction leaders runs in lockstep with one query per step, and the
-long-arc grid is one query; full arcs and embedded child witnesses are
-single queries.  Offers replay junction by junction in the order a
-junction-at-a-time scan makes them, so the batching changes no witness
-choice.
+DAG arcs are evaluated a batch at a time through
+``construct.query_batches``, whose rows may belong to different nodes.
+The junction scans of every node of the DAG run in lockstep: the
+junction grids of all nodes are one query, the golden refinement of all
+their junction leaders takes one query per step, the refined arcs are
+one query, and so are the long-arc grids of all circle nodes; full arcs
+and embedded child witnesses are single queries.  Each node replays its
+offers where the structural walk reaches it, junction by junction in the
+order a junction-at-a-time scan makes them, so the batching changes no
+witness choice.
 
 When ``certify`` is set, reports carry an upper bound next to the lower
 bound.  For flat interval functions it is the per-cell-pair value-range
@@ -52,7 +55,7 @@ from .construct import (
     PeriodizeExpr,
     materialize,
     query as dag_query,
-    query_batch,
+    query_batches,
     required_pieces,
 )
 from .distributions import DiscreteDistribution
@@ -140,18 +143,19 @@ class SearchReport:
 
 
 def _abs_power(diff: np.ndarray, p: float) -> np.ndarray:
+    """``|diff| ** p``, computed in place: ``diff`` is a temporary the caller gives up."""
     # fast paths: float powers are an order of magnitude slower than these
-    if p == 1.0:
-        return np.abs(diff)
     if p == 2.0:
-        return diff * diff
+        return np.multiply(diff, diff, out=diff)
+    out = np.abs(diff, out=diff)
+    if p == 1.0:
+        return out
     if p == float(int(p)) and p <= 8:
-        out = np.abs(diff)
         acc = out.copy()
         for _ in range(int(p) - 1):
             acc *= out
         return acc
-    return np.abs(diff) ** p
+    return np.power(out, p, out=out)
 
 
 class _Objective:
@@ -439,15 +443,17 @@ class _FlatTarget:
                 np.concatenate(([0.0], np.cumsum(tv * lens))) for tv in self._tvals
             ]
 
-    def _antideriv(self, x: np.ndarray, t: int) -> np.ndarray:
-        i = np.clip(np.searchsorted(self.bp, x, side="right") - 1, 0, self.values.size - 1)
-        return self._prefix[t][i] + (x - self.bp[i]) * self._tvals[t][i]
+    def _antiderivs(self, x: np.ndarray) -> list[np.ndarray]:
+        """Every value transform's antiderivative at ``x``."""
+        i = np.minimum(np.maximum(self.bp.searchsorted(x, "right") - 1, 0), self.values.size - 1)
+        dx = x - self.bp[i]
+        return [prefix[i] + dx * tv[i] for prefix, tv in zip(self._prefix, self._tvals)]
 
     def _overlap_raw(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-        lo = np.maximum(lefts[:, None], self.bp[None, :-1])
-        hi = np.minimum(rights[:, None], self.bp[None, 1:])
-        ov = np.maximum(hi - lo, 0.0)
-        return self.objective.raw_from_parts(ov, self.values, rights - lefts)
+        # in place: a chunk's overlap matrix may hold _CHUNK_BUDGET floats
+        ov = np.minimum(rights[:, None], self.bp[None, 1:])
+        ov -= np.maximum(lefts[:, None], self.bp[None, :-1])
+        return self.objective.raw_from_parts(np.maximum(ov, 0.0, out=ov), self.values, rights - lefts)
 
     @property
     def _short_cutoff(self) -> float:
@@ -459,10 +465,7 @@ class _FlatTarget:
         lengths = rights - lefts
         if self._tvals is None:
             return self.objective.value_from_raw(self._overlap_raw(lefts, rights))
-        means = [
-            (self._antideriv(rights, t) - self._antideriv(lefts, t)) / lengths
-            for t in range(len(self._tvals))
-        ]
+        means = [(hi - lo) / lengths for hi, lo in zip(self._antiderivs(rights), self._antiderivs(lefts))]
         raw = np.asarray(self.objective.raw_from_means(means), dtype=float)
         short = lengths < self._short_cutoff
         if np.any(short):
@@ -499,42 +502,64 @@ def _straddle_candidates(f: StepFunction, level: int):
 
 
 def _chunked_pair_scan(target: _FlatTarget, points: np.ndarray, cfg: SearchConfig, best: _Best, collect: list | None):
+    """Every pair of candidate points, then the straddle candidates, a chunk at a time.
+
+    Candidate ``k < n_pairs`` is the ``k``-th pair of ``np.triu_indices``
+    order; the ends of a chunk are built when the chunk is evaluated, so
+    only the values of all candidates are held at once.
+    """
     n = points.size
-    ii, jj = np.triu_indices(n, k=1)
+    n_pairs = n * (n - 1) // 2
+    # the first pair index of each row i (whose pairs are (i, i + 1), ..., (i, n - 1))
+    row_start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
     sl, sr = _straddle_candidates(target.f, cfg.dyadic_level)
-    lefts = np.concatenate((points[ii], sl))
-    rights = np.concatenate((points[jj], sr))
-    chunk = max(1, _CHUNK_BUDGET // max(target.values.size, 1))
-    spans = [(s, min(s + chunk, lefts.size)) for s in range(0, lefts.size, chunk)]
+    total = n_pairs + sl.size
+
+    def ends(k):
+        ls, rs = np.empty(k.size), np.empty(k.size)
+        pair = k < n_pairs
+        kp = k[pair]
+        i = row_start.searchsorted(kp, "right") - 1
+        ls[pair], rs[pair] = points[i], points[kp - row_start[i] + i + 1]
+        ks = k[~pair] - n_pairs
+        ls[~pair], rs[~pair] = sl[ks], sr[ks]
+        return ls, rs
 
     def run(span):
-        s, e = span
-        return target.value_batch(lefts[s:e], rights[s:e])
+        ls, rs = ends(np.arange(*span))
+        return ls, rs, target.value_batch(ls, rs)
+
+    chunk = max(1, _CHUNK_BUDGET // max(target.values.size, 1))
+    spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
+    allvals = np.empty(total)
+
+    def take(span, result):
+        (s, e), (ls, rs, vals) = span, result
+        allvals[s:e] = vals
+        best.offer_array(vals, ls, rs)
+        if collect is not None:
+            collect.append(np.column_stack((ls, rs, rs - ls, vals)))
 
     if cfg.threads > 1:
+        # a few chunks per worker at a time, so finished chunks do not pile up
+        window = 4 * cfg.threads
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(run, spans))
+            for w in range(0, len(spans), window):
+                for span, result in zip(spans[w : w + window], pool.map(run, spans[w : w + window])):
+                    take(span, result)
     else:
-        results = [run(sp) for sp in spans]
-    target.evaluations += lefts.size
-    for (s, e), vals in zip(spans, results):
-        best.offer_array(vals, lefts[s:e], rights[s:e])
-        if collect is not None:
-            collect.append(np.column_stack((lefts[s:e], rights[s:e], rights[s:e] - lefts[s:e], vals)))
-    if results:
-        allvals = np.concatenate(results)
+        for span in spans:
+            take(span, run(span))
+    target.evaluations += total
+    if total:
         # stratified leaders: pair candidates and straddle candidates each
         # contribute their own top block, so half-jump optima always refine
-        n_pairs = ii.size
         leaders: list[int] = []
-        for block in (np.arange(n_pairs), np.arange(n_pairs, allvals.size)):
-            if block.size == 0:
-                continue
-            k = min(_REFINE_TOP, block.size)
-            top = block[np.argpartition(allvals[block], -k)[-k:]]
-            leaders.extend(int(t) for t in top)
-        idx = np.array(leaders, dtype=int)
-        _refine_leaders(target, lefts[idx], rights[idx], cfg, best)
+        for lo, hi in ((0, n_pairs), (n_pairs, total)):
+            if hi > lo:
+                k = min(_REFINE_TOP, hi - lo)
+                leaders.extend(int(t) for t in lo + np.argpartition(allvals[lo:hi], -k)[-k:])
+        _refine_leaders(target, *ends(np.array(leaders, dtype=int)), cfg, best)
 
 
 def _refine_leaders(target: _FlatTarget, lefts, rights, cfg: SearchConfig, best: _Best):
@@ -602,18 +627,16 @@ def _geom_lengths(lo: float, hi: float, per_octave: int) -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
-def _long_arc_scan(raw_at, t0: float, objective: _Objective, cfg: SearchConfig, best: _Best) -> float:
-    """Offer arcs of 2 to ``max_periods`` periods, starting at ``t0`` plus dyadic offsets.
-
-    ``raw_at(ls, rs)`` returns the raw functional of every arc ``[ls[i], rs[i]]``;
-    the whole grid is one call.  Returns the largest raw value seen, for
-    the certificate.
-    """
+def _long_arc_grid(t0: float, cfg: SearchConfig):
+    """Arcs of 2 to ``max_periods`` periods, starting at ``t0`` plus dyadic offsets."""
     lengths = _geom_lengths(2.0, float(cfg.max_periods), max(2, cfg.grid_points))
     offsets = np.arange(0, 2**cfg.dyadic_level) / 2.0**cfg.dyadic_level
     ls = t0 + np.tile(offsets, lengths.size)
-    rs = ls + np.repeat(lengths, offsets.size)
-    raws = raw_at(ls, rs)
+    return ls, ls + np.repeat(lengths, offsets.size)
+
+
+def _long_arc_scan(raws: np.ndarray, ls: np.ndarray, rs: np.ndarray, objective: _Objective, best: _Best) -> float:
+    """Offer the long arcs ``[ls[i], rs[i]]`` with their raw values; returns the largest, for the certificate."""
     for raw, l, r in zip(raws.tolist(), ls.tolist(), rs.tolist()):
         best.offer(objective.value_from_raw(raw), l, r)
     return float(raws.max())
@@ -642,12 +665,11 @@ def _flat_circle_search(f: StepFunction, objective: _Objective, cfg: SearchConfi
     points = _candidate_points(unrolled, cfg.dyadic_level)
     _chunked_pair_scan(flat, points, cfg, best, collect)
 
-    def raw_at(ls, rs):
-        flat.evaluations += ls.size
-        return np.array([objective.raw_from_dist(f.distribution(q)) for q in zip(ls.tolist(), rs.tolist())])
-
+    ls, rs = _long_arc_grid(t0, cfg)
+    flat.evaluations += ls.size
+    raws = np.array([objective.raw_from_dist(f.distribution(q)) for q in zip(ls.tolist(), rs.tolist())])
     # the pair-scan maximum is read before the long arcs join it
-    raw_max = max(objective.raw_of_value(best.value), _long_arc_scan(raw_at, t0, objective, cfg, best))
+    raw_max = max(objective.raw_of_value(best.value), _long_arc_scan(raws, ls, rs, objective, best))
     upper = _certificate(objective, cfg, f.values, f.distribution((t0, t0 + 1.0)), raw_max, best)
     scan = [tuple(row) for row in np.concatenate(collect)] if collect else []
     return best, flat.evaluations, upper, scan
@@ -696,10 +718,13 @@ class _DagSearch:
 
     Per node: junction scans around every distinct junction type of the
     node's own structure, long-arc scans for circle nodes, and embedding
-    of child witnesses through one representative copy.  Candidates whose
-    embedding would collapse below float resolution still contribute to
-    the certified raw maximum; only anchored candidates (re-evaluated at
-    the node itself) feed the reported lower bound and witness.
+    of child witnesses through one representative copy.  The junction
+    scans and long-arc grids of the whole DAG run first, in lockstep (see
+    ``_lockstep_scans``); each node replays its offers where its walk
+    reaches them.  Candidates whose embedding would collapse below float
+    resolution still contribute to the certified raw maximum; only
+    anchored candidates (re-evaluated at the node itself) feed the
+    reported lower bound and witness.
     """
 
     def __init__(self, objective: _Objective, cfg: SearchConfig):
@@ -708,17 +733,17 @@ class _DagSearch:
         self.evaluations = 0
         self.raw_max = -math.inf
         self._memo: dict[int, tuple[float, tuple[float, float] | None]] = {}
+        self._scans: dict[int, tuple] = {}
 
-    def raw_at(self, node: ConstructExpr, ls: np.ndarray, rs: np.ndarray) -> np.ndarray:
-        """Raw functional of every arc ``[ls[i], rs[i]]`` of ``node``, in one batched query."""
-        self.evaluations += ls.size
-        masses = query_batch(node, ls, rs).masses
-        raw = self.objective.raw_from_weights(masses / masses.sum(axis=1)[:, None], node.atom_values)
+    def raws(self, groups: list) -> np.ndarray:
+        """Raw functional of every arc of ``groups``, ``(node, ls, rs)`` triples, in one multi-root query."""
+        raw = np.concatenate([
+            self.objective.raw_from_weights(b.masses / b.masses.sum(axis=1)[:, None], node.atom_values)
+            for (node, _, _), b in zip(groups, query_batches(groups))
+        ])
+        self.evaluations += raw.size
         self.raw_max = max(self.raw_max, float(raw.max()))
         return raw
-
-    def value_at(self, node: ConstructExpr, ls: np.ndarray, rs: np.ndarray) -> np.ndarray:
-        return self.objective.value_from_raw(self.raw_at(node, ls, rs))
 
     def _offer_one(self, node: ConstructExpr, l: float, r: float, best: _Best):
         """Offer one arc, through a single query: full arcs and embedded witnesses."""
@@ -726,6 +751,12 @@ class _DagSearch:
         raw = self.objective.raw_from_dist(dag_query(node, (l, r)).distribution)
         self.raw_max = max(self.raw_max, raw)
         best.offer(self.objective.value_from_raw(raw), l, r)
+
+    def run(self, root: ConstructExpr) -> tuple[float, tuple[float, float] | None]:
+        """Scan every junction and long-arc grid of the DAG in lockstep, then walk it from ``root``."""
+        # the nodes the walk below searches through their copies and junctions
+        self._scans = self._lockstep_scans([node for node in root.nodes if node.children])
+        return self.search(root)
 
     def search(self, node: ConstructExpr) -> tuple[float, tuple[float, float] | None]:
         key = id(node)
@@ -742,7 +773,8 @@ class _DagSearch:
             self.raw_max = max(self.raw_max, self.objective.raw_of_value(sub.value))
             best.offer(sub.value, sub.left, sub.right)
         else:
-            self._search_copies(node, *_layout(node), best)
+            full, copies, _ = _layout(node)
+            self._search_copies(node, full, copies, best)
         if math.isnan(best.left):
             out = (best.value, None)
         else:
@@ -751,19 +783,20 @@ class _DagSearch:
         self._memo[key] = out
         return out
 
-    def _search_copies(self, node, full, copies, junctions, best: _Best):
-        """Full arc, embedded child witnesses, junction scans, and long arcs on circles."""
+    def _search_copies(self, node, full, copies, best: _Best):
+        """Full arc, embedded child witnesses, the node's junction offers, and long arcs on circles."""
         a, b = full
         self._offer_one(node, a, b, best)
         for child, lo, hi in copies:
             child_best, child_wit = self.search(child)
             self.raw_max = max(self.raw_max, self.objective.raw_of_value(child_best))
             self._embed(node, child, child_wit, lo, hi, best)
-        clip, scale_hi = (None, 2.0) if node.is_circle else (full, b - a)
-        self._junction_scan(node, junctions, scale_hi, best, clip)
+        offers, long_raws = self._scans.pop(id(node))
+        for v, l, r in offers:
+            best.offer(v, l, r)
         if node.is_circle:
             self.raw_max = max(self.raw_max, self.objective.raw_from_dist(node.distribution()))
-            _long_arc_scan(lambda ls, rs: self.raw_at(node, ls, rs), 0.0, self.objective, self.cfg, best)
+            _long_arc_scan(long_raws, *_long_arc_grid(0.0, self.cfg), self.objective, best)
 
     def _embed(self, node, child, witness, lo: float, hi: float, best: _Best):
         """Map a child witness through the copy occupying [lo, hi] of node."""
@@ -787,63 +820,98 @@ class _DagSearch:
         if wr - wl > 1e-12 * span:
             self._offer_one(node, wl, wr, best)
 
-    def _junction_scan(self, node, junctions, scale_hi: float, best: _Best, clip: tuple[float, float] | None):
-        """Arcs straddling each junction on a (length x offset) grid, then each junction's 4 leaders refined.
+    def _lockstep_scans(self, nodes: list) -> dict[int, tuple]:
+        """The junction scans and long-arc grids of all ``nodes``, in lockstep.
 
-        ``junctions`` lists ``(c, shortest length)`` pairs.  An arc
-        ``(c, t, ell)`` has length ``ell`` with the fraction ``t`` of it left
-        of ``c``, clipped to ``clip`` on interval carriers.  The grids of all
-        junctions are one batched query, and the leaders of all junctions
-        refine in lockstep, one batched query per golden step; the offers
-        then replay junction by junction, grid first, in the order a
-        junction-at-a-time scan makes them.
+        Around each junction ``c``: arcs on a (length x offset) grid, then
+        the 4 best of them refined by golden section, first in log-length,
+        then in ``t``.  An arc ``(c, t, ell)`` has length ``ell`` with the
+        fraction ``t`` of it left of ``c``, clipped to the carrier of an
+        interval node.  The grids of all junctions of all nodes are one
+        multi-root query, the leaders of all of them refine in lockstep, one
+        query per golden step, the refined arcs are one query, and so are
+        the long-arc grids of all circle nodes.  Returns, by node ``id``, the node's
+        ``(value, left, right)`` junction offers, junction by junction, grid
+        first, in the order a junction-at-a-time scan makes them, and the
+        raw values of its long-arc grid (None on interval nodes).
         """
+        if not nodes:
+            return {}
         cfg = self.cfg
+        offsets = np.arange(1, 2**cfg.dyadic_level) / 2.0**cfg.dyadic_level
+        jc, jlo, jnode, lengths = [], [], [], []  # per junction: center, shortest length, node, grid lengths
+        clip_lo, clip_hi, scale_hi = [], [], []  # per node
+        for i, node in enumerate(nodes):
+            full, _, junctions = _layout(node)
+            hi = 2.0 if node.is_circle else full[1] - full[0]
+            lo_clip, hi_clip = (-math.inf, math.inf) if node.is_circle else full
+            clip_lo.append(lo_clip)
+            clip_hi.append(hi_clip)
+            scale_hi.append(hi)
+            for c, s in junctions:
+                jc.append(c)
+                jlo.append(s)
+                jnode.append(i)
+                lengths.append(_geom_lengths(max(s, 1e-13), hi, max(2, cfg.grid_points)))
+        jc, jnode, clip_lo, clip_hi = np.array(jc), np.array(jnode, dtype=int), np.array(clip_lo), np.array(clip_hi)
 
-        def arcs(cs, ts, ells):
-            ls, rs = cs - ts * ells, cs + (1.0 - ts) * ells
-            if clip is not None:
-                ls, rs = np.maximum(ls, clip[0]), np.minimum(rs, clip[1])
-            # an arc that clipping empties is worth -inf
+        def arcs(js, ts, ells):
+            # arcs around the junctions js, clipped to interval carriers (a
+            # circle node's clip is infinite); an arc clipping empties is worth -inf
+            cs, ni = jc[js], jnode[js]
+            ls = np.maximum(cs - ts * ells, clip_lo[ni])
+            rs = np.minimum(cs + (1.0 - ts) * ells, clip_hi[ni])
             vs = np.full(ls.size, -math.inf)
-            live = rs - ls > 1e-15
-            if live.any():
-                vs[live] = self.value_at(node, ls[live], rs[live])
+            live = (rs - ls > 1e-15).nonzero()[0]
+            if live.size:
+                # arcs come node by node: one group per node
+                ni, ll, rr = ni[live], ls[live], rs[live]
+                cuts = [0, *(np.flatnonzero(np.diff(ni)) + 1).tolist(), live.size]
+                groups = [(nodes[ni[s]], ll[s:e], rr[s:e]) for s, e in zip(cuts[:-1], cuts[1:])]
+                vs[live] = self.objective.value_from_raw(self.raws(groups))
             return ls, rs, vs
 
-        offsets = np.arange(1, 2**cfg.dyadic_level) / 2.0**cfg.dyadic_level
-        lengths = [_geom_lengths(max(s, 1e-13), scale_hi, max(2, cfg.grid_points)) for _, s in junctions]
-        owner = np.repeat(np.arange(len(junctions)), [g.size * offsets.size for g in lengths])
-        cs = np.array([c for c, _ in junctions])
-        ls, rs, vs = arcs(cs[owner], np.tile(offsets, owner.size // offsets.size), np.repeat(np.concatenate(lengths), offsets.size))
+        owner = np.repeat(np.arange(jc.size), [g.size * offsets.size for g in lengths])
+        ls, rs, vs = arcs(owner, np.tile(offsets, owner.size // offsets.size), np.repeat(np.concatenate(lengths), offsets.size))
         # the 4 best grid arcs of every junction are the lanes of the refinement
-        tops = [np.flatnonzero(owner == j)[np.argsort(-vs[owner == j], kind="stable")[:4]] for j in range(len(junctions))]
-        lanes = np.concatenate(tops)
+        ranked = np.lexsort((-vs, owner))
+        lanes = ranked[np.arange(owner.size) - np.searchsorted(owner, owner[ranked]) < 4]
         lanes = lanes[vs[lanes] > -math.inf]
-        lc, ell0 = cs[owner[lanes]], rs[lanes] - ls[lanes]
+        lj = owner[lanes]
+        lc, ell0 = jc[lj], rs[lanes] - ls[lanes]
         t0 = np.minimum(np.maximum((lc - ls[lanes]) / ell0, 0.0), 1.0)
         x0 = [math.log(e) for e in ell0.tolist()]
-        log_lo = [math.log(max(junctions[j][1], 1e-13)) for j in owner[lanes].tolist()]
-        log_hi = math.log(scale_hi)
+        log_lo = [math.log(max(jlo[j], 1e-13)) for j in lj.tolist()]
+        log_hi = [math.log(scale_hi[i]) for i in jnode[lj].tolist()]
 
         def exps(xs):
             return np.array([math.exp(x) for x in xs.tolist()])
 
-        lo, hi = [max(x - 2.0, a) for x, a in zip(x0, log_lo)], [min(x + 2.0, log_hi) for x in x0]
-        lx, _ = _golden_max(lambda xs: arcs(lc, t0, exps(xs))[2], lo, hi, cfg.refine_iters)
+        lo, hi = [max(x - 2.0, a) for x, a in zip(x0, log_lo)], [min(x + 2.0, b) for x, b in zip(x0, log_hi)]
+        lx, _ = _golden_max(lambda xs: arcs(lj, t0, exps(xs))[2], lo, hi, cfg.refine_iters)
         ell1 = exps(lx)
-        tt, _ = _golden_max(lambda ts: arcs(lc, ts, ell1)[2], np.zeros(lanes.size), np.ones(lanes.size), cfg.refine_iters)
-        fl, fr, fv = arcs(lc, tt, ell1)
+        tt, _ = _golden_max(lambda ts: arcs(lj, ts, ell1)[2], np.zeros(lanes.size), np.ones(lanes.size), cfg.refine_iters)
+        fl, fr, fv = arcs(lj, tt, ell1)
+        gl, gr = _long_arc_grid(0.0, cfg)
+        circles = [node for node in nodes if node.is_circle]
+        long_raws = self.raws([(node, gl, gr) for node in circles]) if circles else None
         # replay junction by junction, grid arcs first, as a junction-at-a-time scan offers them
-        order = np.argsort(np.concatenate((owner, owner[lanes])), kind="stable")
-        for v, l, r in zip(*(np.concatenate(pair)[order].tolist() for pair in ((vs, fv), (ls, fl), (rs, fr)))):
-            if v > -math.inf:
-                best.offer(v, l, r)
+        js = np.concatenate((owner, lj))
+        order = np.argsort(js, kind="stable")
+        v, l, r = (np.concatenate(pair)[order] for pair in ((vs, fv), (ls, fl), (rs, fr)))
+        keep = v > -math.inf
+        counts = np.bincount(jnode[js[order][keep]], minlength=len(nodes)).tolist()
+        offers = list(zip(v[keep].tolist(), l[keep].tolist(), r[keep].tolist()))
+        long_of = {id(node): long_raws[k * gl.size : (k + 1) * gl.size] for k, node in enumerate(circles)}
+        out, s = {}, 0
+        for node, n in zip(nodes, counts):
+            out[id(node)], s = (offers[s : s + n], long_of.get(id(node))), s + n
+        return out
 
 
 def _dag_search(expr: ConstructExpr, objective: _Objective, cfg: SearchConfig):
     engine = _DagSearch(objective, cfg)
-    value, witness = engine.search(expr)
+    value, witness = engine.run(expr)
     best = _Best()
     if witness is not None:
         best.offer(value, witness[0], witness[1])

@@ -1,4 +1,4 @@
-"""Opt-in recorder of every search report, for "same reports" checks across commits.
+"""Opt-in recorder of every search report and query, for "same results" checks across commits.
 
 ``pytest --record-reports PATH`` appends one tab-separated line per
 ``SearchReport`` that a search builds while the suite runs:
@@ -6,15 +6,23 @@
     test id, target kind (``flat`` or ``dag``), lower, upper, witness left,
     witness right, evaluations, witness value
 
-Floats are written with ``float.hex``, so two records compare bitwise with
-``diff``.  The target kind is ``dag`` for a construction searched
-structurally (more than ``search._FLAT_LIMIT`` pieces) and ``flat``
-otherwise.  The witness value is the objective re-evaluated on the witness
+and one per ``construct.query`` call, wherever the library or a test binds
+that function:
+
+    test id, ``query``, left, right, distribution values, distribution
+    weights, depth, nodes visited, partial end weight
+
+Floats are written with ``float.hex`` (a distribution as comma-separated
+hex), so two records compare bitwise with ``diff``.  The target kind is
+``dag`` for a construction searched structurally (more than
+``search._FLAT_LIMIT`` pieces) and ``flat`` otherwise.  The witness value is the objective re-evaluated on the witness
 through an independent path (``StepFunction.distribution`` or
 ``construct.query``), to check that the witness reproduces ``lower``.
 Without the option nothing is wrapped and no outcome changes.
 """
 from __future__ import annotations
+
+import sys
 
 import pytest
 
@@ -24,7 +32,7 @@ def pytest_addoption(parser):
         "--record-reports",
         metavar="PATH",
         default=None,
-        help="append every search report to PATH as float-hex lines",
+        help="append every search report and construct.query result to PATH as float-hex lines",
     )
 
 
@@ -39,14 +47,27 @@ class _Recorder:
         self._search_mod = search
         self._construct = construct
         self._original = search._search
+        self._query = construct.query
         self._out = open(path, "a", encoding="utf-8")
         self.test_id = "-"
         search._search = self._wrap(self._original)
+        # rebind construct.query in every loaded library module; modules
+        # imported later bind the wrapped function themselves
+        self._bindings = [
+            (mod, name)
+            for key, mod in list(sys.modules.items())
+            if key.split(".")[0] == "meanosc"
+            for name, value in list(vars(mod).items())
+            if value is self._query
+        ]
+        wrapped = self._wrap_query(self._query)
+        for mod, name in self._bindings:
+            setattr(mod, name, wrapped)
 
     def _witness_value(self, target, objective, report) -> float:
         q = (report.witness.left, report.witness.right)
         if isinstance(target, self._construct.ConstructExpr):
-            dist = self._construct.query(target, q).distribution
+            dist = self._query(target, q).distribution
         else:
             dist = target.distribution(q)
         return objective.value_from_raw(objective.raw_from_dist(dist))
@@ -75,8 +96,30 @@ class _Recorder:
 
         return recorded
 
+    def _wrap_query(self, original):
+        def recorded(e, q, functional=None):
+            res = original(e, q, functional)
+            iq = self._construct.as_query(q)
+            fields = (
+                self.test_id,
+                "query",
+                _hex(iq.left),
+                _hex(iq.right),
+                ",".join(map(_hex, res.distribution.values.tolist())),
+                ",".join(map(_hex, res.distribution.weights.tolist())),
+                str(res.depth),
+                str(res.nodes_visited),
+                _hex(res.partial_end_weight),
+            )
+            self._out.write("\t".join(fields) + "\n")
+            return res
+
+        return recorded
+
     def close(self):
         self._search_mod._search = self._original
+        for mod, name in self._bindings:
+            setattr(mod, name, self._query)
         self._out.close()
 
 

@@ -170,7 +170,7 @@ def test_criterion_7_weight_suite():
 
 
 def test_criterion_8_transference():
-    with criterion(8, 1800.0):
+    with criterion(8, 120.0):
         report = verify_jn(delta=0.3, target_mass=2.0, max_depth=60)
         assert report["pass"], report
         params = report["parameters"]

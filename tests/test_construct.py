@@ -1,4 +1,5 @@
 """Construction DAG: distribution preservation, queries, materialization."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meanosc import construct
 from meanosc.construct import (
+    ConstExpr,
+    LeafExpr,
     constant,
     expr_from_dict,
     glue,
@@ -16,10 +20,13 @@ from meanosc.construct import (
     periodize,
     query,
     query_batch,
+    query_batches,
     required_pieces,
 )
 from meanosc.distributions import dist_mix, tv_distance
 from meanosc.errors import BudgetError, InputError
+from meanosc.martingales import compile_to_circle, log_staircase
+from meanosc.search import _layout
 from meanosc.stepfun import Interval, StepFunction
 
 
@@ -313,6 +320,18 @@ def test_cycle_guard_raises_internal_error():
         query(h, (-0.0923, 0.0617))
 
 
+def test_depth_guard_raises_internal_error():
+    from meanosc.errors import InternalError
+
+    e = leaf(sign_step())
+    for _ in range(25):
+        e = homogenize(e, 0.5, 1)
+    assert query(e, (-0.3, 0.2)).depth == 26
+    e.depth = 0  # forge a depth that understates the structure: the limit becomes 20 levels
+    with pytest.raises(InternalError):
+        query(e, (-0.3, 0.2))
+
+
 def _batch_cases(rng):
     e0, e1 = leaf(random_leaf(rng)), leaf(random_leaf(rng))
     return {
@@ -393,3 +412,83 @@ def test_batched_query_of_a_long_two_valued_leaf_stays_small():
         one = query_batch(e, ls[i : i + 1], rs[i : i + 1])
         assert batch.masses[i].tobytes() == one.masses[0].tobytes()
         assert batch.result(i).nodes_visited == one.result(0).nodes_visited
+
+
+def _descendants(root):
+    """The root and every node reached from it through ``_layout`` copies, once each."""
+    seen, out, stack = set(), [], [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        out.append(node)
+        if not isinstance(node, (ConstExpr, LeafExpr)):
+            stack.extend(child for child, _, _ in _layout(node)[1])
+    return out
+
+
+def _node_arcs(rng, node, k):
+    if node.is_circle or hasattr(node, "_ck"):
+        ls, rs = _batch_arcs(rng, node)
+        pick = rng.permutation(ls.size)[:k]
+        return ls[pick], rs[pick]
+    a, b = node.carrier
+    ls = np.concatenate(([a, a], rng.uniform(a, b - 1e-3 * (b - a), k - 2)))
+    rs = np.concatenate(([b, 0.5 * (a + b)], np.minimum(ls[2:] + rng.uniform(1e-6, 0.5, k - 2) * (b - a), b)))
+    return ls, rs
+
+
+def _staircase_dag():
+    # a compiled depth-6 log-staircase peeling martingale, as verify_jn builds it
+    _, tree = log_staircase(math.exp(0.3 / 5.0), 6)
+    return compile_to_circle(tree, (0.9, 20))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_multi_root_batch_matches_per_root_batches_of_one(seed):
+    # rows of the root and of every descendant in one pass equal, row by
+    # row, a batch of one against the row's own node
+    rng = np.random.default_rng(seed)
+    cases = {**_batch_cases(rng), "staircase": _staircase_dag()}
+    for name, e in cases.items():
+        nodes = _descendants(e)
+        requests = [(node, *_node_arcs(rng, node, 6)) for node in nodes]
+        batches = query_batches(requests)
+        assert len(batches) == len(nodes)
+        for (node, ls, rs), batch in zip(requests, batches):
+            assert batch.masses.shape == (ls.size, node.atom_values.size)
+            for i, (l, r) in enumerate(zip(ls.tolist(), rs.tolist())):
+                one = query_batch(node, [l], [r])
+                assert batch.masses[i].tobytes() == one.masses[0].tobytes(), (name, node, l, r)
+                for field in ("depth", "nodes_visited", "partial_end_weight"):
+                    assert getattr(batch, field)[i] == getattr(one, field)[0], (name, node, l, r, field)
+
+
+def test_pass_enters_each_distinct_node_once(monkeypatch):
+    # one pass runs every node once, however many roots and parents send it ranges
+    runs = {}
+
+    def counted(method):
+        def run(self, q):
+            runs[id(self)] = runs.get(id(self), 0) + 1
+            return method(self, q)
+
+        return run
+
+    # leaves and constants split through the base class
+    for cls in (construct.ConstructExpr, construct.HomExpr, construct._CircleExpr):
+        monkeypatch.setattr(cls, "_split", counted(cls._split))
+    rng = np.random.default_rng(7)
+    for e in (*_batch_cases(rng).values(), _staircase_dag()):
+        nodes = _descendants(e)
+        assert {id(n) for n in nodes} == {id(n) for n in e.nodes}
+        runs.clear()
+        query_batches([(node, *_node_arcs(rng, node, 4)) for node in nodes])
+        assert set(runs) == {id(n) for n in nodes}
+        assert set(runs.values()) == {1}
+        # a batch of the root alone enters no node twice
+        runs.clear()
+        query_batch(e, *_node_arcs(rng, e, 20))
+        assert set(runs.values()) == {1}

@@ -1,5 +1,6 @@
 """Supremum searches: sharp examples, witnesses, brackets, invariances."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from meanosc.search import (
     _geom_lengths,
     _golden_max,
     _layout,
+    _long_arc_grid,
     a_inf_constant,
     ap_constant,
     bmo_norm,
@@ -191,6 +193,22 @@ def _scalar_golden_max(f, lo, hi, iters):
     return best_x, best_v
 
 
+def test_pair_scan_memory_stays_small():
+    # 2401 candidate points make 2.9M pairs: their ends are built a chunk
+    # at a time, and only the values of all pairs are held
+    pieces = 600
+    f = StepFunction(Interval(0.0, 1.0), np.linspace(0.0, 1.0, pieces + 1), np.arange(pieces) % 2.0)
+    tracemalloc.start()
+    try:
+        r = bmo_norm(f, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert r.lower == pytest.approx(0.5, rel=1e-12)
+    assert r.evaluations == 2909139
+
+
 def test_golden_lanes_are_independent():
     # a batch of k brackets returns, bitwise, what k batches of one and the
     # scalar reference return; the last two lanes have a flat top, where
@@ -249,7 +267,7 @@ def _reference_junction_scan(engine, node, c, scale_lo, scale_hi, best, clip):
         vs = np.full(ls.size, -math.inf)
         for k, (l, r) in enumerate(zip(ls.tolist(), rs.tolist())):
             if r - l > 1e-15:
-                vs[k] = v = engine.value_at(node, np.array([l]), np.array([r]))[0]
+                vs[k] = v = engine.objective.value_from_raw(engine.raws([(node, np.array([l]), np.array([r]))]))[0]
                 if offer:
                     best.offer(v, l, r)
         return ls, rs, vs
@@ -280,25 +298,34 @@ def _dag_leaves():
 
 
 def test_junction_scan_replays_per_junction_order():
-    # all junctions of a node in one grid query and one query per golden
-    # step must offer, bitwise and in order, what one junction at a time
-    # with one arc per query offers
+    # the junction scans of both nodes at once, one grid query, one query
+    # per golden step and one final query, must offer for each node,
+    # bitwise and in order, what one junction at a time with one arc per
+    # query offers; the circle node's long-arc grid must equal that grid
+    # queried alone
     f, g = _dag_leaves()
-    nodes = (glue(homogenize(f, 0.95), g, 0.4, 0.95), homogenize(homogenize(f, 0.9), 0.95))
+    nodes = [glue(homogenize(f, 0.95), g, 0.4, 0.95), homogenize(homogenize(f, 0.9), 0.95)]
     cfg = SearchConfig(refine_iters=12)
-    for node in nodes:
-        full, _, junctions = _layout(node)
-        clip, scale_hi = (None, 2.0) if node.is_circle else (full, full[1] - full[0])
-        for p in (1.0, 2.0):
-            lockstep, reference = _DagSearch(_BmoObjective(p), cfg), _DagSearch(_BmoObjective(p), cfg)
+    for p in (1.0, 2.0):
+        lockstep, reference = _DagSearch(_BmoObjective(p), cfg), _DagSearch(_BmoObjective(p), cfg)
+        scans = lockstep._lockstep_scans(nodes)
+        for node in nodes:
+            full, _, junctions = _layout(node)
+            clip, scale_hi = (None, 2.0) if node.is_circle else (full, full[1] - full[0])
             got, want = _RecordingBest(), _RecordingBest()
-            lockstep._junction_scan(node, junctions, scale_hi, got, clip)
+            offers, long_raws = scans[id(node)]
+            for v, l, r in offers:
+                got.offer(v, l, r)
             for c, scale_lo in junctions:
                 _reference_junction_scan(reference, node, c, scale_lo, scale_hi, want, clip)
             assert len(want.offers) > 100
             assert got.offers == want.offers, (node, p)
-            assert lockstep.evaluations == reference.evaluations
-            assert lockstep.raw_max == reference.raw_max
+            if node.is_circle:
+                assert long_raws.tobytes() == reference.raws([(node, *_long_arc_grid(0.0, cfg))]).tobytes()
+            else:
+                assert long_raws is None
+        assert lockstep.evaluations == reference.evaluations
+        assert lockstep.raw_max == reference.raw_max
 
 
 def test_dag_circle_report_keeps_evaluation_count():
