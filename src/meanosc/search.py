@@ -2,22 +2,27 @@
 
 The quantities searched for (oscillation seminorms, weight constants) are
 defined as suprema over all subintervals of the carrier.  The supremum is
-generally *not* attained at breakpoint pairs, so the candidate set combines
-three layers: all breakpoint pairs, a nested dyadic grid inside every cell
-pair, and golden-section coordinate refinement of the leading candidates.
-Nesting the grids dyadically makes the reported lower bound monotone under
-enlargement of the grid or refinement budget.
+generally *not* attained at breakpoint pairs.  For objectives determined by
+the means of two value transforms (BMO_2, A_p, A_inf) it is attained at one
+of at most 9 closed-form points per pair of cells, the KKT points of a box,
+and flat searches enumerate them exactly (``_enumerate_pairs``).  BMO_p with
+p != 2 combines three candidate layers instead: all pairs of points of a
+nested dyadic grid inside every cell, a ladder of short intervals
+straddling each breakpoint, and golden-section coordinate refinement of
+the leading candidates.  Nesting the grids dyadically makes that lower
+bound monotone under enlargement of the grid or refinement budget.
 
 Every search enters through ``_search``.  Flat step functions, and DAGs of
 at most ``_FLAT_LIMIT`` pieces once materialized, are evaluated in
-vectorized chunks through exact overlap matrices.  Larger construction
-DAGs use a structure-aware strategy: intervals inside a single copy are
-affine images of child intervals, so child searches recurse and their
-witnesses embed through a representative copy; boundary-straddling
-intervals are scanned around each junction type on a logarithmic length
-grid; arcs covering at least ``r_long`` whole periods have distributions
-within total variation ``2 / (r_long + 1)`` of the node distribution,
-which caps their values provably.
+vectorized chunks.  A flat circle searches the arcs of up to two periods
+as subintervals of its two-period unrolling, and longer arcs on a grid.
+Larger construction DAGs use a structure-aware strategy: intervals inside
+a single copy are affine images of child intervals, so child searches
+recurse and their witnesses embed through a representative copy;
+boundary-straddling intervals are scanned around each junction type on a
+logarithmic length grid; arcs covering at least ``r_long`` whole periods
+have distributions within total variation ``2 / (r_long + 1)`` of the
+node distribution, which caps their values provably.
 
 DAG arcs are evaluated a batch at a time through
 ``construct.query_batches``, whose rows may belong to different nodes.
@@ -31,12 +36,15 @@ order a junction-at-a-time scan makes them, so the batching changes no
 witness choice.
 
 When ``certify`` is set, reports carry an upper bound next to the lower
-bound.  For flat interval functions it is the per-cell-pair value-range
-bound.  For circle targets it is the maximum evaluated raw functional
-(including the node-distribution asymptote) plus a crude-but-sound total
-variation perturbation term; its coverage of sub-``r_long`` arcs rests on
-the density of the junction scans, which is why certified results are
-reported as brackets rather than bare values.
+bound.  For flat interval functions under an enumerated objective it is a
+proof: the largest raw value over each candidate's means widened by their
+rounding bound.  For BMO_p with p != 2 it is the value-range bound.  For
+circle targets it is the maximum evaluated raw functional (including the
+node-distribution asymptote) plus a crude-but-sound total variation
+perturbation term; its coverage of arcs longer than two periods and
+shorter than ``r_long`` rests on the density of the long-arc grid and, on
+DAGs, of the junction scans, which is why certified results are reported
+as brackets rather than bare values.
 """
 from __future__ import annotations
 
@@ -76,6 +84,7 @@ __all__ = [
 
 _FLAT_LIMIT = 600  # piece count up to which DAG targets are searched flat
 _CHUNK_BUDGET = 2_000_000  # floats per overlap-matrix chunk
+_EPS = 2.0**-52  # spacing of floats at 1
 _REFINE_TOP = 32  # leading candidates refined per block of the pair scan
 
 
@@ -84,11 +93,14 @@ class SearchConfig:
     """Knobs of the supremum searches.
 
     ``grid_points`` controls the dyadic grid level inside each cell pair
-    (rounded up to the next dyadic level so grids nest); ``refine_iters``
-    is the golden-section budget per refined coordinate; ``r_long`` the
-    copy-count threshold of the long-arc regime; ``max_periods`` the
-    largest scanned arc length in periods; ``certify`` attaches an upper
-    bound to each report; ``threads`` the worker count of the pair scan.
+    (rounded up to the next dyadic level so grids nest) and the density of
+    the long-arc and junction grids; ``refine_iters`` is the golden-section
+    budget per refined coordinate.  Neither affects the subintervals of
+    flat BMO_2, A_p and A_inf searches, which enumerate cell pairs exactly.
+    ``r_long`` is the copy-count threshold of the long-arc regime;
+    ``max_periods`` the largest scanned arc length in periods; ``certify``
+    attaches an upper bound to each report; ``threads`` the worker count
+    of the flat chunks.
     """
 
     grid_points: int = 3
@@ -179,6 +191,30 @@ class _Objective:
     def raw_from_means(self, means: list[np.ndarray]) -> np.ndarray:
         raise NotImplementedError
 
+    def stationarity(self, L, A, B, t1, t2):
+        """The raw value's derivative, times a positive factor, as an end of ``[l, r]`` moves into a piece.
+
+        ``L`` is the length of ``[l, r]``, ``A`` and ``B`` the integrals of
+        the two prefix transforms over it, and ``(t1, t2)`` the piece's
+        transform values.  The derivative is ``(1/L)·[F_a·(t1 − a) +
+        F_b·(t2 − b)]`` for ``F(a, b)`` of the means; cleared of positive
+        factors it is affine along the moving end, so each edge of a cell
+        pair's box has at most one root.
+        """
+        raise NotImplementedError
+
+    def interior_mean(self, t1i, t2i, t1j, t2j):
+        """Mean of the first transform at the interior stationary point of cells ``i`` and ``j``.
+
+        Both ends' stationarity conditions put the means at the stationary
+        point of ``F`` on the chord between the cells' transform points.
+        """
+        raise NotImplementedError
+
+    def raw_ceiling(self, a, b, da, db):
+        """Largest raw value over the means ``[a ± da] x [b ± db]``."""
+        raise NotImplementedError
+
     def raw_from_dist(self, d: DiscreteDistribution) -> float:
         raise NotImplementedError
 
@@ -227,6 +263,18 @@ class _BmoObjective(_Objective):
         m1, m2 = means
         return np.maximum(m2 - m1 * m1, 0.0)
 
+    # the three methods below serve p = 2, the one order with prefix transforms
+
+    def stationarity(self, L, A, B, t1, t2):
+        # L²·[(t1 − m)² − var]
+        return (t1 * L - A) ** 2 - (B * L - A * A)
+
+    def interior_mean(self, t1i, t2i, t1j, t2j):
+        return 0.5 * (t1i + t1j)
+
+    def raw_ceiling(self, a, b, da, db):
+        return (b + db) - np.maximum(np.abs(a) - da, 0.0) ** 2
+
     def raw_from_dist(self, d):
         return d.central_moment(self.p)
 
@@ -271,6 +319,19 @@ class _ApObjective(_Objective):
             return a * b
         return a * b ** (self.p - 1.0)
 
+    def stationarity(self, L, A, B, t1, t2):
+        # L²·[b·(t1 − a) + (p − 1)·a·(t2 − b)], the derivative over b^(p−2)
+        return B * (t1 * L - A) + (self.p - 1.0) * A * (t2 * L - B)
+
+    def interior_mean(self, t1i, t2i, t1j, t2j):
+        # b/a = (p − 1)(w_j − w_i)/(v_i − v_j) with w = v^(−1/(p−1))
+        q = self.p - 1.0
+        ratio = q * (t2j - t2i) / (t1i - t1j)
+        return (ratio * t1i + q * t2i) / (self.p * ratio)
+
+    def raw_ceiling(self, a, b, da, db):
+        return (a + da) * (b + db) ** (self.p - 1.0)
+
     def raw_from_dist(self, d):
         return d.ap_form(self.p)
 
@@ -278,9 +339,6 @@ class _ApObjective(_Objective):
         a = np.einsum("ij,j->i", w, values)
         b = np.einsum("ij,j->i", w, values ** (-1.0 / (self.p - 1.0)))
         return a * b ** (self.p - 1.0)
-
-    def range_bound(self, vmin, vmax):
-        return vmax / vmin
 
     def tv_slack(self, vmin, vmax, tv):
         ratio = vmax / vmin
@@ -303,6 +361,17 @@ class _AInfObjective(_Objective):
         a, g = means
         return a * np.exp(-g)
 
+    def stationarity(self, L, A, B, t1, t2):
+        # L²·[(t1 − a) − a·(t2 − g)]
+        return L * (t1 * L - A) - A * (t2 * L - B)
+
+    def interior_mean(self, t1i, t2i, t1j, t2j):
+        # the logarithmic mean of v_i and v_j
+        return (t1i - t1j) / (t2i - t2j)
+
+    def raw_ceiling(self, a, g, da, dg):
+        return (a + da) * np.exp(dg - g)
+
     def raw_from_dist(self, d):
         return d.geometric_form()
 
@@ -310,9 +379,6 @@ class _AInfObjective(_Objective):
         a = np.einsum("ij,j->i", w, values)
         g = np.einsum("ij,j->i", w, np.log(values))
         return a * np.exp(-g)
-
-    def range_bound(self, vmin, vmax):
-        return vmax / vmin
 
     def tv_slack(self, vmin, vmax, tv):
         biglog = max(abs(math.log(vmin)), abs(math.log(vmax)))
@@ -414,63 +480,190 @@ def _golden_max(f, lo, hi, iters: int):
 # -- flat-function engine -----------------------------------------------------------
 
 
+def _centered(f: StepFunction, objective: _Objective) -> np.ndarray:
+    """The function's values, centered when the objective allows it.
+
+    Centering costs nothing and avoids cancellation when the mean dwarfs
+    the oscillation.
+    """
+    if not objective.translation_invariant:
+        return f.values
+    lens = np.diff(f.breakpoints)
+    return f.values - np.dot(lens, f.values) / lens.sum()
+
+
 class _FlatTarget:
     """An interval step function prepared for chunked candidate evaluation.
 
-    Mean-decomposable functionals evaluate through exact piecewise-linear
-    antiderivatives of the needed value transforms (O(log n) per
-    candidate); the rest go through exact overlap matrices.
+    Candidates evaluate through exact overlap matrices.
     """
 
     def __init__(self, f: StepFunction, objective: _Objective):
         self.f = f
         self.bp = f.breakpoints
-        self.values = f.values
-        if objective.translation_invariant:
-            # centering costs nothing and avoids cancellation when the
-            # mean dwarfs the oscillation
-            lens = np.diff(self.bp)
-            self.values = self.values - np.dot(lens, self.values) / lens.sum()
+        self.values = _centered(f, objective)
         self.objective = objective
         self.evaluations = 0
-        transforms = objective.prefix_transforms()
-        if transforms is None:
-            self._tvals = None
-        else:
-            lens = np.diff(self.bp)
-            self._tvals = [g(self.values) for g in transforms]
-            self._prefix = [
-                np.concatenate(([0.0], np.cumsum(tv * lens))) for tv in self._tvals
-            ]
 
-    def _antiderivs(self, x: np.ndarray) -> list[np.ndarray]:
-        """Every value transform's antiderivative at ``x``."""
-        i = np.minimum(np.maximum(self.bp.searchsorted(x, "right") - 1, 0), self.values.size - 1)
-        dx = x - self.bp[i]
-        return [prefix[i] + dx * tv[i] for prefix, tv in zip(self._prefix, self._tvals)]
-
-    def _overlap_raw(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    def value_batch(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
         # in place: a chunk's overlap matrix may hold _CHUNK_BUDGET floats
         ov = np.minimum(rights[:, None], self.bp[None, 1:])
         ov -= np.maximum(lefts[:, None], self.bp[None, :-1])
-        return self.objective.raw_from_parts(np.maximum(ov, 0.0, out=ov), self.values, rights - lefts)
-
-    @property
-    def _short_cutoff(self) -> float:
-        # antiderivative differences cancel catastrophically on short
-        # intervals; those route through exact local overlaps instead
-        return 1e-2 * (self.bp[-1] - self.bp[0])
-
-    def value_batch(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-        lengths = rights - lefts
-        if self._tvals is None:
-            return self.objective.value_from_raw(self._overlap_raw(lefts, rights))
-        means = [(hi - lo) / lengths for hi, lo in zip(self._antiderivs(rights), self._antiderivs(lefts))]
-        raw = np.asarray(self.objective.raw_from_means(means), dtype=float)
-        short = lengths < self._short_cutoff
-        if np.any(short):
-            raw[short] = self._overlap_raw(lefts[short], rights[short])
+        raw = self.objective.raw_from_parts(np.maximum(ov, 0.0, out=ov), self.values, rights - lefts)
         return self.objective.value_from_raw(raw)
+
+
+def _triu_pair(n: int, k: np.ndarray):
+    """The ``k``-th pairs ``(i, j)``, ``i < j < n``, of ``np.triu_indices(n, 1)`` order."""
+    # the first pair index of each row i (whose pairs are (i, i + 1), ..., (i, n - 1))
+    row_start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    i = row_start.searchsorted(k, "right") - 1
+    return i, k - row_start[i] + i + 1
+
+
+def _map_chunks(run, spans: list, threads: int, take):
+    """``take(span, run(span))`` for every span in order, ``run`` on ``threads`` workers.
+
+    Results are taken in span order whatever the thread count, so a
+    search's report does not depend on it.
+    """
+    if threads > 1 and len(spans) > 1:
+        # a few chunks per worker at a time, so finished chunks do not pile up
+        window = 4 * threads
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for w in range(0, len(spans), window):
+                for span, result in zip(spans[w : w + window], pool.map(run, spans[w : w + window])):
+                    take(span, result)
+    else:
+        for span in spans:
+            take(span, run(span))
+
+
+def _enumerate_pairs(target: _FlatTarget, cfg: SearchConfig, collect: list | None):
+    """Exact supremum of a mean-decomposable objective: closed-form candidates per cell pair.
+
+    An interval ``[l, r]`` with ``l`` in cell ``i`` and ``r`` in cell
+    ``j > i`` is the point ``(x, y) = (b[i+1] − l, r − b[j])`` of the box
+    ``[0, h_i] x [0, h_j]``; its length and the integrals of both prefix
+    transforms are affine in ``(x, y)``.  The raw value's maximum over the
+    box is attained at one of 9 candidates (a KKT argument): the 4
+    corners; the root on each of the 4 edges of the objective's
+    ``stationarity``, which is affine along an edge and so is found from
+    the edge's two corners; and the interior stationary point.  Both
+    interior conditions fix the means at a point of the chord between the
+    two cells' transform points, which an interval's means reach only on
+    adjacent cells (a non-adjacent pair's middle would have to lie on the
+    chord too, and then the stationary set reaches the box's edges); there
+    they are a ray from the common breakpoint, and its largest point in
+    the box is the candidate.  That point is also an edge's root in exact
+    arithmetic; its closed form makes it the canonical witness (``[1/2,
+    1]`` for a 0/1 step at 3/4).  Intervals inside one cell take the
+    objective's smallest value and need no candidate; a one-cell target
+    offers its carrier.
+
+    Pairs are taken a chunk at a time in ``np.triu_indices`` order.  A
+    pair's middle integrals are differences of prefix sums accumulated in
+    extended precision, so short middles keep their digits.  The chosen
+    candidate is re-evaluated through exact overlaps, so the returned
+    best's value is its witness's value.
+
+    With ``certify`` the second return value is a ceiling on the raw value
+    of every subinterval, else None.  A candidate's mean of a transform
+    ``t`` is off by at most ``(16·ε·M + (j − i − 1)·ε'·Q_j)/L``: ``M`` is
+    the integral of ``|t|`` over the interval, ``Q_j`` that over
+    ``[b[0], b[j]]``, ``ε = 2⁻⁵²`` and ``ε'`` the spacing at 1 of the
+    extended type.  The second term bounds the accumulation between the two
+    prefix ends; the first bounds the transform values, cell lengths,
+    affine parts and division (about ``7·ε``), and its margin covers the
+    rounding of ``raw_ceiling``, which maximizes the raw value over those
+    means.  A computed edge root or ray point misses the exact one by
+    rounding, where the raw value is stationary, so it loses a
+    second-order amount.
+    """
+    objective, bp = target.objective, target.bp
+    n = target.values.size
+    best = _Best()
+    if n == 1:
+        # every subinterval has the carrier's value
+        target.evaluations += 1
+        value = float(target.value_batch(bp[:1], bp[1:])[0])
+        best.offer(value, float(bp[0]), float(bp[1]))
+        ceiling = objective.raw_of_value(value) * (1.0 + 64.0 * _EPS) if cfg.certify else None
+        return best, ceiling
+    h = np.diff(bp)
+    tv = [g(target.values) for g in objective.prefix_transforms()]
+
+    def prefix(x):
+        return np.concatenate(([0.0], np.cumsum(x * h, dtype=np.longdouble)))
+
+    prefixes, abs_prefixes = [prefix(t) for t in tv], [prefix(np.abs(t)) for t in tv]
+    eps_ext = float(np.finfo(np.longdouble).eps)
+    n_pairs = n * (n - 1) // 2
+
+    def run(span):
+        i, j = _triu_pair(n, np.arange(*span))
+        hi, hj, adjacent = h[i], h[j], j == i + 1
+        L0 = bp[j] - bp[i + 1]
+        S = [(p[j] - p[i + 1]).astype(float) for p in prefixes]
+        ti, tj = [t[i] for t in tv], [t[j] for t in tv]
+        zero = np.zeros_like(hi)
+
+        def parts(X, Y):
+            return L0 + X + Y, [s + X * a + Y * b for s, a, b in zip(S, ti, tj)]
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # corners (0, 0), (h_i, 0), (0, h_j), (h_i, h_j)
+            L, (A, B) = parts(np.stack((zero, hi, zero, hi)), np.stack((zero, zero, hj, hj)))
+            gi, gj = (objective.stationarity(L, A, B, *t) for t in (ti, tj))
+            # edge roots: the left end moves along y = 0 and y = h_j, the right along x = 0 and x = h_i
+            xb, xt = hi * gi[0] / (gi[0] - gi[1]), hi * gi[2] / (gi[2] - gi[3])
+            yl, yr = hj * gj[0] / (gj[0] - gj[2]), hj * gj[1] / (gj[1] - gj[3])
+            # the interior ray x : y = (1 − w) : w, at its largest point in the box
+            w = (objective.interior_mean(*ti, *tj) - ti[0]) / (tj[0] - ti[0])
+            si, sj = hi / (1.0 - w), hj / w
+            xc, yc = np.where(si <= sj, hi, sj * (1.0 - w)), np.where(si <= sj, si * w, hj)
+            X = np.stack((zero, hi, zero, hi, xb, xt, zero, hi, xc))
+            Y = np.stack((zero, zero, hj, hj, zero, hj, yl, yr, yc))
+            live = np.concatenate((
+                L > 0,
+                [(0 < xb) & (xb < hi), (0 < xt) & (xt < hi), (0 < yl) & (yl < hj), (0 < yr) & (yr < hj)],
+                [adjacent & (0 < w) & (w < 1)],
+            ))
+            L, T = parts(X, Y)
+            means = [t / L for t in T]
+            raw = objective.raw_from_means(means)[live]
+            ceiling = -math.inf
+            if cfg.certify:
+                # rounding bounds of the means (see above)
+                far = (j - i - 1) * eps_ext
+                err = [
+                    (16.0 * _EPS * ((q[j] - q[i + 1]).astype(float) + X * np.abs(a) + Y * np.abs(b))
+                     + far * q[j].astype(float)) / L
+                    for q, a, b in zip(abs_prefixes, ti, tj)
+                ]
+                ceiling = float(objective.raw_ceiling(*means, *err)[live].max())
+        ls = np.where(X == hi, bp[i], bp[i + 1] - X)[live]
+        rs = np.where(Y == hj, bp[j + 1], bp[j] + Y)[live]
+        return ls, rs, objective.value_from_raw(raw), ceiling
+
+    # a pair's 9 candidates hold about 256 floats of temporaries
+    chunk = max(1, _CHUNK_BUDGET // 256)
+    spans = [(s, min(s + chunk, n_pairs)) for s in range(0, n_pairs, chunk)]
+    ceilings = []
+
+    def take(span, result):
+        ls, rs, vals, ceiling = result
+        target.evaluations += vals.size
+        best.offer_array(vals, ls, rs)
+        ceilings.append(ceiling)
+        if collect is not None:
+            collect.append(np.column_stack((ls, rs, rs - ls, vals)))
+
+    _map_chunks(run, spans, cfg.threads, take)
+    wl, wr, _ = best.finish()
+    out = _Best()
+    out.offer(float(target.value_batch(np.array([wl]), np.array([wr]))[0]), wl, wr)
+    return out, (max(ceilings) if cfg.certify else None)
 
 
 def _candidate_points(f: StepFunction, level: int) -> np.ndarray:
@@ -510,17 +703,14 @@ def _chunked_pair_scan(target: _FlatTarget, points: np.ndarray, cfg: SearchConfi
     """
     n = points.size
     n_pairs = n * (n - 1) // 2
-    # the first pair index of each row i (whose pairs are (i, i + 1), ..., (i, n - 1))
-    row_start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
     sl, sr = _straddle_candidates(target.f, cfg.dyadic_level)
     total = n_pairs + sl.size
 
     def ends(k):
         ls, rs = np.empty(k.size), np.empty(k.size)
         pair = k < n_pairs
-        kp = k[pair]
-        i = row_start.searchsorted(kp, "right") - 1
-        ls[pair], rs[pair] = points[i], points[kp - row_start[i] + i + 1]
+        i, j = _triu_pair(n, k[pair])
+        ls[pair], rs[pair] = points[i], points[j]
         ks = k[~pair] - n_pairs
         ls[~pair], rs[~pair] = sl[ks], sr[ks]
         return ls, rs
@@ -540,16 +730,7 @@ def _chunked_pair_scan(target: _FlatTarget, points: np.ndarray, cfg: SearchConfi
         if collect is not None:
             collect.append(np.column_stack((ls, rs, rs - ls, vals)))
 
-    if cfg.threads > 1:
-        # a few chunks per worker at a time, so finished chunks do not pile up
-        window = 4 * cfg.threads
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            for w in range(0, len(spans), window):
-                for span, result in zip(spans[w : w + window], pool.map(run, spans[w : w + window])):
-                    take(span, result)
-    else:
-        for span in spans:
-            take(span, run(span))
+    _map_chunks(run, spans, cfg.threads, take)
     target.evaluations += total
     if total:
         # stratified leaders: pair candidates and straddle candidates each
@@ -600,18 +781,31 @@ def _refine_leaders(target: _FlatTarget, lefts, rights, cfg: SearchConfig, best:
         best.offer(v, wl, wr)
 
 
+def _subinterval_search(target: _FlatTarget, cfg: SearchConfig, collect: list | None):
+    """The best subinterval of a flat target, and a proven raw ceiling over all of them or None.
+
+    Objectives with prefix transforms enumerate cell pairs exactly, and
+    certified searches get the ceiling; the others scan pairs of candidate
+    points and straddles, then refine the leaders, and get None.
+    """
+    if target.objective.prefix_transforms() is not None:
+        return _enumerate_pairs(target, cfg, collect)
+    best = _Best()
+    _chunked_pair_scan(target, _candidate_points(target.f, cfg.dyadic_level), cfg, best, collect)
+    return best, None
+
+
 def _flat_interval_search(f: StepFunction, objective: _Objective, cfg: SearchConfig, collect_scan: bool):
     target = _FlatTarget(f, objective)
-    best = _Best()
     collect: list | None = [] if collect_scan else None
-    points = _candidate_points(f, cfg.dyadic_level)
-    _chunked_pair_scan(target, points, cfg, best, collect)
+    best, ceiling = _subinterval_search(target, cfg, collect)
     upper = None
     if cfg.certify:
-        upper = max(
-            objective.range_bound(float(f.values.min()), float(f.values.max())),
-            best.value,
-        )
+        if ceiling is None:
+            bound = objective.range_bound(float(f.values.min()), float(f.values.max()))
+        else:
+            bound = objective.value_from_raw(ceiling)
+        upper = max(bound, best.value)
     scan = [tuple(row) for row in np.concatenate(collect)] if collect else []
     return best, target.evaluations, upper, scan
 
@@ -657,19 +851,17 @@ def _certificate(objective: _Objective, cfg: SearchConfig, values, period: Discr
 
 
 def _flat_circle_search(f: StepFunction, objective: _Objective, cfg: SearchConfig, collect_scan: bool):
-    best = _Best()
     collect: list | None = [] if collect_scan else None
     t0 = float(f.breakpoints[0])
-    unrolled = f.restrict((t0, t0 + 2.0))
-    flat = _FlatTarget(unrolled, objective)
-    points = _candidate_points(unrolled, cfg.dyadic_level)
-    _chunked_pair_scan(flat, points, cfg, best, collect)
+    flat = _FlatTarget(f.restrict((t0, t0 + 2.0)), objective)
+    best, ceiling = _subinterval_search(flat, cfg, collect)
 
     ls, rs = _long_arc_grid(t0, cfg)
     flat.evaluations += ls.size
-    raws = np.array([objective.raw_from_dist(f.distribution(q)) for q in zip(ls.tolist(), rs.tolist())])
-    # the pair-scan maximum is read before the long arcs join it
-    raw_max = max(objective.raw_of_value(best.value), _long_arc_scan(raws, ls, rs, objective, best))
+    raws = objective.raw_from_parts(f.overlap_rows(ls, rs), _centered(f, objective), rs - ls)
+    # the short-arc maximum is read before the long arcs join it
+    raw_short = objective.raw_of_value(best.value) if ceiling is None else ceiling
+    raw_max = max(raw_short, _long_arc_scan(raws, ls, rs, objective, best))
     upper = _certificate(objective, cfg, f.values, f.distribution((t0, t0 + 1.0)), raw_max, best)
     scan = [tuple(row) for row in np.concatenate(collect)] if collect else []
     return best, flat.evaluations, upper, scan

@@ -228,8 +228,17 @@ class StepFunction:
         raw = self._circle_indicator(q.right) - self._circle_indicator(q.left)
         return np.maximum(raw, 0.0)
 
-    def _circle_indicator(self, x: float) -> np.ndarray:
-        # Per-piece antiderivative of the periodic piece indicator at x.
+    def overlap_rows(self, lefts, rights) -> np.ndarray:
+        """:meth:`overlaps` of the queries ``[lefts[k], rights[k]]``, one row per query, unchecked."""
+        lefts, rights = (np.asarray(x, dtype=float)[:, None] for x in (lefts, rights))
+        bp = self.breakpoints
+        if not self.is_circle:
+            return np.maximum(np.minimum(rights, bp[1:]) - np.maximum(lefts, bp[:-1]), 0.0)
+        return np.maximum(self._circle_indicator(rights) - self._circle_indicator(lefts), 0.0)
+
+    def _circle_indicator(self, x) -> np.ndarray:
+        # Per-piece antiderivative of the periodic piece indicator at x, one
+        # row per entry when x is a column.
         bp = self.breakpoints
         t0 = bp[0]
         k = np.floor(x - t0)

@@ -4,7 +4,8 @@
 ``SearchReport`` that a search builds while the suite runs:
 
     test id, target kind (``flat`` or ``dag``), lower, upper, witness left,
-    witness right, evaluations, witness value
+    witness right, evaluations, witness value, objective name, carrier
+    (``interval`` or ``circle``)
 
 and one per ``construct.query`` call, wherever the library or a test binds
 that function:
@@ -90,6 +91,8 @@ class _Recorder:
                 _hex(report.witness.right),
                 str(report.evaluations),
                 _hex(self._witness_value(target, objective, report)),
+                objective.name,
+                "circle" if target.is_circle else "interval",
             )
             self._out.write("\t".join(fields) + "\n")
             return report

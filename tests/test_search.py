@@ -1,12 +1,15 @@
 """Supremum searches: sharp examples, witnesses, brackets, invariances."""
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
+from meanosc import search as search_module
 from meanosc.construct import constant, glue, homogenize, leaf, materialize, periodize
 from meanosc.errors import InputError
 from meanosc.search import (
@@ -171,6 +174,197 @@ def test_lipschitz_composition_bound_across_p():
             assert composed <= g.lipschitz * base + 1e-6
 
 
+# -- exact cell-pair enumeration: independent oracles ---------------------------------
+
+
+def _random_step(rng, n: int) -> StepFunction:
+    bp = np.concatenate(([0.0], np.sort(rng.uniform(0.05, 0.95, n - 1)), [1.0]))
+    return StepFunction(Interval(0.0, 1.0), bp, rng.normal(size=n))
+
+
+def _exact_raw_sup(f: StepFunction, kind: str):
+    """Exact supremum of the raw BMO_2 or A_2 functional over subintervals, in rational arithmetic.
+
+    Per cell pair: the 4 corners of the ``(x, y)`` box, the edge roots of
+    the derivative's numerator (checked to be affine), and, on adjacent
+    cells, the largest box point of the ray along which the means sit at
+    the vertex of the functional's quadratic on the chord.
+    """
+    v = [Fraction(x) for x in f.values.tolist()]
+    bp = [Fraction(x) for x in f.breakpoints.tolist()]
+    t2 = [x * x for x in v] if kind == "bmo2" else [1 / x for x in v]
+
+    def F(A, B, L):
+        return B / L - (A / L) ** 2 if kind == "bmo2" else A * B / L**2
+
+    def numerator(A, B, L, a, b):
+        # L³ times the derivative of F as an end moves into a cell of values (a, b)
+        return L * (b * L - B) - 2 * A * (a * L - A) if kind == "bmo2" else L * (a * B + b * A) - 2 * A * B
+
+    n, h = len(v), [bp[k + 1] - bp[k] for k in range(len(v))]
+    best = max(F(v[k], t2[k], Fraction(1)) for k in range(n))  # intervals inside one cell
+    for i in range(n):
+        for j in range(i + 1, n):
+            L0 = bp[j] - bp[i + 1]
+            S1 = sum((v[k] * h[k] for k in range(i + 1, j)), Fraction(0))
+            S2 = sum((t2[k] * h[k] for k in range(i + 1, j)), Fraction(0))
+
+            def parts(x, y):
+                return S1 + x * v[i] + y * v[j], S2 + x * t2[i] + y * t2[j], L0 + x + y
+
+            points = [(x, y) for x in (0, h[i]) for y in (0, h[j])]
+            for fixed, moving in (("y", 0), ("y", h[j]), ("x", 0), ("x", h[i])):
+                k, hk = (i, h[i]) if fixed == "y" else (j, h[j])
+
+                def at(z):
+                    x, y = (z, moving) if fixed == "y" else (moving, z)
+                    A, B, L = parts(x, y)
+                    return numerator(A, B, L, v[k], t2[k]) if L > 0 else Fraction(0), (x, y)
+
+                (g0, _), (g1, _), (gm, _) = at(Fraction(0)), at(hk), at(hk / 2)
+                assert 2 * gm == g0 + g1
+                if g0 != g1 and 0 < g0 / (g0 - g1) < 1:
+                    points.append(at(hk * g0 / (g0 - g1))[1])
+            if j == i + 1:
+                # the functional on the chord (1 - w)·P_i + w·P_j is a quadratic in w
+                q0, qh, q1 = (F(*parts(1 - w, w)[:2], Fraction(1)) for w in (Fraction(0), Fraction(1, 2), Fraction(1)))
+                c = 2 * (q1 - 2 * qh + q0)
+                if c < 0:
+                    w = -(q1 - q0 - c) / (2 * c)
+                    if 0 < w < 1:
+                        s = min(h[i] / (1 - w), h[j] / w)
+                        points.append((s * (1 - w), s * w))
+            for x, y in points:
+                A, B, L = parts(x, y)
+                if L > 0:
+                    best = max(best, F(A, B, L))
+    return best
+
+
+def _exact_raw(f: StepFunction, kind: str, q) -> Fraction:
+    l, r = Fraction(q.left), Fraction(q.right)
+    A = B = Fraction(0)
+    for k, x in enumerate(f.values.tolist()):
+        ov = max(min(r, Fraction(f.breakpoints[k + 1])) - max(l, Fraction(f.breakpoints[k])), Fraction(0))
+        A += ov * Fraction(x)
+        B += ov * (Fraction(x) ** 2 if kind == "bmo2" else 1 / Fraction(x))
+    L = r - l
+    return B / L - (A / L) ** 2 if kind == "bmo2" else A * B / L**2
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([0.0, 100.0]))
+def test_enumerated_bracket_holds_the_exact_supremum(seed, offset):
+    # lower is its witness's value, which is within 1e-12 of the exact
+    # supremum; the certified upper is at least the exact supremum
+    rng = np.random.default_rng(seed)
+    f = _random_step(rng, int(rng.integers(2, 6)))
+    targets = {
+        "bmo2": (StepFunction(f.domain, f.breakpoints, f.values + offset), lambda t: bmo_norm(t, 2.0, SearchConfig(certify=True)), 2),
+        "a2": (StepFunction(f.domain, f.breakpoints, np.exp(f.values)), lambda t: ap_constant(t, 2.0, SearchConfig(certify=True)), 1),
+    }
+    for kind, (target, search, power) in targets.items():
+        report = search(target)
+        exact = _exact_raw_sup(target, kind)
+        at_witness = _exact_raw(target, kind, report.witness)
+        assert at_witness <= exact
+        assert at_witness >= exact * (1 - Fraction(1, 10**12)), kind
+        assert abs(Fraction(report.lower) ** power - at_witness) <= Fraction(1, 10**14) * at_witness, kind
+        assert Fraction(report.upper) ** power >= exact, kind
+
+
+def _lbfgs_max(f: StepFunction, value) -> float:
+    """Multi-start L-BFGS-B maximum of ``value`` over every cell pair's ``(x, y)`` box."""
+    bp, h = f.breakpoints, np.diff(f.breakpoints)
+    best = -math.inf
+    for i in range(h.size):
+        for j in range(i + 1, h.size):
+
+            def neg(z, i=i, j=j):
+                l, r = bp[i + 1] - z[0], bp[j] + z[1]
+                return -value((l, r)) if r - l > 1e-14 else 0.0
+
+            for sx in (0.25, 0.75):
+                for sy in (0.25, 0.75):
+                    res = minimize(neg, [sx * h[i], sy * h[j]], method="L-BFGS-B", bounds=[(0.0, h[i]), (0.0, h[j])])
+                    best = max(best, -float(res.fun))
+    return best
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_enumeration_dominates_local_optimizer(seed):
+    rng = np.random.default_rng(seed)
+    f = _random_step(rng, int(rng.integers(2, 6)))
+    w = StepFunction(f.domain, f.breakpoints, np.exp(f.values))
+    cases = [
+        (bmo_norm(f, 2.0).lower, f, lambda q: f.central_moment(q, 2.0) ** 0.5),
+        (ap_constant(w, 2.0).lower, w, lambda q: w.distribution(q).ap_form(2.0)),
+        (ap_constant(w, 3.0).lower, w, lambda q: w.distribution(q).ap_form(3.0)),
+        (a_inf_constant(w).lower, w, lambda q: w.distribution(q).geometric_form()),
+    ]
+    for lower, target, value in cases:
+        local = _lbfgs_max(target, value)
+        assert lower >= local - 1e-12 * abs(local)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_enumeration_scaling_properties(seed):
+    # bmo_2(a·f + b) = |a|·bmo_2(f) and A_p(c·w) = A_p(w), at value scales 1e-6 to 1e6
+    rng = np.random.default_rng(seed)
+    f = _random_step(rng, int(rng.integers(2, 7)))
+    base = bmo_norm(f, 2.0).lower
+    for a in (1e-6, -1e-3, 1.0, -1e3, 1e6):
+        g = StepFunction(f.domain, f.breakpoints, a * f.values + 3.0 * a)
+        assert bmo_norm(g, 2.0).lower == pytest.approx(abs(a) * base, rel=1e-12)
+    w = np.exp(f.values)
+    for p in (1.5, 2.0, 3.0):
+        base = ap_constant(StepFunction(f.domain, f.breakpoints, w), p).lower
+        for c in (1e-6, 1e-3, 1e3, 1e6):
+            assert ap_constant(StepFunction(f.domain, f.breakpoints, c * w), p).lower == pytest.approx(base, rel=1e-12)
+
+
+def test_mean_decomposable_flat_searches_never_refine(monkeypatch):
+    # BMO_2, A_p and A_inf enumerate cell pairs on intervals and circles;
+    # BMO_p with p != 2 still refines by golden section
+    def refuse(*args, **kwargs):
+        raise AssertionError("golden-section probe")
+
+    monkeypatch.setattr(search_module, "_golden_max", refuse)
+    rng = np.random.default_rng(3)
+    f = _random_step(rng, 6)
+    w = StepFunction(f.domain, f.breakpoints, np.exp(f.values))
+    circ = StepFunction(CIRCLE, f.breakpoints, f.values)
+    circ_w = StepFunction(CIRCLE, f.breakpoints, np.exp(f.values))
+    cfg = SearchConfig(certify=True)
+    for report in (
+        bmo_norm(f, 2.0, cfg),
+        ap_constant(w, 1.5, cfg),
+        ap_constant(w, 2.0, cfg),
+        ap_constant(w, 3.0, cfg),
+        a_inf_constant(w, cfg),
+        circle_bmo_norm(circ, 2.0, cfg),
+        ap_constant(circ_w, 2.0, cfg),
+        a_inf_constant(circ_w, cfg),
+    ):
+        assert report.lower <= report.upper
+    with pytest.raises(AssertionError, match="golden"):
+        bmo_norm(f, 1.0, cfg)
+
+
+def test_enumeration_report_does_not_depend_on_threads():
+    # 200 pieces make 19900 cell pairs, several chunks
+    rng = np.random.default_rng(11)
+    f = _random_step(rng, 200)
+    circ = StepFunction(CIRCLE, f.breakpoints, f.values)
+    for search in (lambda cfg: bmo_norm(f, 2.0, cfg), lambda cfg: circle_bmo_norm(circ, 2.0, cfg)):
+        base = search(SearchConfig(certify=True)).to_dict()
+        got = search(SearchConfig(certify=True, threads=3)).to_dict()
+        got["config"]["threads"] = 1
+        assert got == base
+
+
 def _scalar_golden_max(f, lo, hi, iters):
     # one-bracket reference with scalar branches, to check the lockstep routine against
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -193,20 +387,33 @@ def _scalar_golden_max(f, lo, hi, iters):
     return best_x, best_v
 
 
-def test_pair_scan_memory_stays_small():
-    # 2401 candidate points make 2.9M pairs: their ends are built a chunk
-    # at a time, and only the values of all pairs are held
-    pieces = 600
-    f = StepFunction(Interval(0.0, 1.0), np.linspace(0.0, 1.0, pieces + 1), np.arange(pieces) % 2.0)
+def _zero_one_step(pieces: int) -> StepFunction:
+    return StepFunction(Interval(0.0, 1.0), np.linspace(0.0, 1.0, pieces + 1), np.arange(pieces) % 2.0)
+
+
+def _traced_peak(search):
     tracemalloc.start()
     try:
-        r = bmo_norm(f, 2.0)
-        peak = tracemalloc.get_traced_memory()[1]
+        report = search()
+        return report, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_pair_scan_memory_stays_small():
+    # p = 1 still scans pairs: 1281 candidate points make 820k pairs, whose
+    # ends are built a chunk at a time, and only the values of all pairs are held
+    r, peak = _traced_peak(lambda: bmo_norm(_zero_one_step(40), 1.0, SearchConfig(grid_points=31)))
     assert peak < 64 * 2**20
     assert r.lower == pytest.approx(0.5, rel=1e-12)
-    assert r.evaluations == 2909139
+    assert r.evaluations == 843663
+
+
+def test_pair_enumeration_memory_stays_small():
+    # p = 2 enumerates the 180k cell pairs of 600 pieces a chunk at a time
+    r, peak = _traced_peak(lambda: bmo_norm(_zero_one_step(600), 2.0))
+    assert peak < 64 * 2**20
+    assert r.lower == pytest.approx(0.5, rel=1e-12)
 
 
 def test_golden_lanes_are_independent():
@@ -329,11 +536,16 @@ def test_junction_scan_replays_per_junction_order():
 
 
 def test_dag_circle_report_keeps_evaluation_count():
-    # the count a junction-at-a-time scan with one query per arc made
+    # the count a junction-at-a-time scan with one query per arc made; at
+    # p = 2 the leaves' flat searches enumerate cell pairs, so only their
+    # share of the count moves
     f, g = _dag_leaves()
     e = periodize(glue(homogenize(f, 0.95), g, 0.4, 0.95))
-    for p in (1.0, 2.0):
-        assert circle_bmo_norm(e, p, SearchConfig(refine_iters=24, certify=True)).evaluations == 23580
+    cfg = SearchConfig(refine_iters=24, certify=True)
+    leaves = {p: sum(bmo_norm(node.function, p, cfg).evaluations for node in (f, g)) for p in (1.0, 2.0)}
+    assert circle_bmo_norm(e, 1.0, cfg).evaluations == 23580
+    assert circle_bmo_norm(e, 2.0, cfg).evaluations - leaves[2.0] == 23580 - leaves[1.0]
+    assert leaves[2.0] < leaves[1.0]
 
 
 # -- circle searches -------------------------------------------------------------
