@@ -13,7 +13,8 @@ guaranteed by construction and must be verified by the circle searches.
 Membership validation sweeps, for every node, the convex hull of its
 children against a domain: for measure-valued domains the membership
 functional is maximized along each edge of the children simplex by a fine
-grid plus golden refinement (the domain is not convex, hence the sweep),
+grid plus block golden refinement (the domain is not convex, hence the
+sweep), both evaluated as batches of mixture weights,
 with interiors of three-or-more-child simplices sampled on a barycentric
 grid; for point-valued strip domains the functional is concave along
 segments and the segment maxima are evaluated in closed form.  Tests are
@@ -29,7 +30,7 @@ import numpy as np
 from .construct import ConstructExpr, constant, default_levels, glue, periodize
 from .distributions import DiscreteDistribution, dist_mix, tv_distance
 from .errors import InputError
-from .search import SearchConfig, _golden_max
+from .search import SearchConfig, _ApObjective, _BmoObjective, _golden_max
 from .stepfun import Interval, StepFunction
 
 __all__ = [
@@ -210,6 +211,10 @@ class MomentDomain:
     def functional(self, d: DiscreteDistribution) -> float:
         return d.central_moment(self.p) - self.eps**self.p
 
+    def functional_rows(self, w: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """``functional`` of each row of probability weights ``w`` over the atoms ``values``."""
+        return _BmoObjective(self.p).raw_from_weights(w, values) - self.eps**self.p
+
     def contains(self, d: DiscreteDistribution) -> bool:
         return self.functional(d) < 0
 
@@ -229,6 +234,10 @@ class ApDomain:
 
     def functional(self, d: DiscreteDistribution) -> float:
         return d.ap_form(self.p) - self.bound
+
+    def functional_rows(self, w: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """``functional`` of each row of probability weights ``w`` over the atoms ``values``."""
+        return _ApObjective(self.p).raw_from_weights(w, values) - self.bound
 
     def contains(self, d: DiscreteDistribution) -> bool:
         return self.functional(d) < 0
@@ -371,21 +380,27 @@ class ValidationReport:
 
 
 def _edge_sweep_measure(dom, d0: DiscreteDistribution, d1: DiscreteDistribution, cfg: SearchConfig) -> float:
+    """Largest functional over the mixtures ``(1 − t)·d0 + t·d1``: a dyadic sweep of t, refined around its best point.
+
+    A batch of mixtures is one matrix of weight rows over the atoms of
+    both ends, one row per t.
+    """
+    values = np.concatenate((d0.values, d1.values))
+
+    def mixtures(ts):
+        t = np.clip(ts, 0.0, 1.0).reshape(-1, 1)
+        w = np.hstack(((1.0 - t) * d0.weights, t * d1.weights))
+        return dom.functional_rows(w, values).reshape(np.shape(ts))
+
     level = max(cfg.dyadic_level, 5)
     ts = np.arange(1, 2**level) / 2.0**level
+    vs = mixtures(ts)
     best_t, best = 0.0, max(dom.functional(d0), dom.functional(d1))
-    for t in ts:
-        v = dom.functional(dist_mix(d0, d1, float(t)))
-        if v > best:
-            best, best_t = v, float(t)
+    k = int(vs.argmax())
+    if vs[k] > best:
+        best, best_t = float(vs[k]), float(ts[k])
     h = 1.0 / 2.0**level
-    lo, hi = max(best_t - h, 0.0), min(best_t + h, 1.0)
-    _, refined = _golden_max(
-        lambda t: np.array([dom.functional(dist_mix(d0, d1, min(max(float(t[0]), 0.0), 1.0)))]),
-        [lo],
-        [hi],
-        cfg.refine_iters,
-    )
+    _, refined = _golden_max(mixtures, [max(best_t - h, 0.0)], [min(best_t + h, 1.0)], cfg.refine_iters)
     return max(best, float(refined[0]))
 
 

@@ -8,9 +8,10 @@ of at most 9 closed-form points per pair of cells, the KKT points of a box,
 and flat searches enumerate them exactly (``_enumerate_pairs``).  BMO_p with
 p != 2 combines three candidate layers instead: all pairs of points of a
 nested dyadic grid inside every cell, a ladder of short intervals
-straddling each breakpoint, and golden-section coordinate refinement of
-the leading candidates.  Nesting the grids dyadically makes that lower
-bound monotone under enlargement of the grid or refinement budget.
+straddling each breakpoint, and block golden-section coordinate
+refinement of the leading candidates.  Nesting the grids dyadically makes
+that lower bound monotone under enlargement of the grid or refinement
+budget.
 
 Every search enters through ``_search``.  Flat step functions, and DAGs of
 at most ``_FLAT_LIMIT`` pieces once materialized, are evaluated in
@@ -27,10 +28,10 @@ node distribution, which caps their values provably.
 DAG arcs are evaluated a batch at a time through
 ``construct.query_batches``, whose rows may belong to different nodes.
 The junction scans of every node of the DAG run in lockstep: the
-junction grids of all nodes are one query, the golden refinement of all
-their junction leaders takes one query per step, the refined arcs are
-one query, and so are the long-arc grids of all circle nodes; full arcs
-and embedded child witnesses are single queries.  Each node replays its
+junction grids of all nodes are one query, the block golden-section
+refinement of all their junction leaders takes one query per round, the
+refined arcs are one query, and so are the long-arc grids of all circle
+nodes; full arcs and embedded child witnesses are single queries.  Each node replays its
 offers where the structural walk reaches it, junction by junction in the
 order a junction-at-a-time scan makes them, so the batching changes no
 witness choice.
@@ -86,6 +87,8 @@ _FLAT_LIMIT = 600  # piece count up to which DAG targets are searched flat
 _CHUNK_BUDGET = 2_000_000  # floats per overlap-matrix chunk
 _EPS = 2.0**-52  # spacing of floats at 1
 _REFINE_TOP = 32  # leading candidates refined per block of the pair scan
+_MAX_SECTIONS = 15  # most new probes per lane and golden round
+_PROBE_ROWS = 2048  # rows up to which a probe pass costs mostly its fixed cost
 
 
 @dataclass(frozen=True)
@@ -94,9 +97,12 @@ class SearchConfig:
 
     ``grid_points`` controls the dyadic grid level inside each cell pair
     (rounded up to the next dyadic level so grids nest) and the density of
-    the long-arc and junction grids; ``refine_iters`` is the golden-section
-    budget per refined coordinate.  Neither affects the subintervals of
-    flat BMO_2, A_p and A_inf searches, which enumerate cell pairs exactly.
+    the long-arc and junction grids; ``refine_iters`` sets the resolution
+    of each refined coordinate: its final bracket is no wider than golden
+    section's after ``refine_iters`` probes, ``φ^-(refine_iters - 1)`` of
+    the initial one, whatever the probes per round (see ``_golden_max``).
+    Neither affects the subintervals of flat BMO_2, A_p and A_inf
+    searches, which enumerate cell pairs exactly.
     ``r_long`` is the copy-count threshold of the long-arc regime;
     ``max_periods`` the largest scanned arc length in periods; ``certify``
     attaches an upper bound to each report; ``threads`` the worker count
@@ -178,6 +184,11 @@ class _Objective:
     translation_invariant = False
 
     def raw_from_parts(self, ov: np.ndarray, values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Raw functional of each interval from its row of overlaps ``ov`` with the pieces and its length.
+
+        Row sums run through ``einsum``, as in ``raw_from_weights``, so an
+        interval's value does not depend on the batch it is evaluated in.
+        """
         raise NotImplementedError
 
     def prefix_transforms(self):
@@ -251,7 +262,7 @@ class _BmoObjective(_Objective):
         self.name = f"bmo_{p:g}"
 
     def raw_from_parts(self, ov, values, lengths):
-        m = (ov @ values) / lengths
+        m = np.einsum("ij,j->i", ov, values) / lengths
         return np.einsum("ij,ij->i", ov, _abs_power(values[None, :] - m[:, None], self.p)) / lengths
 
     def prefix_transforms(self):
@@ -305,8 +316,8 @@ class _ApObjective(_Objective):
         self.name = f"ap_{p:g}"
 
     def raw_from_parts(self, ov, values, lengths):
-        a = (ov @ values) / lengths
-        b = (ov @ values ** (-1.0 / (self.p - 1.0))) / lengths
+        a = np.einsum("ij,j->i", ov, values) / lengths
+        b = np.einsum("ij,j->i", ov, values ** (-1.0 / (self.p - 1.0))) / lengths
         return a * b ** (self.p - 1.0)
 
     def prefix_transforms(self):
@@ -350,8 +361,8 @@ class _AInfObjective(_Objective):
     name = "a_inf"
 
     def raw_from_parts(self, ov, values, lengths):
-        a = (ov @ values) / lengths
-        g = (ov @ np.log(values)) / lengths
+        a = np.einsum("ij,j->i", ov, values) / lengths
+        g = np.einsum("ij,j->i", ov, np.log(values)) / lengths
         return a * np.exp(-g)
 
     def prefix_transforms(self):
@@ -446,34 +457,79 @@ class _Best:
         return self.left, self.right, self.value
 
 
-def _golden_max(f, lo, hi, iters: int):
-    """Golden-section ascent on the brackets ``[lo[k], hi[k]]`` in lockstep.
+def _sections(lanes: int) -> int:
+    """New probes per lane and round of ``_golden_max`` for a batch of ``lanes``.
 
-    ``f`` maps an array holding one probe per lane to their values.  Every
-    lane takes exactly the steps a one-lane run would take, so lanes never
-    influence each other; each lane costs ``max(iters, 2)`` probes.
-    Returns the best probe and value of every lane.
+    The largest odd count at most ``_MAX_SECTIONS`` whose probes of all
+    lanes fit in ``_PROBE_ROWS`` rows, and at least 1.  Up to about that
+    many rows the fixed cost of a batched probe pass (a DAG query's node
+    runs, numpy's per-call cost) outweighs its cost per row, so fewer,
+    wider rounds are cheaper; beyond it a pass costs in proportion to its
+    rows, and the fewest probes in all, golden section's, are cheapest.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    k = min(_MAX_SECTIONS, _PROBE_ROWS // max(lanes, 1))
+    return max(1, k - 1 + k % 2)
+
+
+def _golden_max(f, lo, hi, iters: int, k: int | None = None):
+    """Block golden-section ascent on the brackets ``[lo[i], hi[i]]`` in lockstep.
+
+    Every round places ``k`` (odd) new probes in each lane's bracket and
+    keeps its best old probe; the ``k + 1`` probes cut the bracket into
+    segments alternating ``s, t, ..., t, s`` with ``s = r²``, ``s + t = r``
+    and ``r² + ((k + 1)/2)·r − 1 = 0`` (Avriel & Wilde's block search).  The
+    best probe's neighbours bracket the next round, a fraction ``r`` of
+    this one, in which the kept probe falls on the second point from one
+    end.  The first round places all ``k + 1`` probes.  At ``k = 1`` this is
+    golden section, ``r = 1/φ``.  Rounds go on until the bracket is no wider
+    than ``φ^-(iters - 1)`` of the initial one, golden section's after
+    ``max(iters, 2)`` probes.
+
+    ``f`` maps a ``(lanes, m)`` array of probes to their values.  A lane's
+    probes depend only on its own values, so for a given ``k`` lanes never
+    influence each other; ``k`` defaults to ``_sections(lanes)``.  Returns
+    the best probe and value of every lane; ties go to the left probe.
+    """
     a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    up = fc >= fd
-    best_x, best_v = np.where(up, c, d), np.where(up, fc, fd)
-    for _ in range(max(iters - 2, 0)):
-        # lanes with fc >= fd keep [a, d] and probe a new c; the rest keep
-        # [c, b] and probe a new d
-        a, b = np.where(up, a, c), np.where(up, d, b)
-        x = np.where(up, b - invphi * (b - a), a + invphi * (b - a))
-        fx = f(x)
-        keep, fkeep = np.where(up, c, d), np.where(up, fc, fd)
-        c, fc = np.where(up, x, keep), np.where(up, fx, fkeep)
-        d, fd = np.where(up, keep, x), np.where(up, fkeep, fx)
-        up = fc >= fd
-        x, v = np.where(up, c, d), np.where(up, fc, fd)
-        better = v > best_v
-        best_x, best_v = np.where(better, x, best_x), np.where(better, v, best_v)
+    lanes = np.arange(a.size)
+    k = _sections(a.size) if k is None else k
+    h = (k + 1) // 2
+    r = (math.sqrt(h * h + 4.0) - h) / 2.0
+    width = ((math.sqrt(5.0) - 1.0) / 2.0) ** (max(iters, 2) - 1)
+    rounds = 1
+    while r**rounds > width:
+        rounds += 1
+    # point j of the right half lies a fraction far[j] from the left end,
+    # its mirror in the left half the same fraction from the right end
+    far = np.array([(j // 2) * r + (j % 2) * r * r for j in range(h + 1, 2 * h + 1)])
+    right = np.arange(2 * h) >= h
+    step = np.concatenate((-far[::-1], far))  # b - c·w is b + (-c)·w, bitwise
+
+    def points(a, b):
+        return np.where(right, a[:, None], b[:, None]) + step * (b - a)[:, None]
+
+    # a best probe at an odd place (counting from 1) has an s segment on its
+    # left, so it lands on the next pattern's second point, else on its
+    # second to last
+    keep_at = np.where(np.arange(k + 1) % 2 == 0, 1, k - 1)
+    new_at = np.arange(k + 1) != keep_at[:, None]
+    x = points(a, b)
+    v = np.asarray(f(x), dtype=float)
+    i = v.argmax(axis=1)
+    best_x, best_v = x[lanes, i], v[lanes, i]
+    for _ in range(rounds - 1):
+        ends = np.column_stack((a, x, b))
+        a, b, kx, kv = ends[lanes, i], ends[lanes, i + 2], x[lanes, i], v[lanes, i]
+        keep, new = keep_at[i], new_at[i]
+        x = points(a, b)
+        x[lanes, keep] = kx
+        v = np.empty_like(x)
+        v[new] = np.asarray(f(x[new].reshape(-1, k)), dtype=float).ravel()
+        v[lanes, keep] = kv
+        i = v.argmax(axis=1)
+        cx, cv = x[lanes, i], v[lanes, i]
+        better = cv > best_v
+        best_x, best_v = np.where(better, cx, best_x), np.where(better, cv, best_v)
     return best_x, best_v
 
 
@@ -563,9 +619,7 @@ def _enumerate_pairs(target: _FlatTarget, cfg: SearchConfig, collect: list | Non
 
     Pairs are taken a chunk at a time in ``np.triu_indices`` order.  A
     pair's middle integrals are differences of prefix sums accumulated in
-    extended precision, so short middles keep their digits.  The chosen
-    candidate is re-evaluated through exact overlaps, so the returned
-    best's value is its witness's value.
+    extended precision, so short middles keep their digits.
 
     With ``certify`` the second return value is a ceiling on the raw value
     of every subinterval, else None.  A candidate's mean of a transform
@@ -660,10 +714,7 @@ def _enumerate_pairs(target: _FlatTarget, cfg: SearchConfig, collect: list | Non
             collect.append(np.column_stack((ls, rs, rs - ls, vals)))
 
     _map_chunks(run, spans, cfg.threads, take)
-    wl, wr, _ = best.finish()
-    out = _Best()
-    out.offer(float(target.value_batch(np.array([wl]), np.array([wr]))[0]), wl, wr)
-    return out, (max(ceilings) if cfg.certify else None)
+    return best, (max(ceilings) if cfg.certify else None)
 
 
 def _candidate_points(f: StepFunction, level: int) -> np.ndarray:
@@ -744,7 +795,7 @@ def _chunked_pair_scan(target: _FlatTarget, points: np.ndarray, cfg: SearchConfi
 
 
 def _refine_leaders(target: _FlatTarget, lefts, rights, cfg: SearchConfig, best: _Best):
-    """Three rounds of left-then-right golden coordinate ascent, all leaders in lockstep.
+    """Three rounds of left-then-right block golden coordinate ascent, all leaders in lockstep.
 
     Each end moves inside its own cell; a leader whose cell leaves no room
     (``hi <= lo``) sits that step out.
@@ -756,8 +807,10 @@ def _refine_leaders(target: _FlatTarget, lefts, rights, cfg: SearchConfig, best:
     offers = []
 
     def probe(ls, rs):
+        # a (lanes, m) array of probes, one end per lane fixed
+        ls, rs = np.broadcast_arrays(ls, rs)
         target.evaluations += ls.size
-        return target.value_batch(ls, rs)
+        return target.value_batch(ls.ravel(), rs.ravel()).reshape(ls.shape)
 
     for step in range(0, 6, 2):
         i = np.clip(np.searchsorted(bp, l, side="right") - 1, 0, last)
@@ -765,14 +818,14 @@ def _refine_leaders(target: _FlatTarget, lefts, rights, cfg: SearchConfig, best:
         lanes = np.flatnonzero(hi > lo)
         if lanes.size:
             rs = r[lanes]
-            l[lanes], v = _golden_max(lambda x: probe(x, rs), lo[lanes], hi[lanes], cfg.refine_iters)
+            l[lanes], v = _golden_max(lambda x: probe(x, rs[:, None]), lo[lanes], hi[lanes], cfg.refine_iters)
             offers.extend(zip(lanes.tolist(), [step] * lanes.size, v.tolist(), l[lanes].tolist(), rs.tolist()))
         j = np.clip(np.searchsorted(bp, r, side="left") - 1, 0, last)
         lo, hi = np.maximum(bp[j], l + eps), bp[j + 1]
         lanes = np.flatnonzero(hi > lo)
         if lanes.size:
             ls = l[lanes]
-            r[lanes], v = _golden_max(lambda x: probe(ls, x), lo[lanes], hi[lanes], cfg.refine_iters)
+            r[lanes], v = _golden_max(lambda x: probe(ls[:, None], x), lo[lanes], hi[lanes], cfg.refine_iters)
             offers.extend(zip(lanes.tolist(), [step + 1] * lanes.size, v.tolist(), ls.tolist(), r[lanes].tolist()))
     # _Best's tie tolerance follows the running maximum, so results are
     # offered leader by leader, each leader's steps in order
@@ -786,13 +839,19 @@ def _subinterval_search(target: _FlatTarget, cfg: SearchConfig, collect: list | 
 
     Objectives with prefix transforms enumerate cell pairs exactly, and
     certified searches get the ceiling; the others scan pairs of candidate
-    points and straddles, then refine the leaders, and get None.
+    points and straddles, then refine the leaders, and get None.  The
+    chosen candidate is re-evaluated through exact overlaps, so the
+    returned best's value is its witness's value.
     """
     if target.objective.prefix_transforms() is not None:
-        return _enumerate_pairs(target, cfg, collect)
-    best = _Best()
-    _chunked_pair_scan(target, _candidate_points(target.f, cfg.dyadic_level), cfg, best, collect)
-    return best, None
+        best, ceiling = _enumerate_pairs(target, cfg, collect)
+    else:
+        best, ceiling = _Best(), None
+        _chunked_pair_scan(target, _candidate_points(target.f, cfg.dyadic_level), cfg, best, collect)
+    wl, wr, _ = best.finish()
+    out = _Best()
+    out.offer(float(target.value_batch(np.array([wl]), np.array([wr]))[0]), wl, wr)
+    return out, ceiling
 
 
 def _flat_interval_search(f: StepFunction, objective: _Objective, cfg: SearchConfig, collect_scan: bool):
@@ -864,7 +923,12 @@ def _flat_circle_search(f: StepFunction, objective: _Objective, cfg: SearchConfi
     raw_max = max(raw_short, _long_arc_scan(raws, ls, rs, objective, best))
     upper = _certificate(objective, cfg, f.values, f.distribution((t0, t0 + 1.0)), raw_max, best)
     scan = [tuple(row) for row in np.concatenate(collect)] if collect else []
-    return best, flat.evaluations, upper, scan
+    # a long arc may top the short witness by less than the tie tolerance:
+    # report the chosen witness's own value
+    wl, wr, wv = best.finish()
+    out = _Best()
+    out.offer(wv, wl, wr)
+    return out, flat.evaluations, upper, scan
 
 
 # -- construction-DAG targets ----------------------------------------------------------
@@ -1016,12 +1080,12 @@ class _DagSearch:
         """The junction scans and long-arc grids of all ``nodes``, in lockstep.
 
         Around each junction ``c``: arcs on a (length x offset) grid, then
-        the 4 best of them refined by golden section, first in log-length,
-        then in ``t``.  An arc ``(c, t, ell)`` has length ``ell`` with the
-        fraction ``t`` of it left of ``c``, clipped to the carrier of an
-        interval node.  The grids of all junctions of all nodes are one
+        the 4 best of them refined by block golden section, first in
+        log-length, then in ``t``.  An arc ``(c, t, ell)`` has length
+        ``ell`` with the fraction ``t`` of it left of ``c``, clipped to the
+        carrier of an interval node.  The grids of all junctions of all nodes are one
         multi-root query, the leaders of all of them refine in lockstep, one
-        query per golden step, the refined arcs are one query, and so are
+        query per round, the refined arcs are one query, and so are
         the long-arc grids of all circle nodes.  Returns, by node ``id``, the node's
         ``(value, left, right)`` junction offers, junction by junction, grid
         first, in the order a junction-at-a-time scan makes them, and the
@@ -1077,12 +1141,18 @@ class _DagSearch:
         log_hi = [math.log(scale_hi[i]) for i in jnode[lj].tolist()]
 
         def exps(xs):
-            return np.array([math.exp(x) for x in xs.tolist()])
+            return np.array([math.exp(x) for x in xs.ravel().tolist()]).reshape(xs.shape)
+
+        def lane_values(ts, ells):
+            # values of a (lanes, m) array of arcs, row k around the junction of lane k
+            ts, ells = np.broadcast_arrays(ts, ells)
+            js = np.broadcast_to(lj[:, None], ts.shape)
+            return arcs(js.ravel(), ts.ravel(), ells.ravel())[2].reshape(ts.shape)
 
         lo, hi = [max(x - 2.0, a) for x, a in zip(x0, log_lo)], [min(x + 2.0, b) for x, b in zip(x0, log_hi)]
-        lx, _ = _golden_max(lambda xs: arcs(lj, t0, exps(xs))[2], lo, hi, cfg.refine_iters)
+        lx, _ = _golden_max(lambda xs: lane_values(t0[:, None], exps(xs)), lo, hi, cfg.refine_iters)
         ell1 = exps(lx)
-        tt, _ = _golden_max(lambda ts: arcs(lj, ts, ell1)[2], np.zeros(lanes.size), np.ones(lanes.size), cfg.refine_iters)
+        tt, _ = _golden_max(lambda ts: lane_values(ts, ell1[:, None]), np.zeros(lanes.size), np.ones(lanes.size), cfg.refine_iters)
         fl, fr, fv = arcs(lj, tt, ell1)
         gl, gr = _long_arc_grid(0.0, cfg)
         circles = [node for node in nodes if node.is_circle]

@@ -1,0 +1,45 @@
+"""Repository tools: the report comparison."""
+import importlib.util
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _record(test, kind, lower, upper, wl, wr, objective, carrier):
+    fields = (test, kind, lower.hex(), "None" if upper is None else upper.hex(), wl.hex(), wr.hex(), "7", lower.hex(), objective, carrier)
+    return "\t".join(fields) + "\n"
+
+
+def test_compare_reports_pairs_reports_by_test_and_order(tmp_path, capsys):
+    compare_reports = _load("compare_reports")
+    query = "t::a\tquery\t0x0p+0\t0x1p+0\t0x1p+0\t0x1p+0\t1\t1\t0x0p+0\n"
+    before = tmp_path / "before.tsv"
+    after = tmp_path / "after.tsv"
+    before.write_text(
+        _record("t::a", "flat", 2.0, None, 0.0, 0.5, "bmo_1", "interval")
+        + query
+        + _record("t::a", "flat", 4.0, 8.0, 0.0, 1.0, "bmo_1", "interval")
+        + _record("t::b", "dag", 1.0, 2.0, 0.25, 0.5, "bmo_2", "circle")
+        + _record("t::c", "flat", 1.0, None, 0.0, 1.0, "a_inf", "interval")
+    )
+    after.write_text(
+        _record("t::a", "flat", 1.0, None, 0.0, 0.25, "bmo_1", "interval")
+        + _record("t::a", "flat", 5.0, 6.0, 0.0, 1.0, "bmo_1", "interval")
+        + query
+        + _record("t::b", "dag", 1.0, 2.0, 0.25, 0.5, "bmo_2", "circle")
+    )
+    assert compare_reports.main([str(before), str(after)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in lines[1:-2]}
+    # bmo_1: lower 2 -> 1 (drop 0.5) and 4 -> 5 (rise 0.25), upper 8 -> 6 (drop 0.25), one witness change
+    assert rows[("bmo_1", "interval")] == ["2", "0.5", "0.25", "0.25", "0", "1"]
+    assert rows[("bmo_2", "circle")] == ["1", "0", "0", "0", "0", "0"]
+    assert lines[-2] == "largest lower drop: 0.5 relative, report 0 of t::a"
+    assert lines[-1] == "reports only in the first file: 1, only in the second: 0"

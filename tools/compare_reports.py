@@ -1,0 +1,103 @@
+"""Compare two ``pytest --record-reports`` files search report by search report.
+
+Usage, from the root of a checkout::
+
+    python3 tools/compare_reports.py BEFORE.tsv AFTER.tsv
+
+The k-th search report a test records in BEFORE is paired with the k-th
+one the same test records in AFTER (``construct.query`` lines are
+skipped).  For every objective and carrier the script prints how many
+pairs there are, the largest relative drop and rise of ``lower`` and of
+``upper`` from BEFORE to AFTER, and how many pairs changed witness; then
+the pair with the largest relative drop of ``lower``, and the number of
+reports found in only one file.  A relative change is
+``(after - before) / |before|``, or the plain difference when BEFORE is
+0; an ``upper`` of None on either side is not compared.
+"""
+from __future__ import annotations
+
+import argparse
+import sys
+from collections import defaultdict
+
+
+def read_reports(path: str) -> dict:
+    """``(test id, k) -> fields`` of the k-th search report each test recorded."""
+    out, seen = {}, defaultdict(int)
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 10:
+                continue  # a construct.query record
+            test = fields[0]
+            out[(test, seen[test])] = fields
+            seen[test] += 1
+    return out
+
+
+def _value(text: str) -> float | None:
+    return None if text == "None" else float.fromhex(text)
+
+
+def _relative(before: float, after: float) -> float:
+    return (after - before) / abs(before) if before else after - before
+
+
+class _Group:
+    def __init__(self):
+        self.pairs = 0
+        self.witness_changes = 0
+        self.moves = {"lower": [0.0, 0.0], "upper": [0.0, 0.0]}  # largest drop, largest rise
+
+    def add(self, before: list, after: list):
+        self.pairs += 1
+        self.witness_changes += before[4:6] != after[4:6]
+        for name, col in (("lower", 2), ("upper", 3)):
+            a, b = _value(before[col]), _value(after[col])
+            if a is None or b is None:
+                continue
+            rel = _relative(a, b)
+            move = self.moves[name]
+            move[0], move[1] = max(move[0], -rel), max(move[1], rel)
+
+
+def compare(before: dict, after: dict) -> str:
+    groups: dict = defaultdict(_Group)
+    worst = (0.0, None)
+    for key in sorted(before.keys() & after.keys()):
+        b, a = before[key], after[key]
+        groups[(b[8], b[9])].add(b, a)
+        rel = _relative(float.fromhex(b[2]), float.fromhex(a[2]))
+        if rel < worst[0]:
+            worst = (rel, key)
+    lines = [
+        f"{'objective':<10} {'carrier':<9} {'pairs':>6} {'lower drop':>11} {'lower rise':>11} "
+        f"{'upper drop':>11} {'upper rise':>11} {'witnesses':>9}"
+    ]
+    for (objective, carrier), g in sorted(groups.items()):
+        (ld, lr), (ud, ur) = g.moves["lower"], g.moves["upper"]
+        lines.append(
+            f"{objective:<10} {carrier:<9} {g.pairs:>6} {ld:>11.3g} {lr:>11.3g} "
+            f"{ud:>11.3g} {ur:>11.3g} {g.witness_changes:>9}"
+        )
+    if worst[1] is None:
+        lines.append("no lower fell")
+    else:
+        test, k = worst[1]
+        lines.append(f"largest lower drop: {-worst[0]:.3g} relative, report {k} of {test}")
+    lines.append(f"reports only in the first file: {len(before.keys() - after.keys())}, "
+                 f"only in the second: {len(after.keys() - before.keys())}")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("before", help="record file of the earlier run")
+    parser.add_argument("after", help="record file of the later run")
+    args = parser.parse_args(argv)
+    print(compare(read_reports(args.before), read_reports(args.after)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
