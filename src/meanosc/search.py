@@ -3,15 +3,17 @@
 The quantities searched for (oscillation seminorms, weight constants) are
 defined as suprema over all subintervals of the carrier.  The supremum is
 generally *not* attained at breakpoint pairs.  For objectives determined by
-the means of two value transforms (BMO_2, A_p, A_inf) it is attained at one
-of at most 9 closed-form points per pair of cells, the KKT points of a box,
-and flat searches enumerate them exactly (``_enumerate_pairs``).  BMO_p with
-p != 2 combines three candidate layers instead: all pairs of points of a
-nested dyadic grid inside every cell, a ladder of short intervals
-straddling each breakpoint, and block golden-section coordinate
-refinement of the leading candidates.  Nesting the grids dyadically makes
-that lower bound monotone under enlargement of the grid or refinement
-budget.
+the means of a few value transforms (BMO_2, A_p, A_inf) it is attained at
+one of at most 9 closed-form points per pair of cells, the KKT points of a
+box, and flat searches enumerate them exactly (``_enumerate_pairs``).
+BMO_1 is the largest of one such objective per value threshold (``∫|f −
+m| = 2·max_τ ∫(f − m)·1{f ≥ τ}``), and is enumerated per cell pair and
+threshold.  BMO_p with p not in {1, 2} combines three candidate layers
+instead: all pairs of points of a nested dyadic grid inside every cell, a
+ladder of short intervals straddling each breakpoint, and block
+golden-section coordinate refinement of the leading candidates.  Nesting
+the grids dyadically makes that lower bound monotone under enlargement of
+the grid or refinement budget.
 
 Every search enters through ``_search``.  Flat step functions, and DAGs of
 at most ``_FLAT_LIMIT`` pieces once materialized, are evaluated in
@@ -39,7 +41,9 @@ witness choice.
 When ``certify`` is set, reports carry an upper bound next to the lower
 bound.  For flat interval functions under an enumerated objective it is a
 proof: the largest raw value over each candidate's means widened by their
-rounding bound.  For BMO_p with p != 2 it is the value-range bound.  For
+rounding bound.  For BMO_p with p not in {1, 2} it is the value-range
+bound.  DAG leaves under an enumerated objective add their proof to the
+DAG's raw maximum.  For
 circle targets it is the maximum evaluated raw functional (including the
 node-distribution asymptote) plus a crude-but-sound total variation
 perturbation term; its coverage of arcs longer than two periods and
@@ -51,7 +55,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,8 +105,9 @@ class SearchConfig:
     of each refined coordinate: its final bracket is no wider than golden
     section's after ``refine_iters`` probes, ``φ^-(refine_iters - 1)`` of
     the initial one, whatever the probes per round (see ``_golden_max``).
-    Neither affects the subintervals of flat BMO_2, A_p and A_inf
-    searches, which enumerate cell pairs exactly.
+    Neither affects the subintervals of flat BMO_1, BMO_2, A_p and A_inf
+    searches, which enumerate cell pairs exactly; they serve BMO_p with p
+    not in {1, 2}, long arcs and DAG junctions.
     ``r_long`` is the copy-count threshold of the long-arc regime;
     ``max_periods`` the largest scanned arc length in periods; ``certify``
     attaches an upper bound to each report; ``threads`` the worker count
@@ -191,10 +196,22 @@ class _Objective:
         """
         raise NotImplementedError
 
+    def thresholds(self, values: np.ndarray):
+        """The split family of the raw value over the function's ``values``, or None for one trivial split.
+
+        A split objective's raw value is the largest of one mean-decomposable
+        functional per threshold ``τ``, each at most the raw value and equal
+        to it at the smallest threshold at or above the interval's mean of
+        the first prefix transform.
+        """
+        return None
+
     def prefix_transforms(self):
         """Value transforms whose interval means determine the functional.
 
-        Returns None when the functional is not mean-decomposable and the
+        Each maps the values ``v`` and the thresholds ``tau`` (None for one
+        trivial split) to the transformed values, by broadcasting.  Returns
+        None when the functional is not mean-decomposable and the
         overlap-matrix path must be used.
         """
         return None
@@ -202,28 +219,43 @@ class _Objective:
     def raw_from_means(self, means: list[np.ndarray]) -> np.ndarray:
         raise NotImplementedError
 
-    def stationarity(self, L, A, B, t1, t2):
+    def stationarity(self, L, T, t):
         """The raw value's derivative, times a positive factor, as an end of ``[l, r]`` moves into a piece.
 
-        ``L`` is the length of ``[l, r]``, ``A`` and ``B`` the integrals of
-        the two prefix transforms over it, and ``(t1, t2)`` the piece's
-        transform values.  The derivative is ``(1/L)·[F_a·(t1 − a) +
-        F_b·(t2 − b)]`` for ``F(a, b)`` of the means; cleared of positive
-        factors it is affine along the moving end, so each edge of a cell
-        pair's box has at most one root.
+        ``L`` is the length of ``[l, r]``, ``T`` the integrals of the prefix
+        transforms over it, and ``t`` the piece's transform values.  For
+        ``F`` of the means the derivative is ``(1/L)·Σ_k F_k·(t_k − T_k/L)``;
+        cleared of positive factors it is affine along the moving end, so
+        each edge of a cell pair's box has at most one root.
         """
         raise NotImplementedError
 
-    def interior_mean(self, t1i, t2i, t1j, t2j):
-        """Mean of the first transform at the interior stationary point of cells ``i`` and ``j``.
+    def interior(self, L0, S, ti, tj, hi, hj, adjacent):
+        """The interior stationary point ``(x, y)`` of each cell pair's box, and whether it is a candidate.
 
-        Both ends' stationarity conditions put the means at the stationary
-        point of ``F`` on the chord between the cells' transform points.
+        ``L0`` and ``S`` are the length and transform integrals of the
+        pair's middle, ``ti`` and ``tj`` its cells' transform values, ``hi``
+        and ``hj`` their lengths.  For two transforms, both ends'
+        stationarity conditions put the means at the stationary point of
+        ``F`` on the chord between the cells' transform points, which an
+        interval's means reach only on adjacent cells (a non-adjacent pair's
+        middle would have to lie on the chord too, and then the stationary
+        set reaches the box's edges); there they are a ray from the common
+        breakpoint, and its largest point in the box is the candidate.  That
+        point is also an edge's root in exact arithmetic; its closed form
+        makes it the canonical witness (``[1/2, 1]`` for a 0/1 step at 3/4).
         """
+        w = (self.interior_mean(ti, tj) - ti[0]) / (tj[0] - ti[0])
+        si, sj = hi / (1.0 - w), hj / w
+        xc, yc = np.where(si <= sj, hi, sj * (1.0 - w)), np.where(si <= sj, si * w, hj)
+        return xc, yc, adjacent & (0 < w) & (w < 1)
+
+    def interior_mean(self, ti, tj):
+        """Mean of the first transform at the stationary point of ``F`` on the chord between cells ``i`` and ``j``."""
         raise NotImplementedError
 
-    def raw_ceiling(self, a, b, da, db):
-        """Largest raw value over the means ``[a ± da] x [b ± db]``."""
+    def raw_ceiling(self, means, errs):
+        """Largest raw value over the means ``means[k] ± errs[k]``."""
         raise NotImplementedError
 
     def raw_from_dist(self, d: DiscreteDistribution) -> float:
@@ -253,6 +285,8 @@ class _Objective:
 
 
 class _BmoObjective(_Objective):
+    """BMO_p of any order ``p >= 1``, through overlaps; ``_bmo_objective`` picks the enumerated orders 1 and 2."""
+
     translation_invariant = True
 
     def __init__(self, p: float):
@@ -264,27 +298,6 @@ class _BmoObjective(_Objective):
     def raw_from_parts(self, ov, values, lengths):
         m = np.einsum("ij,j->i", ov, values) / lengths
         return np.einsum("ij,ij->i", ov, _abs_power(values[None, :] - m[:, None], self.p)) / lengths
-
-    def prefix_transforms(self):
-        if self.p == 2.0:
-            return [lambda v: v, lambda v: v * v]
-        return None
-
-    def raw_from_means(self, means):
-        m1, m2 = means
-        return np.maximum(m2 - m1 * m1, 0.0)
-
-    # the three methods below serve p = 2, the one order with prefix transforms
-
-    def stationarity(self, L, A, B, t1, t2):
-        # L²·[(t1 − m)² − var]
-        return (t1 * L - A) ** 2 - (B * L - A * A)
-
-    def interior_mean(self, t1i, t2i, t1j, t2j):
-        return 0.5 * (t1i + t1j)
-
-    def raw_ceiling(self, a, b, da, db):
-        return (b + db) - np.maximum(np.abs(a) - da, 0.0) ** 2
 
     def raw_from_dist(self, d):
         return d.central_moment(self.p)
@@ -306,6 +319,81 @@ class _BmoObjective(_Objective):
         return tv * 2.0 ** (self.p + 1.0) * (vmax - vmin) ** self.p
 
 
+class _Bmo2Objective(_BmoObjective):
+    """BMO_2: the variance, ``F(a, b) = b − a²`` of the means of ``v`` and ``v²``."""
+
+    def prefix_transforms(self):
+        return [lambda v, tau: v, lambda v, tau: v * v]
+
+    def raw_from_means(self, means):
+        m1, m2 = means
+        return np.maximum(m2 - m1 * m1, 0.0)
+
+    def stationarity(self, L, T, t):
+        # L²·[(t1 − m)² − var]
+        return (t[0] * L - T[0]) ** 2 - (T[1] * L - T[0] * T[0])
+
+    def interior_mean(self, ti, tj):
+        return 0.5 * (ti[0] + tj[0])
+
+    def raw_ceiling(self, means, errs):
+        (a, b), (da, db) = means, errs
+        return (b + db) - np.maximum(np.abs(a) - da, 0.0) ** 2
+
+
+class _Bmo1Objective(_BmoObjective):
+    """BMO_1, split by value thresholds.
+
+    For an interval ``J`` of mean ``m``, ``∫_J |f − m| = 2·max_τ ∫_J (f −
+    m)·1{f ≥ τ}`` over the function's values ``τ``, attained at the
+    smallest value at or above ``m``.  So the raw value is the largest of
+    ``R_τ = 2·(b_τ − a·u_τ)`` in the means ``a``, ``u_τ`` and ``b_τ`` of
+    ``v``, ``1{v ≥ τ}`` and ``v·1{v ≥ τ}``, each ``R_τ`` at most the raw
+    value.
+    """
+
+    def thresholds(self, values):
+        return np.unique(values)
+
+    def prefix_transforms(self):
+        return [lambda v, tau: v, lambda v, tau: (v >= tau) * 1.0, lambda v, tau: np.where(v >= tau, v, 0.0)]
+
+    def raw_from_means(self, means):
+        a, u, b = means
+        return np.maximum(2.0 * (b - a * u), 0.0)
+
+    def stationarity(self, L, T, t):
+        # L³/2 times the derivative of 2·N/L² with N = B·L − A·U, whose x² and y² terms cancel
+        A, U, B = T
+        return (t[0] * L - A) * (t[1] * L - U) - (B * L - A * U)
+
+    def interior(self, L0, S, ti, tj, hi, hj, adjacent):
+        # N = N00 + N10·x + N01·y + c·x·y; both ends stationary means
+        # N_x = N_y, the line x − y = d, and on it the stationarity is affine in y
+        A, U, B = S
+        n00 = B * L0 - A * U
+        n10, n01 = ((t[2] * L0 + B - t[0] * U - A * t[1]) for t in (ti, tj))
+        c = (ti[0] - tj[0]) * (ti[1] - tj[1])
+        d = (n10 - n01) / c
+        yc = (2.0 * n00 - n10 * (L0 - d)) / (c * (L0 - d) - 2.0 * n01)
+        # where the whole line is stationary (adjacent cells: R_τ depends
+        # on x : y alone) its largest box point is the canonical witness
+        line = np.isnan(yc)
+        yc = np.where(line, np.minimum(hj, hi - d), yc)
+        xc = yc + d
+        return xc, yc, (0 <= xc) & (xc <= hi) & (0 <= yc) & (yc <= hj)
+
+    def raw_ceiling(self, means, errs):
+        (a, u, b), (da, du, db) = means, errs
+        low = np.minimum(np.minimum((a - da) * (u - du), (a - da) * (u + du)), np.minimum((a + da) * (u - du), (a + da) * (u + du)))
+        return 2.0 * ((b + db) - low)
+
+
+def _bmo_objective(p: float) -> _BmoObjective:
+    """The BMO_p objective; orders 1 and 2 enumerate cell pairs exactly."""
+    return {1.0: _Bmo1Objective, 2.0: _Bmo2Objective}.get(float(p), _BmoObjective)(p)
+
+
 class _ApObjective(_Objective):
     requires_positive = True
 
@@ -322,7 +410,7 @@ class _ApObjective(_Objective):
 
     def prefix_transforms(self):
         s = -1.0 / (self.p - 1.0)
-        return [lambda v: v, lambda v: v**s]
+        return [lambda v, tau: v, lambda v, tau: v**s]
 
     def raw_from_means(self, means):
         a, b = means
@@ -330,17 +418,20 @@ class _ApObjective(_Objective):
             return a * b
         return a * b ** (self.p - 1.0)
 
-    def stationarity(self, L, A, B, t1, t2):
+    def stationarity(self, L, T, t):
         # L²·[b·(t1 − a) + (p − 1)·a·(t2 − b)], the derivative over b^(p−2)
+        (A, B), (t1, t2) = T, t
         return B * (t1 * L - A) + (self.p - 1.0) * A * (t2 * L - B)
 
-    def interior_mean(self, t1i, t2i, t1j, t2j):
+    def interior_mean(self, ti, tj):
         # b/a = (p − 1)(w_j − w_i)/(v_i − v_j) with w = v^(−1/(p−1))
+        (t1i, t2i), (t1j, t2j) = ti, tj
         q = self.p - 1.0
         ratio = q * (t2j - t2i) / (t1i - t1j)
         return (ratio * t1i + q * t2i) / (self.p * ratio)
 
-    def raw_ceiling(self, a, b, da, db):
+    def raw_ceiling(self, means, errs):
+        (a, b), (da, db) = means, errs
         return (a + da) * (b + db) ** (self.p - 1.0)
 
     def raw_from_dist(self, d):
@@ -366,21 +457,23 @@ class _AInfObjective(_Objective):
         return a * np.exp(-g)
 
     def prefix_transforms(self):
-        return [lambda v: v, np.log]
+        return [lambda v, tau: v, lambda v, tau: np.log(v)]
 
     def raw_from_means(self, means):
         a, g = means
         return a * np.exp(-g)
 
-    def stationarity(self, L, A, B, t1, t2):
+    def stationarity(self, L, T, t):
         # L²·[(t1 − a) − a·(t2 − g)]
+        (A, B), (t1, t2) = T, t
         return L * (t1 * L - A) - A * (t2 * L - B)
 
-    def interior_mean(self, t1i, t2i, t1j, t2j):
+    def interior_mean(self, ti, tj):
         # the logarithmic mean of v_i and v_j
-        return (t1i - t1j) / (t2i - t2j)
+        return (ti[0] - tj[0]) / (ti[1] - tj[1])
 
-    def raw_ceiling(self, a, g, da, dg):
+    def raw_ceiling(self, means, errs):
+        (a, g), (da, dg) = means, errs
         return (a + da) * np.exp(dg - g)
 
     def raw_from_dist(self, d):
@@ -595,31 +688,34 @@ def _map_chunks(run, spans: list, threads: int, take):
             take(span, run(span))
 
 
-def _enumerate_pairs(target: _FlatTarget, cfg: SearchConfig, collect: list | None):
-    """Exact supremum of a mean-decomposable objective: closed-form candidates per cell pair.
+def _enumerate_pairs(target: _FlatTarget, cfg: SearchConfig, collect: list | None, lefts: int):
+    """Exact supremum of a mean-decomposable objective: closed-form candidates per cell pair and split.
 
     An interval ``[l, r]`` with ``l`` in cell ``i`` and ``r`` in cell
     ``j > i`` is the point ``(x, y) = (b[i+1] − l, r − b[j])`` of the box
-    ``[0, h_i] x [0, h_j]``; its length and the integrals of both prefix
+    ``[0, h_i] x [0, h_j]``; its length and the integrals of the prefix
     transforms are affine in ``(x, y)``.  The raw value's maximum over the
     box is attained at one of 9 candidates (a KKT argument): the 4
     corners; the root on each of the 4 edges of the objective's
     ``stationarity``, which is affine along an edge and so is found from
-    the edge's two corners; and the interior stationary point.  Both
-    interior conditions fix the means at a point of the chord between the
-    two cells' transform points, which an interval's means reach only on
-    adjacent cells (a non-adjacent pair's middle would have to lie on the
-    chord too, and then the stationary set reaches the box's edges); there
-    they are a ray from the common breakpoint, and its largest point in
-    the box is the candidate.  That point is also an edge's root in exact
-    arithmetic; its closed form makes it the canonical witness (``[1/2,
-    1]`` for a 0/1 step at 3/4).  Intervals inside one cell take the
-    objective's smallest value and need no candidate; a one-cell target
-    offers its carrier.
+    the edge's two corners; and the objective's ``interior`` stationary
+    point.  Intervals inside one cell take the objective's smallest value
+    and need no candidate; a one-cell target offers its carrier.
 
-    Pairs are taken a chunk at a time in ``np.triu_indices`` order.  A
-    pair's middle integrals are differences of prefix sums accumulated in
-    extended precision, so short middles keep their digits.
+    The rows of the enumeration are (cell pair, split).  An objective with
+    ``thresholds`` is split: each threshold ``τ`` has its own transforms,
+    and the raw value of an interval is the functional of the smallest
+    threshold at or above its mean of the first transform.  That mean is
+    a linear-fractional function on the box, so it ranges between its
+    values at the corners; a pair's rows are the thresholds from the
+    smallest corner mean to the largest, both widened by their rounding
+    bounds (below) and then by one threshold on each side.  Other
+    objectives have one row per pair.
+
+    Pairs are taken a chunk of rows at a time in ``np.triu_indices`` order,
+    left cells below ``lefts`` only.  A pair's middle integrals are
+    differences of prefix sums accumulated in extended precision, so
+    short middles keep their digits.
 
     With ``certify`` the second return value is a ceiling on the raw value
     of every subinterval, else None.  A candidate's mean of a transform
@@ -630,7 +726,7 @@ def _enumerate_pairs(target: _FlatTarget, cfg: SearchConfig, collect: list | Non
     prefix ends; the first bounds the transform values, cell lengths,
     affine parts and division (about ``7·ε``), and its margin covers the
     rounding of ``raw_ceiling``, which maximizes the raw value over those
-    means.  A computed edge root or ray point misses the exact one by
+    means.  A computed edge root or interior point misses the exact one by
     rounding, where the raw value is stationary, so it loses a
     second-order amount.
     """
@@ -644,65 +740,112 @@ def _enumerate_pairs(target: _FlatTarget, cfg: SearchConfig, collect: list | Non
         best.offer(value, float(bp[0]), float(bp[1]))
         ceiling = objective.raw_of_value(value) * (1.0 + 64.0 * _EPS) if cfg.certify else None
         return best, ceiling
-    h = np.diff(bp)
-    tv = [g(target.values) for g in objective.prefix_transforms()]
+    h, v = np.diff(bp), target.values
+    taus = objective.thresholds(v)
+    transforms = objective.prefix_transforms()
 
-    def prefix(x):
-        return np.concatenate(([0.0], np.cumsum(x * h, dtype=np.longdouble)))
+    def prefix(t):
+        out = np.zeros((t.shape[0], n + 1), dtype=np.longdouble)
+        np.cumsum(t * h, axis=1, dtype=np.longdouble, out=out[:, 1:])
+        return out
 
-    prefixes, abs_prefixes = [prefix(t) for t in tv], [prefix(np.abs(t)) for t in tv]
+    # per transform: cell values (None where they depend on the split, and
+    # rows evaluate them), prefix sums of the values and of their absolute
+    # values, one row per split; the first transform's rounding bound
+    # places the thresholds, the others' only certify
+    cells, prefixes, abs_prefixes = [], [], []
+    for k, g in enumerate(transforms):
+        t = np.atleast_2d(g(v, None) if taus is None else g(v[None, :], taus[:, None]))
+        cells.append(t[0] if t.shape[0] == 1 else None)
+        prefixes.append(prefix(t))
+        abs_prefixes.append(prefixes[-1] if t.min() >= 0 else prefix(np.abs(t)) if k == 0 or cfg.certify else None)
     eps_ext = float(np.finfo(np.longdouble).eps)
-    n_pairs = n * (n - 1) // 2
+    m = min(lefts, n - 1)
+    n_pairs = m * (n - 1) - m * (m - 1) // 2  # the pairs whose left cell is below lefts
+
+    def take_rows(table, split, k):
+        # a prefix table's entries at cells k under the splits of the rows
+        return table[0][k] if table.shape[0] == 1 else table[split, k]
+
+    def pair_parts(i, j, split):
+        # length and transform integrals of each row's middle, and its cells' transform values
+        L0 = bp[j] - bp[i + 1]
+        S = [(take_rows(p, split, j) - take_rows(p, split, i + 1)).astype(float) for p in prefixes]
+        ti = [c[i] if c is not None else g(v[i], taus[split]) for c, g in zip(cells, transforms)]
+        tj = [c[j] if c is not None else g(v[j], taus[split]) for c, g in zip(cells, transforms)]
+        return L0, S, ti, tj
+
+    def mean_err(q, a, b, i, j, split, X, Y, L):
+        # rounding bound of a mean (see above): q the transform's |t| prefix, a and b its cell values
+        far = (j - i - 1) * eps_ext
+        return (16.0 * _EPS * ((take_rows(q, split, j) - take_rows(q, split, i + 1)).astype(float) + X * np.abs(a) + Y * np.abs(b))
+                + far * take_rows(q, split, j).astype(float)) / L
+
+    def window(i, j):
+        # the first and count of each pair's thresholds: its corner means of the first transform, widened
+        hi, hj, a, b = h[i], h[j], cells[0][i], cells[0][j]
+        zero = np.zeros_like(hi)
+        X, Y = np.stack((zero, hi, zero, hi)), np.stack((zero, zero, hj, hj))
+        L = bp[j] - bp[i + 1] + X + Y
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = ((prefixes[0][0][j] - prefixes[0][0][i + 1]).astype(float) + X * a + Y * b) / L
+            err = mean_err(abs_prefixes[0], a, b, i, j, 0, X, Y, L)
+        live = L > 0
+        first = taus.searchsorted(np.where(live, m - err, math.inf).min(axis=0)) - 1
+        last = taus.searchsorted(np.where(live, m + err, -math.inf).max(axis=0)) + 1
+        first, last = np.clip(first, 0, taus.size - 1), np.clip(last, 0, taus.size - 1)
+        return first, last - first + 1
 
     def run(span):
         i, j = _triu_pair(n, np.arange(*span))
+        split = 0
+        if taus is not None:
+            first, counts = window(i, j)
+            i, j = np.repeat(i, counts), np.repeat(j, counts)
+            split = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(i.size)
         hi, hj, adjacent = h[i], h[j], j == i + 1
-        L0 = bp[j] - bp[i + 1]
-        S = [(p[j] - p[i + 1]).astype(float) for p in prefixes]
-        ti, tj = [t[i] for t in tv], [t[j] for t in tv]
         zero = np.zeros_like(hi)
+        L0, S, ti, tj = pair_parts(i, j, split)
 
         def parts(X, Y):
             return L0 + X + Y, [s + X * a + Y * b for s, a, b in zip(S, ti, tj)]
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # corners (0, 0), (h_i, 0), (0, h_j), (h_i, h_j)
-            L, (A, B) = parts(np.stack((zero, hi, zero, hi)), np.stack((zero, zero, hj, hj)))
-            gi, gj = (objective.stationarity(L, A, B, *t) for t in (ti, tj))
+            L, T = parts(np.stack((zero, hi, zero, hi)), np.stack((zero, zero, hj, hj)))
+            gi, gj = (objective.stationarity(L, T, t) for t in (ti, tj))
             # edge roots: the left end moves along y = 0 and y = h_j, the right along x = 0 and x = h_i
             xb, xt = hi * gi[0] / (gi[0] - gi[1]), hi * gi[2] / (gi[2] - gi[3])
             yl, yr = hj * gj[0] / (gj[0] - gj[2]), hj * gj[1] / (gj[1] - gj[3])
-            # the interior ray x : y = (1 − w) : w, at its largest point in the box
-            w = (objective.interior_mean(*ti, *tj) - ti[0]) / (tj[0] - ti[0])
-            si, sj = hi / (1.0 - w), hj / w
-            xc, yc = np.where(si <= sj, hi, sj * (1.0 - w)), np.where(si <= sj, si * w, hj)
+            xc, yc, inner = objective.interior(L0, S, ti, tj, hi, hj, adjacent)
             X = np.stack((zero, hi, zero, hi, xb, xt, zero, hi, xc))
             Y = np.stack((zero, zero, hj, hj, zero, hj, yl, yr, yc))
             live = np.concatenate((
                 L > 0,
                 [(0 < xb) & (xb < hi), (0 < xt) & (xt < hi), (0 < yl) & (yl < hj), (0 < yr) & (yr < hj)],
-                [adjacent & (0 < w) & (w < 1)],
+                [inner],
             ))
             L, T = parts(X, Y)
             means = [t / L for t in T]
             raw = objective.raw_from_means(means)[live]
             ceiling = -math.inf
             if cfg.certify:
-                # rounding bounds of the means (see above)
-                far = (j - i - 1) * eps_ext
-                err = [
-                    (16.0 * _EPS * ((q[j] - q[i + 1]).astype(float) + X * np.abs(a) + Y * np.abs(b))
-                     + far * q[j].astype(float)) / L
-                    for q, a, b in zip(abs_prefixes, ti, tj)
-                ]
-                ceiling = float(objective.raw_ceiling(*means, *err)[live].max())
+                errs = [mean_err(q, a, b, i, j, split, X, Y, L) for q, a, b in zip(abs_prefixes, ti, tj)]
+                ceiling = float(objective.raw_ceiling(means, errs)[live].max())
         ls = np.where(X == hi, bp[i], bp[i + 1] - X)[live]
         rs = np.where(Y == hj, bp[j + 1], bp[j] + Y)[live]
         return ls, rs, objective.value_from_raw(raw), ceiling
 
-    # a pair's 9 candidates hold about 256 floats of temporaries
-    chunk = max(1, _CHUNK_BUDGET // 256)
-    spans = [(s, min(s + chunk, n_pairs)) for s in range(0, n_pairs, chunk)]
+    # a row's 9 candidates hold about 128 floats of temporaries per transform
+    chunk = max(1, _CHUNK_BUDGET // (128 * len(transforms)))
+    if taus is None:
+        spans = [(s, min(s + chunk, n_pairs)) for s in range(0, n_pairs, chunk)]
+    else:
+        # spans of pairs of about chunk rows: a span ends at the pair whose rows cross a multiple of chunk
+        rows = np.cumsum(np.concatenate([window(*_triu_pair(n, np.arange(s, min(s + chunk, n_pairs))))[1]
+                                         for s in range(0, n_pairs, chunk)]))
+        cuts = np.unique(np.concatenate(([0], rows.searchsorted(np.arange(chunk, rows[-1], chunk), "right"), [n_pairs])))
+        spans = list(zip(cuts[:-1].tolist(), cuts[1:].tolist()))
     ceilings = []
 
     def take(span, result):
@@ -834,17 +977,18 @@ def _refine_leaders(target: _FlatTarget, lefts, rights, cfg: SearchConfig, best:
         best.offer(v, wl, wr)
 
 
-def _subinterval_search(target: _FlatTarget, cfg: SearchConfig, collect: list | None):
+def _subinterval_search(target: _FlatTarget, cfg: SearchConfig, collect: list | None, lefts: int | None = None):
     """The best subinterval of a flat target, and a proven raw ceiling over all of them or None.
 
-    Objectives with prefix transforms enumerate cell pairs exactly, and
-    certified searches get the ceiling; the others scan pairs of candidate
-    points and straddles, then refine the leaders, and get None.  The
-    chosen candidate is re-evaluated through exact overlaps, so the
-    returned best's value is its witness's value.
+    Objectives with prefix transforms enumerate cell pairs exactly, those
+    whose left cell is below ``lefts`` (all by default), and certified
+    searches get the ceiling; the others scan pairs of candidate points
+    and straddles, then refine the leaders, and get None.  The chosen
+    candidate is re-evaluated through exact overlaps, so the returned
+    best's value is its witness's value.
     """
     if target.objective.prefix_transforms() is not None:
-        best, ceiling = _enumerate_pairs(target, cfg, collect)
+        best, ceiling = _enumerate_pairs(target, cfg, collect, target.values.size if lefts is None else lefts)
     else:
         best, ceiling = _Best(), None
         _chunked_pair_scan(target, _candidate_points(target.f, cfg.dyadic_level), cfg, best, collect)
@@ -913,7 +1057,9 @@ def _flat_circle_search(f: StepFunction, objective: _Objective, cfg: SearchConfi
     collect: list | None = [] if collect_scan else None
     t0 = float(f.breakpoints[0])
     flat = _FlatTarget(f.restrict((t0, t0 + 2.0)), objective)
-    best, ceiling = _subinterval_search(flat, cfg, collect)
+    # a pair of two second-period cells is a one-period translate of a
+    # first-period pair, which wins ties by its smaller left end
+    best, ceiling = _subinterval_search(flat, cfg, collect, f.piece_count)
 
     ls, rs = _long_arc_grid(t0, cfg)
     flat.evaluations += ls.size
@@ -1022,11 +1168,11 @@ class _DagSearch:
         if isinstance(node, ConstExpr):
             self._offer_one(node, *node.carrier, best)
         elif isinstance(node, LeafExpr):
-            sub, evals, _, _ = _flat_interval_search(
-                node.function, self.objective, replace(self.cfg, certify=False), False
-            )
-            self.evaluations += evals
-            self.raw_max = max(self.raw_max, self.objective.raw_of_value(sub.value))
+            # the leaf's proven ceiling where its objective enumerates, else its lower bound
+            leaf = _FlatTarget(node.function, self.objective)
+            sub, ceiling = _subinterval_search(leaf, self.cfg, None)
+            self.evaluations += leaf.evaluations
+            self.raw_max = max(self.raw_max, self.objective.raw_of_value(sub.value) if ceiling is None else ceiling)
             best.offer(sub.value, sub.left, sub.right)
         else:
             full, copies, _ = _layout(node)
@@ -1235,7 +1381,7 @@ def _search(target, objective: _Objective, cfg: SearchConfig | None, collect_sca
 
 def bmo_norm(target, p: float, cfg: SearchConfig | None = None, collect_scan: bool = False) -> SearchReport:
     """Supremum of the centered p-oscillation over subintervals of an interval target."""
-    objective = _BmoObjective(p)
+    objective = _bmo_objective(p)
     if _is_circle(target):
         raise InputError("target carries circle content; use the circle search")
     return _search(target, objective, cfg, collect_scan)
@@ -1243,7 +1389,7 @@ def bmo_norm(target, p: float, cfg: SearchConfig | None = None, collect_scan: bo
 
 def circle_bmo_norm(target, p: float, cfg: SearchConfig | None = None, collect_scan: bool = False) -> SearchReport:
     """Supremum of the centered p-oscillation over all arcs of a circle target."""
-    objective = _BmoObjective(p)
+    objective = _bmo_objective(p)
     if not _is_circle(target):
         raise InputError("target carries interval content; use the circle search on circle targets only")
     return _search(target, objective, cfg, collect_scan)

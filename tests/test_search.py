@@ -122,9 +122,10 @@ def test_value_batch_rows_do_not_depend_on_the_batch():
 
 
 def test_unenumerated_lower_is_its_witness_value():
-    # BMO_p with p != 2 reports its witness's value, on intervals and
-    # circles; seeds 1 and 11 chose a witness up to 9.5e-13 below the
-    # largest value seen, which was reported
+    # BMO_p reports its witness's value, on intervals and circles, where it
+    # refines (p = 1.5, 3, 4) and where it enumerates thresholds (p = 1);
+    # when p = 1 also refined, seeds 1 and 11 chose a witness up to 9.5e-13
+    # below the largest value seen, which was reported
     for seed in range(12):
         rng = np.random.default_rng(seed)
         f = _random_step(rng, int(rng.integers(2, 7)))
@@ -145,16 +146,16 @@ def test_monotone_convergence_in_grid_and_refinement():
         prev = -math.inf
         for grid, iters in ((1, 8), (3, 24), (7, 48)):
             cfg = SearchConfig(grid_points=grid, refine_iters=iters)
-            lb = bmo_norm(f, 1.0, cfg).lower
+            lb = bmo_norm(f, 3.0, cfg).lower
             assert lb >= prev - 1e-12
             prev = lb
 
 
 def test_thread_count_does_not_change_report():
     f = split_step()
-    base = bmo_norm(f, 1.0, SearchConfig(refine_iters=24, threads=1)).to_dict()
+    base = bmo_norm(f, 3.0, SearchConfig(refine_iters=24, threads=1)).to_dict()
     for threads in (2, 4):
-        got = bmo_norm(f, 1.0, SearchConfig(refine_iters=24, threads=threads)).to_dict()
+        got = bmo_norm(f, 3.0, SearchConfig(refine_iters=24, threads=threads)).to_dict()
         assert got["lower"] == base["lower"]
         assert got["witness"] == base["witness"]
         assert got["evaluations"] == base["evaluations"]
@@ -217,13 +218,18 @@ def _random_step(rng, n: int) -> StepFunction:
 
 
 def _exact_raw_sup(f: StepFunction, kind: str):
-    """Exact supremum of the raw BMO_2 or A_2 functional over subintervals, in rational arithmetic.
+    """Exact supremum of the raw BMO_2, A_2 or BMO_1 functional over subintervals, in rational arithmetic.
 
-    Per cell pair: the 4 corners of the ``(x, y)`` box, the edge roots of
-    the derivative's numerator (checked to be affine), and, on adjacent
-    cells, the largest box point of the ray along which the means sit at
-    the vertex of the functional's quadratic on the chord.
+    BMO_1 is the largest over the function's values ``τ`` of ``2·(B/L −
+    A·U/L²)``, with ``U`` and ``B`` the integrals of ``1{f ≥ τ}`` and ``f·1{f
+    ≥ τ}`` (see ``_bmo1_threshold_sup``).  Per cell pair: the 4 corners of
+    the ``(x, y)`` box, the edge roots of the derivative's numerator
+    (checked to be affine), and, on adjacent cells, the largest box point
+    of the ray along which the means sit at the vertex of the functional's
+    quadratic on the chord.
     """
+    if kind == "bmo1":
+        return max(_bmo1_threshold_sup(f, tau) for tau in set(f.values.tolist()))
     v = [Fraction(x) for x in f.values.tolist()]
     bp = [Fraction(x) for x in f.breakpoints.tolist()]
     t2 = [x * x for x in v] if kind == "bmo2" else [1 / x for x in v]
@@ -275,14 +281,90 @@ def _exact_raw_sup(f: StepFunction, kind: str):
     return best
 
 
+def _bmo1_threshold_sup(f: StepFunction, tau: float) -> Fraction:
+    """Exact supremum over subintervals of ``R = 2·N/L²``, ``N = B·L − A·U``, for the threshold ``tau``.
+
+    Per cell pair, in the coordinates ``s = x + y`` and ``t = x − y`` of the
+    box: ``N = α + β·s + γ·s² + (δ·t − γ·t²)``, so for ``γ > 0`` a stationary
+    point has ``t = δ/(2γ)``, and then ``R`` is a ratio of quadratics in
+    ``s`` whose stationarity is linear in ``s``.  Candidates: the corners,
+    the edge roots of the derivative's numerator (checked to be affine),
+    that interior point, and where the line ``t = δ/(2γ)`` is stationary
+    throughout, its largest box point.
+    """
+    v = [Fraction(x) for x in f.values.tolist()]
+    e = [Fraction(int(x >= tau)) for x in f.values.tolist()]
+    bp = [Fraction(x) for x in f.breakpoints.tolist()]
+    n, h = len(v), [bp[k + 1] - bp[k] for k in range(len(v))]
+    best = Fraction(0)  # intervals inside one cell
+    for i in range(n):
+        for j in range(i + 1, n):
+            mid = range(i + 1, j)
+            L0 = bp[j] - bp[i + 1]
+            SA = sum((v[k] * h[k] for k in mid), Fraction(0))
+            SU = sum((e[k] * h[k] for k in mid), Fraction(0))
+            SB = sum((v[k] * e[k] * h[k] for k in mid), Fraction(0))
+
+            def parts(x, y):
+                return SA + x * v[i] + y * v[j], SU + x * e[i] + y * e[j], SB + x * v[i] * e[i] + y * v[j] * e[j], L0 + x + y
+
+            def R(x, y):
+                A, U, B, L = parts(x, y)
+                return 2 * (B * L - A * U) / L**2 if L > 0 else None
+
+            points = [(x, y) for x in (0, h[i]) for y in (0, h[j])]
+            for fixed, moving in (("y", 0), ("y", h[j]), ("x", 0), ("x", h[i])):
+                k, hk = (i, h[i]) if fixed == "y" else (j, h[j])
+
+                def at(z):
+                    # L³/2 times the derivative of R as the end moves into cell k
+                    x, y = (z, moving) if fixed == "y" else (moving, z)
+                    A, U, B, L = parts(x, y)
+                    N = B * L - A * U
+                    dN = v[k] * e[k] * L + B - v[k] * U - A * e[k]
+                    return dN * L - 2 * N, (x, y)
+
+                (g0, _), (g1, _), (gm, _) = at(Fraction(0)), at(hk), at(hk / 2)
+                assert 2 * gm == g0 + g1
+                if g0 != g1 and 0 < g0 / (g0 - g1) < 1:
+                    points.append(at(hk * g0 / (g0 - g1))[1])
+            # N at (x, y) = ((s + t)/2, (s − t)/2): fit α, β, γ, δ from N itself
+            def N(s, t):
+                A, U, B, L = parts(Fraction(s + t, 2), Fraction(s - t, 2))
+                return B * L - A * U
+
+            alpha = N(0, 0)
+            gamma = (N(2, 0) - 2 * N(1, 0) + alpha) / 2
+            beta = N(1, 0) - alpha - gamma
+            delta = (N(0, 1) - N(0, -1)) / 2
+            assert N(0, 1) == alpha + delta - gamma
+            if gamma > 0:
+                t = delta / (2 * gamma)
+                # with c0 = α + δ·t − γ·t², R = 2·(c0 + β·s + γ·s²)/(L0 + s)², stationary where
+                # (β + 2γ·s)(L0 + s) = 2·(c0 + β·s + γ·s²), linear in s
+                c0 = alpha + delta * t - gamma * t * t
+                slope, const = 2 * gamma * L0 - beta, beta * L0 - 2 * c0
+                if slope != 0:
+                    s = -const / slope
+                    points.append(((s + t) / 2, (s - t) / 2))
+                elif const == 0:
+                    s = min(2 * h[i] - t, 2 * h[j] + t)
+                    points.append(((s + t) / 2, (s - t) / 2))
+            for x, y in points:
+                if 0 <= x <= h[i] and 0 <= y <= h[j] and R(x, y) is not None:
+                    best = max(best, R(x, y))
+    return best
+
+
 def _exact_raw(f: StepFunction, kind: str, q) -> Fraction:
     l, r = Fraction(q.left), Fraction(q.right)
-    A = B = Fraction(0)
-    for k, x in enumerate(f.values.tolist()):
-        ov = max(min(r, Fraction(f.breakpoints[k + 1])) - max(l, Fraction(f.breakpoints[k])), Fraction(0))
-        A += ov * Fraction(x)
-        B += ov * (Fraction(x) ** 2 if kind == "bmo2" else 1 / Fraction(x))
+    ovs = [max(min(r, Fraction(f.breakpoints[k + 1])) - max(l, Fraction(f.breakpoints[k])), Fraction(0)) for k in range(f.values.size)]
+    vals = [Fraction(x) for x in f.values.tolist()]
     L = r - l
+    A = sum((ov * x for ov, x in zip(ovs, vals)), Fraction(0))
+    if kind == "bmo1":
+        return sum((ov * abs(x - A / L) for ov, x in zip(ovs, vals)), Fraction(0)) / L
+    B = sum((ov * (x * x if kind == "bmo2" else 1 / x) for ov, x in zip(ovs, vals)), Fraction(0))
     return B / L - (A / L) ** 2 if kind == "bmo2" else A * B / L**2
 
 
@@ -290,12 +372,14 @@ def _exact_raw(f: StepFunction, kind: str, q) -> Fraction:
 @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([0.0, 100.0]))
 def test_enumerated_bracket_holds_the_exact_supremum(seed, offset):
     # lower is its witness's value, which is within 1e-12 of the exact
-    # supremum; the certified upper is at least the exact supremum
+    # supremum; the certified upper is at least the exact supremum and
+    # within 1e-12 of lower
     rng = np.random.default_rng(seed)
     f = _random_step(rng, int(rng.integers(2, 6)))
     targets = {
         "bmo2": (StepFunction(f.domain, f.breakpoints, f.values + offset), lambda t: bmo_norm(t, 2.0, SearchConfig(certify=True)), 2),
         "a2": (StepFunction(f.domain, f.breakpoints, np.exp(f.values)), lambda t: ap_constant(t, 2.0, SearchConfig(certify=True)), 1),
+        "bmo1": (StepFunction(f.domain, f.breakpoints, f.values + offset), lambda t: bmo_norm(t, 1.0, SearchConfig(certify=True)), 1),
     }
     for kind, (target, search, power) in targets.items():
         report = search(target)
@@ -305,6 +389,7 @@ def test_enumerated_bracket_holds_the_exact_supremum(seed, offset):
         assert at_witness >= exact * (1 - Fraction(1, 10**12)), kind
         assert abs(Fraction(report.lower) ** power - at_witness) <= Fraction(1, 10**14) * at_witness, kind
         assert Fraction(report.upper) ** power >= exact, kind
+        assert report.upper <= report.lower * (1 + 1e-12), kind
 
 
 def _lbfgs_max(f: StepFunction, value) -> float:
@@ -332,6 +417,7 @@ def test_enumeration_dominates_local_optimizer(seed):
     f = _random_step(rng, int(rng.integers(2, 6)))
     w = StepFunction(f.domain, f.breakpoints, np.exp(f.values))
     cases = [
+        (bmo_norm(f, 1.0).lower, f, lambda q: f.central_moment(q, 1.0)),
         (bmo_norm(f, 2.0).lower, f, lambda q: f.central_moment(q, 2.0) ** 0.5),
         (ap_constant(w, 2.0).lower, w, lambda q: w.distribution(q).ap_form(2.0)),
         (ap_constant(w, 3.0).lower, w, lambda q: w.distribution(q).ap_form(3.0)),
@@ -345,13 +431,14 @@ def test_enumeration_dominates_local_optimizer(seed):
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_enumeration_scaling_properties(seed):
-    # bmo_2(a·f + b) = |a|·bmo_2(f) and A_p(c·w) = A_p(w), at value scales 1e-6 to 1e6
+    # bmo_p(a·f + b) = |a|·bmo_p(f) for p = 1, 2 and A_p(c·w) = A_p(w), at value scales 1e-6 to 1e6
     rng = np.random.default_rng(seed)
     f = _random_step(rng, int(rng.integers(2, 7)))
-    base = bmo_norm(f, 2.0).lower
-    for a in (1e-6, -1e-3, 1.0, -1e3, 1e6):
-        g = StepFunction(f.domain, f.breakpoints, a * f.values + 3.0 * a)
-        assert bmo_norm(g, 2.0).lower == pytest.approx(abs(a) * base, rel=1e-12)
+    for p in (1.0, 2.0):
+        base = bmo_norm(f, p).lower
+        for a in (1e-6, -1e-3, 1.0, -1e3, 1e6):
+            g = StepFunction(f.domain, f.breakpoints, a * f.values + 3.0 * a)
+            assert bmo_norm(g, p).lower == pytest.approx(abs(a) * base, rel=1e-12)
     w = np.exp(f.values)
     for p in (1.5, 2.0, 3.0):
         base = ap_constant(StepFunction(f.domain, f.breakpoints, w), p).lower
@@ -360,8 +447,8 @@ def test_enumeration_scaling_properties(seed):
 
 
 def test_mean_decomposable_flat_searches_never_refine(monkeypatch):
-    # BMO_2, A_p and A_inf enumerate cell pairs on intervals and circles;
-    # BMO_p with p != 2 still refines by golden section
+    # BMO_1, BMO_2, A_p and A_inf enumerate cell pairs on intervals and
+    # circles; BMO_p with p not in {1, 2} still refines by golden section
     def refuse(*args, **kwargs):
         raise AssertionError("golden-section probe")
 
@@ -373,26 +460,33 @@ def test_mean_decomposable_flat_searches_never_refine(monkeypatch):
     circ_w = StepFunction(CIRCLE, f.breakpoints, np.exp(f.values))
     cfg = SearchConfig(certify=True)
     for report in (
+        bmo_norm(f, 1.0, cfg),
         bmo_norm(f, 2.0, cfg),
         ap_constant(w, 1.5, cfg),
         ap_constant(w, 2.0, cfg),
         ap_constant(w, 3.0, cfg),
         a_inf_constant(w, cfg),
+        circle_bmo_norm(circ, 1.0, cfg),
         circle_bmo_norm(circ, 2.0, cfg),
         ap_constant(circ_w, 2.0, cfg),
         a_inf_constant(circ_w, cfg),
     ):
         assert report.lower <= report.upper
     with pytest.raises(AssertionError, match="golden"):
-        bmo_norm(f, 1.0, cfg)
+        bmo_norm(f, 3.0, cfg)
 
 
 def test_enumeration_report_does_not_depend_on_threads():
-    # 200 pieces make 19900 cell pairs, several chunks
+    # 200 pieces make 19900 cell pairs, several chunks, and at p = 1 more (pair, threshold) rows
     rng = np.random.default_rng(11)
     f = _random_step(rng, 200)
     circ = StepFunction(CIRCLE, f.breakpoints, f.values)
-    for search in (lambda cfg: bmo_norm(f, 2.0, cfg), lambda cfg: circle_bmo_norm(circ, 2.0, cfg)):
+    for search in (
+        lambda cfg: bmo_norm(f, 2.0, cfg),
+        lambda cfg: circle_bmo_norm(circ, 2.0, cfg),
+        lambda cfg: bmo_norm(f, 1.0, cfg),
+        lambda cfg: circle_bmo_norm(circ, 1.0, cfg),
+    ):
         base = search(SearchConfig(certify=True)).to_dict()
         got = search(SearchConfig(certify=True, threads=3)).to_dict()
         got["config"]["threads"] = 1
@@ -435,9 +529,9 @@ def _traced_peak(search):
 
 
 def test_pair_scan_memory_stays_small():
-    # p = 1 still scans pairs: 1281 candidate points make 820k pairs, whose
+    # p = 3 still scans pairs: 1281 candidate points make 820k pairs, whose
     # ends are built a chunk at a time, and only the values of all pairs are held
-    r, peak = _traced_peak(lambda: bmo_norm(_zero_one_step(40), 1.0, SearchConfig(grid_points=31)))
+    r, peak = _traced_peak(lambda: bmo_norm(_zero_one_step(40), 3.0, SearchConfig(grid_points=31)))
     assert peak < 64 * 2**20
     assert r.lower == pytest.approx(0.5, rel=1e-12)
     assert r.evaluations == 880527
@@ -448,6 +542,32 @@ def test_pair_enumeration_memory_stays_small():
     r, peak = _traced_peak(lambda: bmo_norm(_zero_one_step(600), 2.0))
     assert peak < 64 * 2**20
     assert r.lower == pytest.approx(0.5, rel=1e-12)
+
+
+def test_threshold_enumeration_memory_stays_small():
+    # p = 1 enumerates (cell pair, threshold) rows: 600 distinct values make
+    # 600 thresholds, whose prefix sums over 600 cells (1200 on the circle's
+    # two-period unrolling) are held at once, and rows are taken a chunk at a time
+    k = np.arange(600)
+    values = k % 2 + k * 1e-6
+    f = StepFunction(Interval(0.0, 1.0), np.linspace(0.0, 1.0, 601), values)
+    circ = StepFunction(CIRCLE, f.breakpoints, values)
+    for search, target in ((bmo_norm, f), (circle_bmo_norm, circ)):
+        r, peak = _traced_peak(lambda: search(target, 1.0))
+        assert peak < 64 * 2**20
+        assert r.lower == pytest.approx(0.5, rel=1e-3)
+        assert abs(target.central_moment(r.witness, 1.0) - r.lower) <= 1e-15 * r.lower
+
+
+def test_bmo1_of_the_step_at_three_quarters_is_one_half():
+    # the supremum 1/2 is attained only at intervals with equal 0 and 1
+    # mass; lower is its witness's value, and the certified upper a proof
+    # (on the circle the upper also carries the long arcs' TV slack)
+    r = bmo_norm(split_step(), 1.0, SearchConfig(certify=True))
+    assert abs(r.lower - 0.5) <= 1e-12 and abs(r.upper - 0.5) <= 1e-12 and r.lower <= r.upper
+    assert (r.witness.left, r.witness.right) == (0.5, 1.0)
+    circ = StepFunction(CIRCLE, split_step().breakpoints, split_step().values)
+    assert abs(circle_bmo_norm(circ, 1.0).lower - 0.5) <= 1e-12
 
 
 def _golden_lanes():
@@ -633,15 +753,17 @@ def test_junction_scan_replays_per_junction_order():
 
 def test_dag_circle_report_keeps_evaluation_count():
     # the count of a junction-at-a-time scan with one query per arc,
-    # refining with 15 sections per round; at p = 2 the leaves' flat
-    # searches enumerate cell pairs, so only their share of the count moves
+    # refining with 15 sections per round; at p = 3 the leaves' flat
+    # searches refine by golden section, at p = 1 and 2 they enumerate
+    # (cell pair, threshold) rows and cell pairs, so only their share of the count moves
     f, g = _dag_leaves()
     e = periodize(glue(homogenize(f, 0.95), g, 0.4, 0.95))
     cfg = SearchConfig(refine_iters=24, certify=True)
-    leaves = {p: sum(bmo_norm(node.function, p, cfg).evaluations for node in (f, g)) for p in (1.0, 2.0)}
-    assert circle_bmo_norm(e, 1.0, cfg).evaluations == 79726
-    assert circle_bmo_norm(e, 2.0, cfg).evaluations - leaves[2.0] == 79726 - leaves[1.0]
-    assert leaves[2.0] < leaves[1.0]
+    leaves = {p: sum(bmo_norm(node.function, p, cfg).evaluations for node in (f, g)) for p in (1.0, 2.0, 3.0)}
+    assert circle_bmo_norm(e, 3.0, cfg).evaluations == 79726
+    assert circle_bmo_norm(e, 1.0, cfg).evaluations == 15706
+    assert circle_bmo_norm(e, 2.0, cfg).evaluations - leaves[2.0] == 15706 - leaves[1.0] == 79726 - leaves[3.0]
+    assert leaves[2.0] < leaves[1.0] < leaves[3.0]
 
 
 # -- circle searches -------------------------------------------------------------

@@ -43,3 +43,26 @@ def test_compare_reports_pairs_reports_by_test_and_order(tmp_path, capsys):
     assert rows[("bmo_2", "circle")] == ["1", "0", "0", "0", "0", "0"]
     assert lines[-2] == "largest lower drop: 0.5 relative, report 0 of t::a"
     assert lines[-1] == "reports only in the first file: 1, only in the second: 0"
+
+
+def test_compare_reports_max_lower_drop_lists_and_fails(tmp_path, capsys):
+    compare_reports = _load("compare_reports")
+    before = tmp_path / "before.tsv"
+    after = tmp_path / "after.tsv"
+    before.write_text(
+        _record("t::a", "flat", 2.0, None, 0.0, 0.5, "bmo_1", "interval")
+        + _record("t::a", "flat", 1.0, None, 0.0, 0.5, "bmo_1", "interval")
+        + _record("t::b", "flat", 4.0, None, 0.0, 1.0, "bmo_2", "circle")
+    )
+    after.write_text(
+        _record("t::a", "flat", 2.0 * (1 - 1e-9), None, 0.0, 0.5, "bmo_1", "interval")
+        + _record("t::a", "flat", 1.0 * (1 - 1e-13), None, 0.0, 0.5, "bmo_1", "interval")
+        + _record("t::b", "flat", 5.0, None, 0.0, 1.0, "bmo_2", "circle")
+    )
+    # only the first report fell by more than 1e-12
+    assert compare_reports.main([str(before), str(after), "--max-lower-drop", "1e-12"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == "lower drop 1e-09 relative, report 0 of t::a"
+    assert lines[-1] == "1 lower(s) fell by more than 1e-12 relative"
+    assert compare_reports.main([str(before), str(after), "--max-lower-drop", "1e-8"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0 lower(s) fell by more than 1e-08 relative"

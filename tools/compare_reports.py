@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/compare_reports.py BEFORE.tsv AFTER.tsv
+    python3 tools/compare_reports.py BEFORE.tsv AFTER.tsv [--max-lower-drop REL]
 
 The k-th search report a test records in BEFORE is paired with the k-th
 one the same test records in AFTER (``construct.query`` lines are
@@ -13,6 +13,10 @@ the pair with the largest relative drop of ``lower``, and the number of
 reports found in only one file.  A relative change is
 ``(after - before) / |before|``, or the plain difference when BEFORE is
 0; an ``upper`` of None on either side is not compared.
+
+With ``--max-lower-drop REL`` the script then lists every pair whose
+``lower`` fell by more than REL relative, and exits with status 1 if
+there is one.
 """
 from __future__ import annotations
 
@@ -61,6 +65,16 @@ class _Group:
             move[0], move[1] = max(move[0], -rel), max(move[1], rel)
 
 
+def lower_drops(before: dict, after: dict, rel: float) -> list:
+    """``(relative drop, test id, k)`` of every paired report whose ``lower`` fell by more than ``rel``."""
+    drops = []
+    for key in sorted(before.keys() & after.keys()):
+        move = _relative(float.fromhex(before[key][2]), float.fromhex(after[key][2]))
+        if -move > rel:
+            drops.append((-move, *key))
+    return drops
+
+
 def compare(before: dict, after: dict) -> str:
     groups: dict = defaultdict(_Group)
     worst = (0.0, None)
@@ -94,9 +108,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("before", help="record file of the earlier run")
     parser.add_argument("after", help="record file of the later run")
+    parser.add_argument("--max-lower-drop", type=float, metavar="REL", default=None,
+                        help="exit with status 1, listing them, if some lower fell by more than REL relative")
     args = parser.parse_args(argv)
-    print(compare(read_reports(args.before), read_reports(args.after)))
-    return 0
+    before, after = read_reports(args.before), read_reports(args.after)
+    print(compare(before, after))
+    if args.max_lower_drop is None:
+        return 0
+    drops = lower_drops(before, after, args.max_lower_drop)
+    for drop, test, k in drops:
+        print(f"lower drop {drop:.3g} relative, report {k} of {test}")
+    print(f"{len(drops)} lower(s) fell by more than {args.max_lower_drop:g} relative")
+    return 1 if drops else 0
 
 
 if __name__ == "__main__":
