@@ -11,8 +11,11 @@ copy requests for the child.  A batch is one topological pass: top down,
 parents before children, every node gathers all the ranges it receives
 (its own rows and its parents' copy requests) into one array and splits
 them into copy requests; bottom up, it combines its children's
-``(ranges, atoms)`` mass matrices.  Each distinct node runs once per
-batch and a row's ranges grow linearly with construction depth,
+``(ranges, atoms)`` mass matrices.  A node with a single atom (a constant,
+and any homogenization, gluing or periodization of constants of one value)
+answers every range with its length and sends no copy requests, so the
+pass never enters the nodes below it.  Each distinct node runs at most
+once per batch and a row's ranges grow linearly with construction depth,
 independent of the (possibly astronomical) realized piece count; a single
 query is a batch of one.
 
@@ -116,7 +119,10 @@ class QueryResult:
     ``depth`` the deepest recursion level touched, ``partial_end_weight``
     the query-mass fraction resolved through partial end copies at the
     outermost decomposition, and ``nodes_visited`` an operation-count
-    telemetry figure.
+    telemetry figure.  A node with one atom answers without recursion, so
+    ``depth`` and ``nodes_visited`` count no node below one; a one-atom
+    query root still reports the ``partial_end_weight`` of its own
+    decomposition.
     """
 
     value: float | None
@@ -229,12 +235,17 @@ class LeafExpr(ConstructExpr):
     def _combine(self, q, subs):
         bp = self.function.breakpoints
         out = np.zeros((q.shape[1], self.atom_values.size))
+        # where every atom has one piece a scatter places the overlaps (0.0 + x is x), else they add up
+        scatter = self.atom_values.size == self.function.piece_count
         # the (ranges x pieces) overlaps in slices of at most _BATCH_BUDGET floats (or one range)
         step = max(1, _BATCH_BUDGET // self.function.piece_count)
         for s in range(0, q.shape[1], step):
             l, r = q[:, s : s + step, None]
             ov = np.maximum(np.minimum(r, bp[1:]) - np.maximum(l, bp[:-1]), 0.0)
-            np.add.at(out[s : s + step], (slice(None), self._value_idx), ov)
+            if scatter:
+                out[s : s + step, self._value_idx] = ov
+            else:
+                np.add.at(out[s : s + step], (slice(None), self._value_idx), ov)
         return out
 
     def to_dict(self) -> dict:
@@ -253,9 +264,6 @@ class ConstExpr(ConstructExpr):
         self.dist_vec = np.array([1.0])
         self.dist_vec.setflags(write=False)
         self.depth = 0
-
-    def _combine(self, q, subs):
-        return (q[1] - q[0])[:, None]
 
     def to_dict(self) -> dict:
         return {"kind": "const", "value": self.value}
@@ -412,10 +420,13 @@ class GlueExpr(_CircleExpr):
         )
         map0 = _index_map(e0.atom_values, self.atom_values)
         map1 = _index_map(e1.atom_values, self.atom_values)
-        # (copy, its range in the base period, child atom -> node atom map, contiguous span or None)
-        self._arms = (
-            (self.hom1, 0.0, self.alpha, map1, _contiguous_span(map1)),
-            (self.hom0, self.alpha, 1.0, map0, _contiguous_span(map0)),
+        # (copy, its range in the base period, child atom -> node atom map,
+        # contiguous span or None, whether the map is injective); a map
+        # between sorted atom tables never decreases, and merges within
+        # _ATOM_TOL may send two child atoms to one node atom
+        self._arms = tuple(
+            (hom, a, b, mapping, _contiguous_span(mapping), bool((np.diff(mapping) > 0).all()))
+            for hom, a, b, mapping in ((self.hom1, 0.0, self.alpha, map1), (self.hom0, self.alpha, 1.0, map0))
         )
         vec = np.zeros(self.atom_values.size)
         np.add.at(vec, map0, (1.0 - self.alpha) * e0.dist_vec)
@@ -430,23 +441,25 @@ class GlueExpr(_CircleExpr):
 
     def _period_split(self, u):
         reqs, arms = [], []
-        for hom, a, b, mapping, span in self._arms:
+        for hom, a, b, *cols in self._arms:
             # clamped to the arm; a range that misses it comes out empty
             arm = np.minimum(np.maximum(u, a), b)
             live = (arm[1] > arm[0]).nonzero()[0]
             if live.size:
                 reqs.append((hom, a, b, arm[:, live], live))
-                arms.append((live, mapping, span))
+                arms.append((live, *cols))
         return reqs, (u.shape[1], arms)
 
     def _period_combine(self, state, subs):
         m, arms = state
         out = np.zeros((m, self.atom_values.size))
-        for (live, mapping, span), sub in zip(arms, subs):
-            if span is None:
-                np.add.at(out, (live[:, None], mapping), sub)
-            else:
+        for (live, mapping, span, injective), sub in zip(arms, subs):
+            if span is not None:
                 out[live, span[0] : span[1]] += sub
+            elif injective:
+                out[live[:, None], mapping] += sub
+            else:
+                np.add.at(out, (live[:, None], mapping), sub)
         return out
 
     def to_dict(self) -> dict:
@@ -593,6 +606,11 @@ class _Trail:
         return np.bincount(rows, minlength=self.n), deepest
 
 
+def _lengths(q: np.ndarray, subs: list) -> np.ndarray:
+    """The masses of a one-atom node's ranges ``q``: their lengths."""
+    return (q[1] - q[0])[:, None]
+
+
 def _pass(groups: list, q: np.ndarray, limits: np.ndarray):
     """Answer the ranges of several root nodes in one topological pass.
 
@@ -601,7 +619,10 @@ def _pass(groups: list, q: np.ndarray, limits: np.ndarray):
     before children, every node gathers all the ranges it receives, its
     own rows' and all its parents' copy requests, into one array and splits
     them into copy requests for its children; bottom up, every node
-    combines its children's masses.  Each distinct node runs once.  A range
+    combines its children's masses.  A node with one atom answers its
+    ranges with their lengths and sends no copy requests, so no node below
+    it runs unless another path reaches it.  Each distinct node runs at
+    most once.  A range
     that reached a node through ``k`` copies sits at recursion level
     ``k + 1``, which may not exceed its row's entry of ``limits``; every
     part a node receives carries a lower bound on that margin, and only a
@@ -644,7 +665,16 @@ def _pass(groups: list, q: np.ndarray, limits: np.ndarray):
             trail.tally()
             if (trail.levels[run] > limits[trail.rows[run]]).any():
                 raise InternalError("query recursion exceeded 10x construction depth")
-        reqs, state, partial = node._split(rq)
+        if node.atom_values.size == 1:
+            # every range of a one-atom node holds its value alone: its mass
+            # is its length, and nothing below the node runs
+            reqs, state, combine = [], rq, _lengths
+
+            def partial(node=node, rq=rq):
+                return node._split(rq)[2]()
+        else:
+            reqs, state, partial = node._split(rq)
+            combine = node._combine
         if id(node) in roots:
             partials[id(node)] = partial
         copies = []
@@ -666,7 +696,7 @@ def _pass(groups: list, q: np.ndarray, limits: np.ndarray):
                 # the child's masses rescale to this node's length units
                 scale = ((cq[1] - cq[0]) / (m[1] - m[0]))[:, None]
             copies.append((child, start, live, total, scale))
-        runs.append((node, state, copies))
+        runs.append((node, combine, state, copies))
 
     masses: dict = {}
 
@@ -677,7 +707,7 @@ def _pass(groups: list, q: np.ndarray, limits: np.ndarray):
         else:
             del masses[key]
 
-    for node, state, copies in reversed(runs):
+    for node, combine, state, copies in reversed(runs):
         subs = []
         for child, start, live, total, scale in copies:
             out = np.zeros((total, child.atom_values.size)) if live.size < total else None
@@ -692,7 +722,7 @@ def _pass(groups: list, q: np.ndarray, limits: np.ndarray):
                 else:
                     out[live] = sub
             subs.append(out)
-        masses[id(node)] = node._combine(state, subs)
+        masses[id(node)] = combine(state, subs)
         if not readers.get(id(node)):
             settle(id(node))
     return [(masses[id(root)][s : s + k], (partials[id(root)], s)) for root, s, k in slots], trail

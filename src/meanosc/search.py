@@ -27,16 +27,21 @@ logarithmic length grid; arcs covering at least ``r_long`` whole periods
 have distributions within total variation ``2 / (r_long + 1)`` of the
 node distribution, which caps their values provably.
 
+A node with one atom (a constant, or constants of one value homogenized,
+glued or periodized) has that value on every arc; it is neither scanned
+nor queried, and the walk does not enter the nodes below it.
+
 DAG arcs are evaluated a batch at a time through
 ``construct.query_batches``, whose rows may belong to different nodes.
-The junction scans of every node of the DAG run in lockstep: the
-junction grids of all nodes are one query, the block golden-section
-refinement of all their junction leaders takes one query per round, the
-refined arcs are one query, and so are the long-arc grids of all circle
-nodes; full arcs and embedded child witnesses are single queries.  Each node replays its
-offers where the structural walk reaches it, junction by junction in the
-order a junction-at-a-time scan makes them, so the batching changes no
-witness choice.
+The junction scans of every node the walk enters run in lockstep: the
+junction grids of all nodes and the long-arc grids of all circle nodes
+are one query, and the block golden-section refinement of all their
+junction leaders takes one query per round, whose best probes are the
+refined arcs; full arcs and embedded child witnesses are single
+queries.  Each node replays its offers where the structural walk reaches
+it, junction by junction in the order a junction-at-a-time scan makes
+them, so the batching changes no witness choice.  Ordered replays skip
+the offers that cannot change the running best (``_Best.offer_sequence``).
 
 When ``certify`` is set, reports carry an upper bound next to the lower
 bound.  For flat interval functions under an enumerated objective it is a
@@ -60,7 +65,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construct import (
-    ConstExpr,
     ConstructExpr,
     GlueExpr,
     HomExpr,
@@ -394,9 +398,17 @@ def _bmo_objective(p: float) -> _BmoObjective:
     return {1.0: _Bmo1Objective, 2.0: _Bmo2Objective}.get(float(p), _BmoObjective)(p)
 
 
-class _ApObjective(_Objective):
+class _WeightObjective(_Objective):
+    """A weight constant: at least 1 on every interval, by Jensen's inequality."""
+
     requires_positive = True
 
+    def value_from_raw(self, raw):
+        # rounding can put a constant weight's raw value an ulp below 1
+        return np.maximum(raw, 1.0) if np.ndim(raw) else max(raw, 1.0)
+
+
+class _ApObjective(_WeightObjective):
     def __init__(self, p: float):
         if p <= 1:
             raise InputError(f"weight exponent p must be > 1, got {p}")
@@ -447,8 +459,7 @@ class _ApObjective(_Objective):
         return 2.0 * self.p * tv * ratio ** max(1.0, 1.0 / (self.p - 1.0))
 
 
-class _AInfObjective(_Objective):
-    requires_positive = True
+class _AInfObjective(_WeightObjective):
     name = "a_inf"
 
     def raw_from_parts(self, ov, values, lengths):
@@ -542,6 +553,23 @@ class _Best:
             order = np.lexsort((lens, ls))
             k = idx[order[0]]
             self.offer(float(values[k]), float(lefts[k]), float(rights[k]))
+
+    def offer_sequence(self, values: np.ndarray, lefts: np.ndarray, rights: np.ndarray):
+        """``offer`` every ``(values[i], lefts[i], rights[i])`` in order, skipping the offers it would ignore.
+
+        An offer below the running maximum before it by more than the tie
+        tolerance changes nothing.  The running maximum is the prefix
+        maximum of the values (``offer`` never takes a NaN), so those
+        offers are found at once; the rest go through ``offer`` as Python
+        floats, and the result is bitwise that of offering all of them.
+        """
+        if values.size == 0:
+            return
+        run = np.fmax.accumulate(np.concatenate(([self.value], values[:-1])))
+        with np.errstate(invalid="ignore"):  # after +inf, inf - inf: nothing counts
+            keep = np.flatnonzero(values >= run - 1e-12 * np.maximum(1.0, np.abs(run)))
+        for v, l, r in zip(values[keep].tolist(), lefts[keep].tolist(), rights[keep].tolist()):
+            self.offer(v, l, r)
 
     def finish(self):
         """Resolve the final witness; the exact maximum stays the bound."""
@@ -947,7 +975,7 @@ def _refine_leaders(target: _FlatTarget, lefts, rights, cfg: SearchConfig, best:
     eps = 1e-12 * (bp[-1] - bp[0])
     last = bp.size - 2
     l, r = np.array(lefts, dtype=float), np.array(rights, dtype=float)
-    offers = []
+    offers = []  # per refined end: (lanes, step, values, lefts, rights)
 
     def probe(ls, rs):
         # a (lanes, m) array of probes, one end per lane fixed
@@ -962,19 +990,20 @@ def _refine_leaders(target: _FlatTarget, lefts, rights, cfg: SearchConfig, best:
         if lanes.size:
             rs = r[lanes]
             l[lanes], v = _golden_max(lambda x: probe(x, rs[:, None]), lo[lanes], hi[lanes], cfg.refine_iters)
-            offers.extend(zip(lanes.tolist(), [step] * lanes.size, v.tolist(), l[lanes].tolist(), rs.tolist()))
+            offers.append((lanes, np.full(lanes.size, step), v, l[lanes], rs))
         j = np.clip(np.searchsorted(bp, r, side="left") - 1, 0, last)
         lo, hi = np.maximum(bp[j], l + eps), bp[j + 1]
         lanes = np.flatnonzero(hi > lo)
         if lanes.size:
             ls = l[lanes]
             r[lanes], v = _golden_max(lambda x: probe(ls[:, None], x), lo[lanes], hi[lanes], cfg.refine_iters)
-            offers.extend(zip(lanes.tolist(), [step + 1] * lanes.size, v.tolist(), ls.tolist(), r[lanes].tolist()))
-    # _Best's tie tolerance follows the running maximum, so results are
-    # offered leader by leader, each leader's steps in order
-    offers.sort(key=lambda o: o[:2])
-    for _, _, v, wl, wr in offers:
-        best.offer(v, wl, wr)
+            offers.append((lanes, np.full(lanes.size, step + 1), v, ls, r[lanes]))
+    if offers:
+        # _Best's tie tolerance follows the running maximum, so results are
+        # offered leader by leader, each leader's steps in order
+        lanes, steps, v, wl, wr = (np.concatenate(col) for col in zip(*offers))
+        order = np.lexsort((steps, lanes))
+        best.offer_sequence(v[order], wl[order], wr[order])
 
 
 def _subinterval_search(target: _FlatTarget, cfg: SearchConfig, collect: list | None, lefts: int | None = None):
@@ -1034,8 +1063,8 @@ def _long_arc_grid(t0: float, cfg: SearchConfig):
 
 def _long_arc_scan(raws: np.ndarray, ls: np.ndarray, rs: np.ndarray, objective: _Objective, best: _Best) -> float:
     """Offer the long arcs ``[ls[i], rs[i]]`` with their raw values; returns the largest, for the certificate."""
-    for raw, l, r in zip(raws.tolist(), ls.tolist(), rs.tolist()):
-        best.offer(objective.value_from_raw(raw), l, r)
+    # values through the scalar transform, which an array power may round differently
+    best.offer_sequence(np.array([objective.value_from_raw(raw) for raw in raws.tolist()]), ls, rs)
     return float(raws.max())
 
 
@@ -1120,10 +1149,14 @@ class _DagSearch:
 
     Per node: junction scans around every distinct junction type of the
     node's own structure, long-arc scans for circle nodes, and embedding
-    of child witnesses through one representative copy.  The junction
-    scans and long-arc grids of the whole DAG run first, in lockstep (see
-    ``_lockstep_scans``); each node replays its offers where its walk
-    reaches them.  Candidates whose embedding would collapse below float
+    of child witnesses through one representative copy.  A node with one
+    atom gets none of these and no query: every arc of it has the value of
+    its distribution, and its witness is its carrier (a circle's base
+    period), so the walk never enters the nodes below it.  The junction
+    scans and long-arc grids of every node the walk enters run first, in
+    lockstep (see ``_lockstep_scans``); each node replays its offers, in
+    order, where its walk reaches them (``_Best.offer_sequence``).
+    Candidates whose embedding would collapse below float
     resolution still contribute to the certified raw maximum; only
     anchored candidates (re-evaluated at the node itself) feed the
     reported lower bound and witness.
@@ -1156,8 +1189,16 @@ class _DagSearch:
 
     def run(self, root: ConstructExpr) -> tuple[float, tuple[float, float] | None]:
         """Scan every junction and long-arc grid of the DAG in lockstep, then walk it from ``root``."""
-        # the nodes the walk below searches through their copies and junctions
-        self._scans = self._lockstep_scans([node for node in root.nodes if node.children])
+        # the nodes the walk below searches through their copies and
+        # junctions: those with children and more than one atom, reached
+        # from the root through such nodes
+        walked, stack = set(), [root]
+        while stack:
+            node = stack.pop()
+            if id(node) not in walked and node.children and node.atom_values.size > 1:
+                walked.add(id(node))
+                stack.extend(node.children)
+        self._scans = self._lockstep_scans([node for node in root.nodes if id(node) in walked])
         return self.search(root)
 
     def search(self, node: ConstructExpr) -> tuple[float, tuple[float, float] | None]:
@@ -1165,8 +1206,12 @@ class _DagSearch:
         if key in self._memo:
             return self._memo[key]
         best = _Best()
-        if isinstance(node, ConstExpr):
-            self._offer_one(node, *node.carrier, best)
+        if node.atom_values.size == 1:
+            # every arc of a one-atom node has the one value of its distribution
+            self.evaluations += 1
+            raw = self.objective.raw_from_dist(node.distribution())
+            self.raw_max = max(self.raw_max, raw)
+            best.offer(self.objective.value_from_raw(raw), *node.content_bounds())
         elif isinstance(node, LeafExpr):
             # the leaf's proven ceiling where its objective enumerates, else its lower bound
             leaf = _FlatTarget(node.function, self.objective)
@@ -1194,8 +1239,7 @@ class _DagSearch:
             self.raw_max = max(self.raw_max, self.objective.raw_of_value(child_best))
             self._embed(node, child, child_wit, lo, hi, best)
         offers, long_raws = self._scans.pop(id(node))
-        for v, l, r in offers:
-            best.offer(v, l, r)
+        best.offer_sequence(*offers)
         if node.is_circle:
             self.raw_max = max(self.raw_max, self.objective.raw_from_dist(node.distribution()))
             _long_arc_scan(long_raws, *_long_arc_grid(0.0, self.cfg), self.objective, best)
@@ -1229,13 +1273,15 @@ class _DagSearch:
         the 4 best of them refined by block golden section, first in
         log-length, then in ``t``.  An arc ``(c, t, ell)`` has length
         ``ell`` with the fraction ``t`` of it left of ``c``, clipped to the
-        carrier of an interval node.  The grids of all junctions of all nodes are one
-        multi-root query, the leaders of all of them refine in lockstep, one
-        query per round, the refined arcs are one query, and so are
-        the long-arc grids of all circle nodes.  Returns, by node ``id``, the node's
-        ``(value, left, right)`` junction offers, junction by junction, grid
-        first, in the order a junction-at-a-time scan makes them, and the
-        raw values of its long-arc grid (None on interval nodes).
+        carrier of an interval node.  The grids of all junctions of all
+        nodes and the long-arc grids of all circle nodes are one multi-root
+        query, and the leaders of all junctions refine in lockstep, one
+        query per round.  The refined arcs are the rounds' best probes, so
+        their values need no query of their own; they count as evaluations
+        all the same.  Returns, by node ``id``, the node's junction offers
+        as the arrays ``(values, lefts, rights)``, junction by junction,
+        grid first, in the order a junction-at-a-time scan makes them, and
+        the raw values of its long-arc grid (None on interval nodes).
         """
         if not nodes:
             return {}
@@ -1257,24 +1303,35 @@ class _DagSearch:
                 lengths.append(_geom_lengths(max(s, 1e-13), hi, max(2, cfg.grid_points)))
         jc, jnode, clip_lo, clip_hi = np.array(jc), np.array(jnode, dtype=int), np.array(clip_lo), np.array(clip_hi)
 
-        def arcs(js, ts, ells):
+        def ends(js, ts, ells):
             # arcs around the junctions js, clipped to interval carriers (a
-            # circle node's clip is infinite); an arc clipping empties is worth -inf
+            # circle node's clip is infinite), and the ones not clipped empty
             cs, ni = jc[js], jnode[js]
             ls = np.maximum(cs - ts * ells, clip_lo[ni])
             rs = np.minimum(cs + (1.0 - ts) * ells, clip_hi[ni])
-            vs = np.full(ls.size, -math.inf)
-            live = (rs - ls > 1e-15).nonzero()[0]
-            if live.size:
-                # arcs come node by node: one group per node
-                ni, ll, rr = ni[live], ls[live], rs[live]
-                cuts = [0, *(np.flatnonzero(np.diff(ni)) + 1).tolist(), live.size]
-                groups = [(nodes[ni[s]], ll[s:e], rr[s:e]) for s, e in zip(cuts[:-1], cuts[1:])]
-                vs[live] = self.objective.value_from_raw(self.raws(groups))
-            return ls, rs, vs
+            return ls, rs, (rs - ls > 1e-15).nonzero()[0]
 
+        def arcs(js, ts, ells, extra=()):
+            # the arcs' values, -inf where clipped empty, in one query with
+            # the groups ``extra``, whose raw values come back too
+            ls, rs, live = ends(js, ts, ells)
+            vs = np.full(ls.size, -math.inf)
+            # arcs come node by node: one group per node
+            ni, ll, rr = jnode[js[live]], ls[live], rs[live]
+            starts = np.flatnonzero(np.diff(ni, prepend=-1)).tolist()
+            groups = [(nodes[ni[s]], ll[s:e], rr[s:e]) for s, e in zip(starts, [*starts[1:], live.size])]
+            raw = self.raws([*groups, *extra]) if groups or extra else np.zeros(0)
+            vs[live] = self.objective.value_from_raw(raw[: live.size])
+            return ls, rs, vs, raw[live.size :]
+
+        # the long-arc grids of the circle nodes join the junction grid's query
+        gl, gr = _long_arc_grid(0.0, cfg)
+        circles = [node for node in nodes if node.is_circle]
         owner = np.repeat(np.arange(jc.size), [g.size * offsets.size for g in lengths])
-        ls, rs, vs = arcs(owner, np.tile(offsets, owner.size // offsets.size), np.repeat(np.concatenate(lengths), offsets.size))
+        ls, rs, vs, long_raws = arcs(
+            owner, np.tile(offsets, owner.size // offsets.size), np.repeat(np.concatenate(lengths), offsets.size),
+            [(node, gl, gr) for node in circles],
+        )
         # the 4 best grid arcs of every junction are the lanes of the refinement
         ranked = np.lexsort((-vs, owner))
         lanes = ranked[np.arange(owner.size) - np.searchsorted(owner, owner[ranked]) < 4]
@@ -1298,22 +1355,21 @@ class _DagSearch:
         lo, hi = [max(x - 2.0, a) for x, a in zip(x0, log_lo)], [min(x + 2.0, b) for x, b in zip(x0, log_hi)]
         lx, _ = _golden_max(lambda xs: lane_values(t0[:, None], exps(xs)), lo, hi, cfg.refine_iters)
         ell1 = exps(lx)
-        tt, _ = _golden_max(lambda ts: lane_values(ts, ell1[:, None]), np.zeros(lanes.size), np.ones(lanes.size), cfg.refine_iters)
-        fl, fr, fv = arcs(lj, tt, ell1)
-        gl, gr = _long_arc_grid(0.0, cfg)
-        circles = [node for node in nodes if node.is_circle]
-        long_raws = self.raws([(node, gl, gr) for node in circles]) if circles else None
+        tt, fv = _golden_max(lambda ts: lane_values(ts, ell1[:, None]), np.zeros(lanes.size), np.ones(lanes.size), cfg.refine_iters)
+        # the refined arcs are the best probes, already evaluated; they still count
+        fl, fr, live = ends(lj, tt, ell1)
+        self.evaluations += live.size
         # replay junction by junction, grid arcs first, as a junction-at-a-time scan offers them
         js = np.concatenate((owner, lj))
         order = np.argsort(js, kind="stable")
         v, l, r = (np.concatenate(pair)[order] for pair in ((vs, fv), (ls, fl), (rs, fr)))
         keep = v > -math.inf
         counts = np.bincount(jnode[js[order][keep]], minlength=len(nodes)).tolist()
-        offers = list(zip(v[keep].tolist(), l[keep].tolist(), r[keep].tolist()))
+        v, l, r = v[keep], l[keep], r[keep]
         long_of = {id(node): long_raws[k * gl.size : (k + 1) * gl.size] for k, node in enumerate(circles)}
         out, s = {}, 0
         for node, n in zip(nodes, counts):
-            out[id(node)], s = (offers[s : s + n], long_of.get(id(node))), s + n
+            out[id(node)], s = ((v[s : s + n], l[s : s + n], r[s : s + n]), long_of.get(id(node))), s + n
         return out
 
 

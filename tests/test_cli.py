@@ -132,6 +132,20 @@ def test_staircase_compile_pipeline(tmp_path, sign_file):
     assert out["partial_end_weight"] == 0.0
 
 
+def test_eval_of_a_one_atom_expression_visits_only_its_root(tmp_path):
+    # a periodized homogenized constant holds one atom: its query answers
+    # without recursion, so depth and visits count the root alone
+    hom = {"kind": "hom", "child": {"kind": "const", "value": 2.0}, "lambda_hom": 0.5, "levels": 3}
+    path = tmp_path / "const.json"
+    path.write_text(json.dumps({"kind": "periodize", "child": hom}))
+    res = run_cli("eval", "--in", str(path), "--left", "0.3", "--right", "2.1")
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    assert (out["depth"], out["nodes_visited"], out["average"]) == (1, 1, 2.0)
+    # the two partial periods, 0.7 + 0.1 of the length 1.8
+    assert out["partial_end_weight"] == pytest.approx(0.8 / 1.8, rel=1e-12)
+
+
 def test_homogenize_and_glue(tmp_path, sign_file):
     hom_path = tmp_path / "hom.json"
     res = run_cli("homogenize", "--in", sign_file, "--lambda-hom", "0.5", "--levels", "3", "--out", str(hom_path))

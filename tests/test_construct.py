@@ -466,29 +466,107 @@ def test_multi_root_batch_matches_per_root_batches_of_one(seed):
                     assert getattr(batch, field)[i] == getattr(one, field)[0], (name, node, l, r, field)
 
 
+def _unshadowed(roots):
+    """The nodes a pass over ``roots`` runs: every node reached from them without passing below a one-atom node."""
+    seen, stack = {}, list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            if node.atom_values.size > 1:
+                stack.extend(node.children)
+    return seen
+
+
 def test_pass_enters_each_distinct_node_once(monkeypatch):
-    # one pass runs every node once, however many roots and parents send it ranges
-    runs = {}
+    # one pass runs every node not below a one-atom node once, however many
+    # roots and parents send it ranges, and no node strictly below one
+    splits, trails = {}, []
 
     def counted(method):
         def run(self, q):
-            runs[id(self)] = runs.get(id(self), 0) + 1
+            splits[id(self)] = splits.get(id(self), 0) + 1
             return method(self, q)
 
         return run
 
+    class Trail(construct._Trail):
+        def __init__(self, n):
+            super().__init__(n)
+            trails.append(self)
+
     # leaves and constants split through the base class
     for cls in (construct.ConstructExpr, construct.HomExpr, construct._CircleExpr):
         monkeypatch.setattr(cls, "_split", counted(cls._split))
+    monkeypatch.setattr(construct, "_Trail", Trail)
     rng = np.random.default_rng(7)
+    shadowed = 0
     for e in (*_batch_cases(rng).values(), _staircase_dag()):
         nodes = _descendants(e)
         assert {id(n) for n in nodes} == {id(n) for n in e.nodes}
-        runs.clear()
-        query_batches([(node, *_node_arcs(rng, node, 4)) for node in nodes])
-        assert set(runs) == {id(n) for n in nodes}
-        assert set(runs.values()) == {1}
-        # a batch of the root alone enters no node twice
-        runs.clear()
-        query_batch(e, *_node_arcs(rng, e, 20))
-        assert set(runs.values()) == {1}
+        # the rows of every node at once, then a batch of the root alone
+        for roots, k in ((nodes, 4), ([e], 20)):
+            splits.clear()
+            trails.clear()
+            query_batches([(node, *_node_arcs(rng, node, k)) for node in roots])
+            ran = _unshadowed(roots)
+            # one pass, one run per node; a one-atom node answers from its
+            # ranges' lengths and splits none
+            assert len(trails) == 1 and len(trails[0].sources) == len(ran)
+            assert set(splits) == {key for key, node in ran.items() if node.atom_values.size > 1}
+            assert set(splits.values()) == {1}
+        shadowed += len(nodes) - len(ran)
+    # the glue of glues and the staircase hold constants below one-atom homogenizations
+    assert shadowed >= 10
+
+
+def _one_atom_cases():
+    """One-atom roots, each with a many-atom twin of the same geometry."""
+    f = leaf(sign_step())
+    g = leaf(StepFunction(Interval(0.0, 1.0), [0.0, 0.4, 1.0], [2.0, 5.0]))
+    c = constant(0.7)
+    return {
+        "hom": (homogenize(c, 0.6, 4), homogenize(f, 0.6, 4)),
+        "periodized hom": (periodize(homogenize(c, 0.999, 40)), periodize(homogenize(f, 0.999, 40))),
+        "glue of equal homs": (
+            glue(homogenize(c, 0.7, 3), homogenize(constant(0.7), 0.8, 2), 0.3, 0.6, 5),
+            glue(homogenize(f, 0.7, 3), homogenize(g, 0.8, 2), 0.3, 0.6, 5),
+        ),
+    }
+
+
+def test_one_atom_roots_answer_with_lengths():
+    rng = np.random.default_rng(11)
+    for name, (e, twin) in _one_atom_cases().items():
+        assert e.atom_values.size == 1 and twin.atom_values.size > 1
+        ls, rs = _node_arcs(rng, e, 16)
+        batch, twins = query_batch(e, ls, rs), query_batch(twin, ls, rs)
+        # the masses are the lengths, and nothing below the root runs
+        assert batch.masses[:, 0].tobytes() == (rs - ls).tobytes(), name
+        assert (batch.depth == 1).all() and (batch.nodes_visited == 1).all(), name
+        # the partial end weight is the root's own decomposition's: the twin's
+        assert batch.partial_end_weight.tobytes() == twins.partial_end_weight.tobytes(), name
+        assert twins.partial_end_weight.max() > 0, name
+        for i, (l, r) in enumerate(zip(ls.tolist(), rs.tolist())):
+            one = query_batch(e, [l], [r])
+            assert batch.masses[i].tobytes() == one.masses[0].tobytes(), (name, l, r)
+            assert batch.partial_end_weight[i] == one.partial_end_weight[0], (name, l, r)
+            assert query(e, (l, r)).distribution.is_delta
+
+
+def test_one_atom_subtrees_keep_batches_of_one():
+    # the staircase's constants sit under one-atom homogenizations; rows
+    # of the root, of each one-atom case and of each case glued to a leaf
+    # equal batches of one bitwise
+    rng = np.random.default_rng(12)
+    cases = [_staircase_dag()]
+    for e, _ in _one_atom_cases().values():
+        cases += [e, glue(leaf(sign_step()), e, 0.45, 0.8, 4)]
+    for e in cases:
+        ls, rs = _node_arcs(rng, e, 24)
+        batch = query_batch(e, ls, rs)
+        for i, (l, r) in enumerate(zip(ls.tolist(), rs.tolist())):
+            one = query_batch(e, [l], [r])
+            assert batch.masses[i].tobytes() == one.masses[0].tobytes(), (e, l, r)
+            for field in ("depth", "nodes_visited", "partial_end_weight"):
+                assert getattr(batch, field)[i] == getattr(one, field)[0], (e, l, r, field)

@@ -12,6 +12,7 @@ from scipy.optimize import minimize
 from meanosc import search as search_module
 from meanosc.construct import constant, glue, homogenize, leaf, materialize, periodize
 from meanosc.errors import InputError
+from meanosc.martingales import compile_to_circle, log_staircase
 from meanosc.search import (
     SearchConfig,
     _Best,
@@ -444,6 +445,11 @@ def test_enumeration_scaling_properties(seed):
         base = ap_constant(StepFunction(f.domain, f.breakpoints, w), p).lower
         for c in (1e-6, 1e-3, 1e3, 1e6):
             assert ap_constant(StepFunction(f.domain, f.breakpoints, c * w), p).lower == pytest.approx(base, rel=1e-12)
+    # at w = 1 the identity reads A_p(c) = A_p(1) = 1, and no rounding may put it below 1 (Jensen)
+    for c in (1e-6, 1e-3, 0.1, 2.5, 7.3, 1e3, 1e6):
+        weight = StepFunction(f.domain, f.breakpoints, np.full(f.piece_count, c))
+        for value in [ap_constant(weight, p).lower for p in (1.5, 2.0, 3.0)] + [a_inf_constant(weight).lower]:
+            assert 1.0 <= value <= 1.0 + 1e-12
 
 
 def test_mean_decomposable_flat_searches_never_refine(monkeypatch):
@@ -675,6 +681,40 @@ class _RecordingBest(_Best):
         super().offer(value, left, right)
 
 
+_OFFER_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 5e-324, math.inf, -math.inf]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.floats(min_value=-1e-9, max_value=1e-9, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_OFFER_VALUES, st.integers(0, 4), st.integers(-3, 3)), max_size=40), st.integers(0, 12))
+def test_offer_sequence_matches_sequential_offers(offers, start):
+    # offer_sequence leaves _Best bitwise as one offer per candidate in
+    # order does, after the first `start` candidates were offered one by
+    # one; a nudge copies the previous value moved by up to 8e-13
+    # relative, a tie within the 1e-12 tolerance on either side
+    values = [v for v, _, _ in offers]
+    for i, (_, nudge, _) in enumerate(offers):
+        if i and nudge and math.isfinite(values[i - 1]):
+            values[i] = values[i - 1] * (1.0 + (nudge - 2) * 4e-13)
+    lefts = [0.125 * left for _, _, left in offers]
+    rights = [left + 0.25 + 0.0625 * (i % 3) for i, left in enumerate(lefts)]
+    want, got = _RecordingBest(), _RecordingBest()
+    for best in (want, got):
+        for v, l, r in zip(values[:start], lefts[:start], rights[:start]):
+            best.offer(v, l, r)
+        best.offers.clear()
+    for v, l, r in zip(values[start:], lefts[start:], rights[start:]):
+        want.offer(v, l, r)
+    got.offer_sequence(np.array(values[start:], dtype=float), np.array(lefts[start:]), np.array(rights[start:]))
+    # it skips offers, never makes one sequential offering would not
+    assert set(got.offers) <= set(want.offers)
+    for name in _Best.__slots__:
+        assert float(getattr(got, name)).hex() == float(getattr(want, name)).hex(), name
+
+
 def _reference_junction_scan(engine, node, c, scale_lo, scale_hi, best, clip, k):
     # one junction at a time, one arc per query: the offers the lockstep
     # scan, refining with k sections per round, must replay
@@ -737,7 +777,7 @@ def test_junction_scan_replays_per_junction_order():
             clip, scale_hi = (None, 2.0) if node.is_circle else (full, full[1] - full[0])
             got, want = _RecordingBest(), _RecordingBest()
             offers, long_raws = scans[id(node)]
-            for v, l, r in offers:
+            for v, l, r in zip(*(a.tolist() for a in offers)):
                 got.offer(v, l, r)
             for c, scale_lo in junctions:
                 _reference_junction_scan(reference, node, c, scale_lo, scale_hi, want, clip, k)
@@ -764,6 +804,22 @@ def test_dag_circle_report_keeps_evaluation_count():
     assert circle_bmo_norm(e, 1.0, cfg).evaluations == 15706
     assert circle_bmo_norm(e, 2.0, cfg).evaluations - leaves[2.0] == 15706 - leaves[1.0] == 79726 - leaves[3.0]
     assert leaves[2.0] < leaves[1.0] < leaves[3.0]
+
+
+def test_martingale_circle_dag_report_is_pinned():
+    # a compiled depth-3 log-staircase: 8 of its 13 nodes hold one atom
+    # (constants, their homogenizations), and the search gives each the
+    # value of its distribution without scanning it; lower, upper and
+    # witness are those of a search that scans every node with children
+    _, tree = log_staircase(math.exp(0.3 / 5.0), 3)
+    e = compile_to_circle(tree, (0.9, 20))
+    assert (len(e.nodes), sum(node.atom_values.size == 1 for node in e.nodes)) == (13, 8)
+    for p, upper in ((1.0, "0x1.7f95847767bd9p-4"), (2.0, "0x1.b1a341f8d12aep-4")):
+        r = circle_bmo_norm(e, p, SearchConfig(certify=True))
+        assert (r.lower.hex(), r.upper.hex()) == ("0x1.33d07a1a49c46p-4", upper)
+        assert (r.witness.left.hex(), r.witness.right.hex()) == ("0x1.fea60c033b555p-1", "0x1.00acf9fe62556p+0")
+        # 43362 when the one-atom nodes were scanned too
+        assert r.evaluations == 20194
 
 
 # -- circle searches -------------------------------------------------------------
@@ -828,6 +884,17 @@ def test_unit_weight_constants_are_one():
     w = StepFunction(Interval(0.0, 1.0), [0.0, 1.0], [1.0])
     assert ap_constant(w, 2.0, CFG).lower == 1.0
     assert a_inf_constant(w, CFG).lower == 1.0
+
+
+def test_constant_weights_are_never_below_one():
+    # each of these read 0.9999999999999999 or 0.9999999999999998 before
+    # the weight objectives were floored at 1
+    one = Interval(0.0, 1.0)
+    assert a_inf_constant(StepFunction(one, [0.0, 1.0], [2.5]), CFG).lower == 1.0
+    assert ap_constant(StepFunction(one, [0.0, 1.0], [7.3]), 2.0, CFG).lower == 1.0
+    circle = periodize(homogenize(constant(0.1), 0.999))
+    assert a_inf_constant(circle, CFG).lower == 1.0
+    assert ap_constant(circle, 2.0, CFG).lower == 1.0
 
 
 def test_two_step_weight_a2():

@@ -66,3 +66,29 @@ def test_compare_reports_max_lower_drop_lists_and_fails(tmp_path, capsys):
     assert lines[-1] == "1 lower(s) fell by more than 1e-12 relative"
     assert compare_reports.main([str(before), str(after), "--max-lower-drop", "1e-8"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "0 lower(s) fell by more than 1e-08 relative"
+
+
+def test_compare_reports_lists_witness_moves(tmp_path, capsys):
+    compare_reports = _load("compare_reports")
+    before = tmp_path / "before.tsv"
+    after = tmp_path / "after.tsv"
+    before.write_text(
+        _record("t::a", "dag", 2.0, 3.0, 0.0, 0.5, "bmo_1", "circle")
+        + _record("t::a", "dag", 1.0, 3.0, 0.25, 0.5, "bmo_1", "circle")
+        + _record("t::b", "flat", 4.0, None, 0.0, 1.0, "ap_2", "interval")
+    )
+    after.write_text(
+        _record("t::a", "dag", 2.0, 3.0, -0.5, 0.5, "bmo_1", "circle")
+        + _record("t::a", "dag", 1.0, 3.0, 0.25, 0.5, "bmo_1", "circle")
+        + _record("t::b", "flat", 5.0, None, 0.0, 0.75, "ap_2", "interval")
+    )
+    # a tie (lower unchanged) and a move with its value; the listing leaves the exit status alone
+    assert compare_reports.main([str(before), str(after), "--list-witness-moves"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == [
+        "witness move, report 0 of t::a: [0.0, 0.5] -> [-0.5, 0.5], lower moved 0 relative",
+        "witness move, report 0 of t::b: [0.0, 1.0] -> [0.0, 0.75], lower moved 0.25 relative",
+        "2 witness(es) moved",
+    ]
+    assert compare_reports.main([str(before), str(after), "--list-witness-moves", "--max-lower-drop", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0 lower(s) fell by more than 0 relative"

@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/compare_reports.py BEFORE.tsv AFTER.tsv [--max-lower-drop REL]
+    python3 tools/compare_reports.py BEFORE.tsv AFTER.tsv [--max-lower-drop REL] [--list-witness-moves]
 
 The k-th search report a test records in BEFORE is paired with the k-th
 one the same test records in AFTER (``construct.query`` lines are
@@ -16,7 +16,10 @@ reports found in only one file.  A relative change is
 
 With ``--max-lower-drop REL`` the script then lists every pair whose
 ``lower`` fell by more than REL relative, and exits with status 1 if
-there is one.
+there is one.  With ``--list-witness-moves`` it lists every pair whose
+witness changed, with both witnesses and the relative move of ``lower``,
+so that a witness that moved between tied candidates (a move of 0) stands
+apart from one that moved with its value.
 """
 from __future__ import annotations
 
@@ -75,6 +78,17 @@ def lower_drops(before: dict, after: dict, rel: float) -> list:
     return drops
 
 
+def witness_moves(before: dict, after: dict) -> list:
+    """``(test id, k, witness before, witness after, relative move of lower)`` of every paired report whose witness changed."""
+    moves = []
+    for key in sorted(before.keys() & after.keys()):
+        b, a = before[key], after[key]
+        if b[4:6] != a[4:6]:
+            wb, wa = (tuple(float.fromhex(x) for x in fields[4:6]) for fields in (b, a))
+            moves.append((*key, wb, wa, _relative(float.fromhex(b[2]), float.fromhex(a[2]))))
+    return moves
+
+
 def compare(before: dict, after: dict) -> str:
     groups: dict = defaultdict(_Group)
     worst = (0.0, None)
@@ -110,9 +124,16 @@ def main(argv=None) -> int:
     parser.add_argument("after", help="record file of the later run")
     parser.add_argument("--max-lower-drop", type=float, metavar="REL", default=None,
                         help="exit with status 1, listing them, if some lower fell by more than REL relative")
+    parser.add_argument("--list-witness-moves", action="store_true",
+                        help="list every pair whose witness changed, with the relative move of its lower")
     args = parser.parse_args(argv)
     before, after = read_reports(args.before), read_reports(args.after)
     print(compare(before, after))
+    if args.list_witness_moves:
+        moves = witness_moves(before, after)
+        for test, k, (bl, br), (al, ar), move in moves:
+            print(f"witness move, report {k} of {test}: [{bl!r}, {br!r}] -> [{al!r}, {ar!r}], lower moved {move:.3g} relative")
+        print(f"{len(moves)} witness(es) moved")
     if args.max_lower_drop is None:
         return 0
     drops = lower_drops(before, after, args.max_lower_drop)
