@@ -8,12 +8,11 @@ one of at most 9 closed-form points per pair of cells, the KKT points of a
 box, and flat searches enumerate them exactly (``_enumerate_pairs``).
 BMO_1 is the largest of one such objective per value threshold (``∫|f −
 m| = 2·max_τ ∫(f − m)·1{f ≥ τ}``), and is enumerated per cell pair and
-threshold.  BMO_p with p not in {1, 2} combines three candidate layers
-instead: all pairs of points of a nested dyadic grid inside every cell, a
-ladder of short intervals straddling each breakpoint, and block
-golden-section coordinate refinement of the leading candidates.  Nesting
-the grids dyadically makes that lower bound monotone under enlargement of
-the grid or refinement budget.
+threshold.  For BMO_p with p not in {1, 2} an interval across one jump is
+a two-point law, so the supremum over each pair of adjacent cells has a
+closed form (``_jump_candidates``); on the other cell pairs, the best
+pairs of points of a dyadic grid inside every cell seed a projected
+Newton ascent over their boxes (``_newton_ascent``), all in lockstep.
 
 Every search enters through ``_search``.  Flat step functions, and DAGs of
 at most ``_FLAT_LIMIT`` pieces once materialized, are evaluated in
@@ -94,7 +93,9 @@ __all__ = [
 _FLAT_LIMIT = 600  # piece count up to which DAG targets are searched flat
 _CHUNK_BUDGET = 2_000_000  # floats per overlap-matrix chunk
 _EPS = 2.0**-52  # spacing of floats at 1
-_REFINE_TOP = 32  # leading candidates refined per block of the pair scan
+_REFINE_TOP = 32  # leading pair-scan candidates that seed a Newton ascent
+_NEWTON_ITERS = 64  # most Newton iterations of a lane
+_NEWTON_CUTS = 4  # step halvings tried per Newton iteration
 _MAX_SECTIONS = 15  # most new probes per lane and golden round
 _PROBE_ROWS = 2048  # rows up to which a probe pass costs mostly its fixed cost
 
@@ -103,15 +104,18 @@ _PROBE_ROWS = 2048  # rows up to which a probe pass costs mostly its fixed cost
 class SearchConfig:
     """Knobs of the supremum searches.
 
-    ``grid_points`` controls the dyadic grid level inside each cell pair
-    (rounded up to the next dyadic level so grids nest) and the density of
-    the long-arc and junction grids; ``refine_iters`` sets the resolution
-    of each refined coordinate: its final bracket is no wider than golden
+    ``grid_points`` sets the dyadic grid level inside each cell (rounded up
+    to the next dyadic level so grids nest), whose best pairs of points
+    seed the Newton ascent of flat BMO_p with p not in {1, 2}, and the
+    density of the long-arc and junction grids; ``refine_iters`` sets the
+    resolution of each golden-refined coordinate of DAG junction scans and
+    martingale edge sweeps: its final bracket is no wider than golden
     section's after ``refine_iters`` probes, ``φ^-(refine_iters - 1)`` of
     the initial one, whatever the probes per round (see ``_golden_max``).
-    Neither affects the subintervals of flat BMO_1, BMO_2, A_p and A_inf
-    searches, which enumerate cell pairs exactly; they serve BMO_p with p
-    not in {1, 2}, long arcs and DAG junctions.
+    Flat searches never refine by golden section, so ``refine_iters``
+    does not affect them, and the subintervals of flat BMO_1, BMO_2, A_p
+    and A_inf searches, which enumerate cell pairs exactly, depend on
+    neither knob.
     ``r_long`` is the copy-count threshold of the long-arc regime;
     ``max_periods`` the largest scanned arc length in periods; ``certify``
     attaches an upper bound to each report; ``threads`` the worker count
@@ -522,7 +526,7 @@ class _Best:
         self.wr = math.nan
 
     def _tol(self) -> float:
-        return 1e-12 * max(1.0, abs(self.value))
+        return 1e-12 * abs(self.value)
 
     def offer(self, value: float, left: float, right: float):
         if value > self.value:
@@ -567,7 +571,7 @@ class _Best:
             return
         run = np.fmax.accumulate(np.concatenate(([self.value], values[:-1])))
         with np.errstate(invalid="ignore"):  # after +inf, inf - inf: nothing counts
-            keep = np.flatnonzero(values >= run - 1e-12 * np.maximum(1.0, np.abs(run)))
+            keep = np.flatnonzero(values >= run - 1e-12 * np.abs(run))
         for v, l, r in zip(values[keep].tolist(), lefts[keep].tolist(), rights[keep].tolist()):
             self.offer(v, l, r)
 
@@ -682,11 +686,15 @@ class _FlatTarget:
         self.objective = objective
         self.evaluations = 0
 
-    def value_batch(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    def overlaps(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+        """Overlap of each ``[lefts[k], rights[k]]`` with every piece, one row per interval."""
         # in place: a chunk's overlap matrix may hold _CHUNK_BUDGET floats
         ov = np.minimum(rights[:, None], self.bp[None, 1:])
         ov -= np.maximum(lefts[:, None], self.bp[None, :-1])
-        raw = self.objective.raw_from_parts(np.maximum(ov, 0.0, out=ov), self.values, rights - lefts)
+        return np.maximum(ov, 0.0, out=ov)
+
+    def value_batch(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+        raw = self.objective.raw_from_parts(self.overlaps(lefts, rights), self.values, rights - lefts)
         return self.objective.value_from_raw(raw)
 
 
@@ -894,116 +902,222 @@ def _candidate_points(f: StepFunction, level: int) -> np.ndarray:
     return np.unique(np.concatenate((f.breakpoints, interior)))
 
 
-def _straddle_candidates(f: StepFunction, level: int):
-    """Short intervals straddling each interior breakpoint.
+def _jump_peak(p: float) -> float:
+    """The weight ``t* <= 1/2`` maximizing ``φ_p(t) = t(1 − t)^p + (1 − t)t^p``, whose maximum is ``C_p = φ_p(t*)``.
 
-    Half-jump suprema are attained only in the zero-width limit of
-    breakpoint-straddling intervals, which cell-pair grids approach far too
-    slowly; a geometric ladder of straddle widths reaches them directly.
+    An interval across a jump ``d`` with the fraction ``t`` of its length
+    left of the jump is a two-point law, whose raw BMO_p is ``|d|^p·φ_p(t)``;
+    ``φ_p`` is symmetric about 1/2.  For ``p <= 3`` its maximum is at 1/2, so
+    ``C_p = 2^-p``; above 3, 1/2 is a local minimum and ``t*`` is the root in
+    ``(0, 1/2)`` of ``φ_p'(t) = (1 − t)^(p−1)·(1 − (p+1)t) + t^(p−1)·(p −
+    (p+1)t)``, positive below it and negative above, found by bisection.
     """
-    bp = f.breakpoints
-    lens = np.diff(bp)
-    if bp.size <= 2:
+    t = 0.5
+    if p > 3.0:
+        lo, hi = 0.0, 0.5
+        while True:
+            t = 0.5 * (lo + hi)
+            if t in (lo, hi):
+                break
+            if (1.0 - t) ** (p - 1.0) * (1.0 - (p + 1.0) * t) + t ** (p - 1.0) * (p - (p + 1.0) * t) > 0:
+                lo = t
+            else:
+                hi = t
+    return t
+
+
+def _jump_candidates(target: _FlatTarget):
+    """The best intervals across every jump: its cell pair's supremum, in closed form.
+
+    The ends of an interval across the breakpoint between adjacent cells
+    ``i`` and ``i + 1`` lie in those cells, so its raw value is ``|d|^p·φ_p(t)``
+    (see ``_jump_peak``), and the supremum over the pair's box is
+    ``|d|^p·C_p``, attained on the ray of weight ``t*`` (and ``1 − t*``).
+    The candidate is the longest box point on the ray, as ``_Objective.interior``
+    takes at ``p = 2``; its ends are breakpoints where the box binds.
+    """
+    bp = target.bp
+    h = np.diff(bp)
+    if h.size < 2:
         return np.empty(0), np.empty(0)
-    hmin = np.minimum(lens[:-1], lens[1:])
-    scales = 10.0 ** -np.arange(1, 8)
-    offsets = np.arange(1, 2**level) / 2.0**level
-    centers = bp[1:-1][:, None, None]
-    widths = (hmin[:, None, None]) * scales[None, :, None]
-    u = offsets[None, None, :]
-    lefts = (centers - u * widths).ravel()
-    rights = (centers + (1.0 - u) * widths).ravel()
-    return lefts, rights
+    t = _jump_peak(target.objective.p)
+    hi, hj, c = h[:-1], h[1:], bp[1:-1]
+    ls, rs = [], []
+    for w in dict.fromkeys((t, 1.0 - t)):
+        # w of the length left of the jump: x = w·s and y = (1 − w)·s, s as long as the box allows
+        si, sj = hi / w, hj / (1.0 - w)
+        ls.append(np.where(si <= sj, bp[:-2], c - sj * w))
+        rs.append(np.where(si <= sj, c + si * (1.0 - w), bp[2:]))
+    return np.concatenate(ls), np.concatenate(rs)
 
 
 def _chunked_pair_scan(target: _FlatTarget, points: np.ndarray, cfg: SearchConfig, best: _Best, collect: list | None):
-    """Every pair of candidate points, then the straddle candidates, a chunk at a time.
+    """Every pair of candidate points, a chunk at a time; returns the leaders of the Newton ascent.
 
-    Candidate ``k < n_pairs`` is the ``k``-th pair of ``np.triu_indices``
-    order; the ends of a chunk are built when the chunk is evaluated, so
-    only the values of all candidates are held at once.
+    Candidate ``k`` is the ``k``-th pair of ``np.triu_indices`` order; the
+    ends of a chunk are built when the chunk is evaluated, and only the
+    leaders found so far are held across chunks.  The leaders are the
+    ``_REFINE_TOP`` best pairs whose ends lie in cells ``i`` and ``j >= i +
+    2``, as the arrays ``(lefts, rights, i, j)``, best first, ties to the
+    smaller ``k``.  A left end at a breakpoint lies in the cell right of
+    it, a right end in the cell left of it.  Several leaders may share a
+    cell pair, whose box can hold more than one local maximum.
     """
     n = points.size
     n_pairs = n * (n - 1) // 2
-    sl, sr = _straddle_candidates(target.f, cfg.dyadic_level)
-    total = n_pairs + sl.size
-
-    def ends(k):
-        ls, rs = np.empty(k.size), np.empty(k.size)
-        pair = k < n_pairs
-        i, j = _triu_pair(n, k[pair])
-        ls[pair], rs[pair] = points[i], points[j]
-        ks = k[~pair] - n_pairs
-        ls[~pair], rs[~pair] = sl[ks], sr[ks]
-        return ls, rs
+    bp = target.bp
+    last = bp.size - 2
+    cell_l = np.clip(np.searchsorted(bp, points, "right") - 1, 0, last)
+    cell_r = np.clip(np.searchsorted(bp, points, "left") - 1, 0, last)
 
     def run(span):
-        ls, rs = ends(np.arange(*span))
-        return ls, rs, target.value_batch(ls, rs)
+        a, b = _triu_pair(n, np.arange(*span))
+        ls, rs = points[a], points[b]
+        return ls, rs, target.value_batch(ls, rs), a, b
 
     chunk = max(1, _CHUNK_BUDGET // max(target.values.size, 1))
-    spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-    allvals = np.empty(total)
+    spans = [(s, min(s + chunk, n_pairs)) for s in range(0, n_pairs, chunk)]
+    lead = (np.empty(0), np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0, dtype=int))  # value, k, a, b
 
     def take(span, result):
-        (s, e), (ls, rs, vals) = span, result
-        allvals[s:e] = vals
+        nonlocal lead
+        ls, rs, vals, a, b = result
         best.offer_array(vals, ls, rs)
         if collect is not None:
             collect.append(np.column_stack((ls, rs, rs - ls, vals)))
+        far = np.flatnonzero(cell_r[b] >= cell_l[a] + 2)
+        v, k, a, b = (np.concatenate(pair) for pair in zip(lead, (vals[far], span[0] + far, a[far], b[far])))
+        first = np.lexsort((k, -v))[:_REFINE_TOP]
+        lead = (v[first], k[first], a[first], b[first])
 
     _map_chunks(run, spans, cfg.threads, take)
-    target.evaluations += total
-    if total:
-        # stratified leaders: pair candidates and straddle candidates each
-        # contribute their own top block, so half-jump optima always refine
-        leaders: list[int] = []
-        for lo, hi in ((0, n_pairs), (n_pairs, total)):
-            if hi > lo:
-                k = min(_REFINE_TOP, hi - lo)
-                leaders.extend(int(t) for t in lo + np.argpartition(allvals[lo:hi], -k)[-k:])
-        _refine_leaders(target, *ends(np.array(leaders, dtype=int)), cfg, best)
+    target.evaluations += n_pairs
+    _, _, a, b = lead
+    return points[a], points[b], cell_l[a], cell_r[b]
 
 
-def _refine_leaders(target: _FlatTarget, lefts, rights, cfg: SearchConfig, best: _Best):
-    """Three rounds of left-then-right block golden coordinate ascent, all leaders in lockstep.
+def _oscillation_parts(target: _FlatTarget, ls: np.ndarray, rs: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """Raw BMO_p of ``[ls, rs]`` and its gradient and Hessian in ``(x, y)``, ends in cells ``i`` and ``j``.
 
-    Each end moves inside its own cell; a leader whose cell leaves no room
-    (``hi <= lo``) sits that step out.
+    With ``x = b[i+1] − l`` and ``y = r − b[j]``, the raw value is ``F = G/L``
+    with ``G = ∫_J |f − m|^p``, and the mean moves as ``m_x = (v_i − m)/L``
+    and ``m_y = (v_j − m)/L``.  From ``D1 = ∫_J sgn(f − m)|f − m|^(p−1)``
+    and ``D2 = ∫_J |f − m|^(p−2)``: ``F_x = (|v_i − m|^p − p·D1·m_x −
+    F)/L``, and ``F_xx``, ``F_xy``, ``F_yy`` follow by differentiating once
+    more.  Where ``p < 2`` and ``f = m`` on a piece of ``J``, ``D2`` is
+    infinite and so is the curvature.
+    """
+    p, v = target.objective.p, target.values
+    ov = target.overlaps(ls, rs)
+    L = rs - ls
+    m = np.einsum("ij,j->i", ov, v) / L
+    u = v[None, :] - m[:, None]
+    au = np.abs(u)
+    q = np.power(au, p - 1.0)  # |u|^(p−1)
+    s = np.copysign(q, u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d2 = np.einsum("ij,ij->i", ov, np.where(ov > 0, np.power(au, p - 2.0), 0.0))
+    F = np.einsum("ij,ij->i", ov, q * au) / L
+    d1 = np.einsum("ij,ij->i", ov, s)
+    rows = np.arange(ls.size)
+    si, sj = s[rows, i], s[rows, j]
+    mx, my = u[rows, i] / L, u[rows, j] / L
+    Fx = (q[rows, i] * au[rows, i] - p * d1 * mx - F) / L
+    Fy = (q[rows, j] * au[rows, j] - p * d1 * my - F) / L
+    c2, c1 = p * (p - 1.0) * d2, p * d1 / L
+    with np.errstate(invalid="ignore"):
+        Fxx = (-2.0 * p * si * mx + c2 * mx * mx + 2.0 * c1 * mx - 2.0 * Fx) / L
+        Fyy = (-2.0 * p * sj * my + c2 * my * my + 2.0 * c1 * my - 2.0 * Fy) / L
+        Fxy = (-p * (si * my + sj * mx) + c2 * mx * my + c1 * (mx + my) - Fx - Fy) / L
+    return F, Fx, Fy, Fxx, Fxy, Fyy
+
+
+def _newton_ascent(target: _FlatTarget, ls, rs, i, j):
+    """Projected Newton ascent of raw BMO_p over each lane's cell-pair box, all lanes in lockstep.
+
+    A lane moves ``(x, y)`` in ``[0, h_i] x [0, h_j]`` (see
+    ``_oscillation_parts``).  A coordinate on a face whose gradient points
+    out of the box is held; on the others the Hessian, shifted until its
+    largest eigenvalue is at most ``−|g|/max(h_i, h_j)`` (so the step is no
+    longer than the box), gives the Newton step.  Each iteration evaluates
+    the step and its ``_NEWTON_CUTS`` halvings, projected onto the box, in
+    one batch, and moves to the longest that rises by more than rounding,
+    4 ulps.  A lane retires when none rises, when it moves less than
+    ``1e-15`` of its cell widths, after ``_NEWTON_ITERS`` iterations, or
+    when it holds a face that is an adjacent cell pair (``j = i + 2`` and
+    ``x = 0`` or ``y = 0``), where ``_jump_candidates`` has the supremum.
+    Returns the final ends of every lane.
     """
     bp = target.bp
-    eps = 1e-12 * (bp[-1] - bp[0])
-    last = bp.size - 2
-    l, r = np.array(lefts, dtype=float), np.array(rights, dtype=float)
-    offers = []  # per refined end: (lanes, step, values, lefts, rights)
+    hi, hj = bp[i + 1] - bp[i], bp[j + 1] - bp[j]
+    steps = 0.5 ** np.arange(_NEWTON_CUTS + 1)
+    k = steps.size
 
-    def probe(ls, rs):
-        # a (lanes, m) array of probes, one end per lane fixed
-        ls, rs = np.broadcast_arrays(ls, rs)
-        target.evaluations += ls.size
-        return target.value_batch(ls.ravel(), rs.ravel()).reshape(ls.shape)
+    def ends(x, y, i, j, hi, hj):
+        return np.where(x == hi, bp[i], bp[i + 1] - x), np.where(y == hj, bp[j + 1], bp[j] + y)
 
-    for step in range(0, 6, 2):
-        i = np.clip(np.searchsorted(bp, l, side="right") - 1, 0, last)
-        lo, hi = bp[i], np.minimum(bp[i + 1], r - eps)
-        lanes = np.flatnonzero(hi > lo)
-        if lanes.size:
-            rs = r[lanes]
-            l[lanes], v = _golden_max(lambda x: probe(x, rs[:, None]), lo[lanes], hi[lanes], cfg.refine_iters)
-            offers.append((lanes, np.full(lanes.size, step), v, l[lanes], rs))
-        j = np.clip(np.searchsorted(bp, r, side="left") - 1, 0, last)
-        lo, hi = np.maximum(bp[j], l + eps), bp[j + 1]
-        lanes = np.flatnonzero(hi > lo)
-        if lanes.size:
-            ls = l[lanes]
-            r[lanes], v = _golden_max(lambda x: probe(ls[:, None], x), lo[lanes], hi[lanes], cfg.refine_iters)
-            offers.append((lanes, np.full(lanes.size, step + 1), v, ls, r[lanes]))
-    if offers:
-        # _Best's tie tolerance follows the running maximum, so results are
-        # offered leader by leader, each leader's steps in order
-        lanes, steps, v, wl, wr = (np.concatenate(col) for col in zip(*offers))
-        order = np.lexsort((steps, lanes))
-        best.offer_sequence(v[order], wl[order], wr[order])
+    target.evaluations += ls.size
+    # rows: the position, then the raw value, its gradient and Hessian there
+    at = np.vstack((bp[i + 1] - ls, rs - bp[j], _oscillation_parts(target, ls, rs, i, j)))
+    live = np.arange(ls.size)
+    for _ in range(_NEWTON_ITERS):
+        if not live.size:
+            break
+        li, lj, lhi, lhj = i[live], j[live], hi[live], hj[live]
+        lx, ly, F, gx, gy, a, b, c = at[:, live]
+        # hold the faces whose gradient points out of the box
+        hold_x = np.where(lx <= 0.0, gx < 0.0, (lx >= lhi) & (gx > 0.0))
+        hold_y = np.where(ly <= 0.0, gy < 0.0, (ly >= lhj) & (gy > 0.0))
+        gx, gy = np.where(hold_x, 0.0, gx), np.where(hold_y, 0.0, gy)
+        a, b, c = np.where(hold_x, c, a), np.where(hold_x | hold_y, 0.0, b), np.where(hold_y, a, c)
+        # where the curvature is infinite (p < 2 and f = m on a piece) the shift makes a gradient step
+        finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(c)
+        a, b, c = (np.where(finite, h, 0.0) for h in (a, b, c))
+        g = np.hypot(gx, gy)
+        top = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+        shift = np.maximum(top + g / np.maximum(lhi, lhj), 0.0)
+        a, c = a - shift, c - shift
+        det = a * c - b * b
+        adjacent_face = (lj == li + 2) & ((hold_x & (lx <= 0.0)) | (hold_y & (ly <= 0.0)))
+        go = np.flatnonzero((g > 0.0) & ~adjacent_face)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dx, dy = ((b * gy - c * gx) / det)[go], ((b * gx - a * gy) / det)[go]
+        live, li, lj, lhi, lhj, lx, ly, F = live[go], li[go], lj[go], lhi[go], lhj[go], lx[go], ly[go], F[go]
+        # the step and its halvings, projected onto the box: (lanes, cuts + 1)
+        tx = np.clip(lx[:, None] + steps * dx[:, None], 0.0, lhi[:, None])
+        ty = np.clip(ly[:, None] + steps * dy[:, None], 0.0, lhj[:, None])
+        tl, tr = ends(tx, ty, li[:, None], lj[:, None], lhi[:, None], lhj[:, None])
+        target.evaluations += tl.size
+        trial = np.vstack((tx.ravel(), ty.ravel(), _oscillation_parts(target, tl.ravel(), tr.ravel(), np.repeat(li, k), np.repeat(lj, k))))
+        rise = trial[2].reshape(-1, k) > (F + 4.0 * _EPS * np.abs(F))[:, None]
+        up = rise.any(axis=1)
+        pick = np.flatnonzero(up) * k + rise.argmax(axis=1)[up]
+        live, moved = live[up], trial[:, pick]
+        small = (np.abs(moved[0] - lx[up]) <= 1e-15 * lhi[up]) & (np.abs(moved[1] - ly[up]) <= 1e-15 * lhj[up])
+        at[:, live] = moved
+        live = live[~small]
+    return ends(at[0], at[1], i, j, hi, hj)
+
+
+def _oscillation_search(target: _FlatTarget, cfg: SearchConfig, best: _Best, collect: list | None):
+    """BMO_p with p not in {1, 2}: exact adjacent cell pairs, and Newton ascent on the others.
+
+    Adjacent cell pairs offer their supremum's interval in closed form
+    (``_jump_candidates``).  The pairs of candidate points
+    (``_candidate_points`` at ``dyadic_level``) are offered, and the best
+    of them with ends in non-adjacent cells seed ``_newton_ascent``, whose
+    final intervals are offered with their values through ``value_batch``.
+    """
+    jl, jr = _jump_candidates(target)
+    target.evaluations += jl.size
+    vals = target.value_batch(jl, jr)
+    best.offer_array(vals, jl, jr)
+    if collect is not None:
+        collect.append(np.column_stack((jl, jr, jr - jl, vals)))
+    ls, rs, i, j = _chunked_pair_scan(target, _candidate_points(target.f, cfg.dyadic_level), cfg, best, collect)
+    ls, rs = _newton_ascent(target, ls, rs, i, j)
+    target.evaluations += ls.size
+    best.offer_array(target.value_batch(ls, rs), ls, rs)
 
 
 def _subinterval_search(target: _FlatTarget, cfg: SearchConfig, collect: list | None, lefts: int | None = None):
@@ -1011,8 +1125,9 @@ def _subinterval_search(target: _FlatTarget, cfg: SearchConfig, collect: list | 
 
     Objectives with prefix transforms enumerate cell pairs exactly, those
     whose left cell is below ``lefts`` (all by default), and certified
-    searches get the ceiling; the others scan pairs of candidate points
-    and straddles, then refine the leaders, and get None.  The chosen
+    searches get the ceiling; BMO_p with p not in {1, 2} takes its jumps
+    in closed form and ascends from its leading candidates
+    (``_oscillation_search``), and gets None.  The chosen
     candidate is re-evaluated through exact overlaps, so the returned
     best's value is its witness's value.
     """
@@ -1020,7 +1135,7 @@ def _subinterval_search(target: _FlatTarget, cfg: SearchConfig, collect: list | 
         best, ceiling = _enumerate_pairs(target, cfg, collect, target.values.size if lefts is None else lefts)
     else:
         best, ceiling = _Best(), None
-        _chunked_pair_scan(target, _candidate_points(target.f, cfg.dyadic_level), cfg, best, collect)
+        _oscillation_search(target, cfg, best, collect)
     wl, wr, _ = best.finish()
     out = _Best()
     out.offer(float(target.value_batch(np.array([wl]), np.array([wr]))[0]), wl, wr)

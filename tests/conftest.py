@@ -20,12 +20,21 @@ hex), so two records compare bitwise with ``diff``.  The target kind is
 through an independent path (``StepFunction.distribution`` or
 ``construct.query``), to check that the witness reproduces ``lower``.
 Without the option nothing is wrapped and no outcome changes.
+
+Hypothesis draws its examples from a seed derived from each test's own
+source (``derandomize``) and keeps no example database, so two checkouts
+with the same test files search the same inputs and their records pair
+report by report.
 """
 from __future__ import annotations
 
 import sys
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("comparable", derandomize=True, database=None)
+settings.load_profile("comparable")
 
 
 def pytest_addoption(parser):

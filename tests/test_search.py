@@ -210,6 +210,96 @@ def test_lipschitz_composition_bound_across_p():
             assert composed <= g.lipschitz * base + 1e-6
 
 
+# -- BMO_p with p not in {1, 2}: jumps in closed form, Newton ascent ------------------
+
+
+def _phi(p: float, t):
+    # raw BMO_p of a unit jump with the fraction t of the interval left of it
+    return t * (1.0 - t) ** p + (1.0 - t) * t**p
+
+
+def test_half_jump_constants():
+    # C_p = max φ_p: 2^-p at t = 1/2 up to p = 3, then at the root t* < 1/2 of φ_p'
+    for p, c in ((1.0, 0.5), (2.0, 0.25), (3.0, 0.125)):
+        assert search_module._jump_peak(p) == 0.5 and _phi(p, 0.5) == c
+    t4 = search_module._jump_peak(4.0)
+    assert abs(t4 - (1.0 - 3.0**-0.5) / 2.0) <= 2e-16
+    assert abs(_phi(4.0, t4) - 1.0 / 12.0) <= 2e-16 / 12.0
+    grid = np.linspace(0.0, 0.5, 500_001)
+    for p in (1.5, 3.5, 6.0):
+        t = search_module._jump_peak(p)
+        values = _phi(p, grid)
+        k = int(values.argmax())
+        assert abs(t - grid[k]) <= 2e-6, p
+        assert values[k] <= _phi(p, t) * (1.0 + 1e-15), p
+    assert search_module._jump_peak(1.5) == 0.5 and search_module._jump_peak(3.5) < 0.5
+    # the sign step's jump of 2: 8·C_3 = 1 and (16·C_4)^(1/4) = 2·12^(-1/4), on witnesses of weight t*
+    assert abs(bmo_norm(sign_step(), 3.0).lower - 1.0) <= 1e-12
+    r = bmo_norm(sign_step(), 4.0)
+    assert abs(r.lower - 2.0 * 12.0**-0.25) <= 1e-12
+    t = search_module._jump_peak(4.0)
+    left, right = -r.witness.left, r.witness.right
+    assert min(left, right) / (left + right) == pytest.approx(t, rel=1e-12)
+    assert max(left, right) == 1.0
+
+
+def _dense_pair_sup(f: StepFunction, p: float) -> float:
+    """Largest central moment over every pair of the points ``b_k + h_k·m/64``, m < 64, and the right end."""
+    bp = f.breakpoints
+    points = np.concatenate(((bp[:-1, None] + np.diff(bp)[:, None] * (np.arange(64) / 64.0)).ravel(), bp[-1:]))
+    a, b = np.triu_indices(points.size, 1)
+    ov = f.overlap_rows(points[a], points[b])
+    lengths = points[b] - points[a]
+    mean = ov @ f.values / lengths
+    raw = (ov * np.abs(f.values[None, :] - mean[:, None]) ** p).sum(axis=1) / lengths
+    return float(raw.max()) ** (1.0 / p)
+
+
+def test_newton_ascent_dominates_dense_pairs():
+    # the lower is at least the best of every pair of 2^6 points per cell,
+    # and thread counts change no report, bitwise
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        f = _random_step(rng, 3 + seed % 6)
+        for p in (1.5, 3.0, 4.0):
+            report = bmo_norm(f, p, SearchConfig(certify=True))
+            dense = _dense_pair_sup(f, p)
+            assert report.lower >= dense * (1.0 - 1e-13), (seed, p)
+            got = bmo_norm(f, p, SearchConfig(certify=True, threads=2)).to_dict()
+            got["config"]["threads"] = 1
+            assert got == report.to_dict(), (seed, p)
+    # 120 pieces make 115k candidate pairs, several chunks of the pair scan
+    f = _random_step(np.random.default_rng(12), 120)
+    base = bmo_norm(f, 3.0).to_dict()
+    got = bmo_norm(f, 3.0, SearchConfig(threads=2)).to_dict()
+    got["config"]["threads"] = 1
+    assert got == base
+
+
+def test_scaling_holds_at_every_value_scale():
+    # bmo_p(s·f + 3s) = |s|·bmo_p(f) to 1e-12 relative for every order and
+    # value scale, and A_p(c·w) = A_p(w); a relative tie tolerance keeps
+    # the witness's value, the reported lower, within it of the maximum
+    for seed in range(6):
+        rng = np.random.default_rng(40 + seed)
+        f = _random_step(rng, 3 + seed)
+        for p in (1.0, 1.5, 2.0, 3.0, 4.0):
+            base = bmo_norm(f, p).lower
+            for s in (1e-13, 1e-10, 1e-6, 1.0, 1e8):
+                g = StepFunction(f.domain, f.breakpoints, s * f.values + 3.0 * s)
+                assert abs(bmo_norm(g, p).lower / s - base) <= 1e-12 * base, (seed, p, s)
+        w = np.exp(f.values)
+        for p in (1.5, 2.0, 3.0):
+            base = ap_constant(StepFunction(f.domain, f.breakpoints, w), p).lower
+            for c in (1e-13, 1e-10, 1e-6, 1e8):
+                scaled = ap_constant(StepFunction(f.domain, f.breakpoints, c * w), p).lower
+                assert abs(scaled - base) <= 1e-12 * base, (seed, p, c)
+    # a jump of 1e-13 has BMO_2 half of it, not 0
+    tiny = StepFunction(Interval(0.0, 1.0), [0.0, 0.5, 1.0], [0.0, 1e-13])
+    assert abs(bmo_norm(tiny, 2.0).lower - 0.5e-13) <= 1e-12 * 0.5e-13
+
+
+
 # -- exact cell-pair enumeration: independent oracles ---------------------------------
 
 
@@ -454,7 +544,8 @@ def test_enumeration_scaling_properties(seed):
 
 def test_mean_decomposable_flat_searches_never_refine(monkeypatch):
     # BMO_1, BMO_2, A_p and A_inf enumerate cell pairs on intervals and
-    # circles; BMO_p with p not in {1, 2} still refines by golden section
+    # circles; BMO_p with p not in {1, 2} takes jumps in closed form and
+    # ascends by Newton, so no flat search refines by golden section
     def refuse(*args, **kwargs):
         raise AssertionError("golden-section probe")
 
@@ -476,10 +567,12 @@ def test_mean_decomposable_flat_searches_never_refine(monkeypatch):
         circle_bmo_norm(circ, 2.0, cfg),
         ap_constant(circ_w, 2.0, cfg),
         a_inf_constant(circ_w, cfg),
+        bmo_norm(f, 1.5, cfg),
+        bmo_norm(f, 3.0, cfg),
+        bmo_norm(f, 4.0, cfg),
+        circle_bmo_norm(circ, 3.0, cfg),
     ):
         assert report.lower <= report.upper
-    with pytest.raises(AssertionError, match="golden"):
-        bmo_norm(f, 3.0, cfg)
 
 
 def test_enumeration_report_does_not_depend_on_threads():
@@ -535,12 +628,13 @@ def _traced_peak(search):
 
 
 def test_pair_scan_memory_stays_small():
-    # p = 3 still scans pairs: 1281 candidate points make 820k pairs, whose
-    # ends are built a chunk at a time, and only the values of all pairs are held
+    # p = 3 still scans pairs to seed its Newton ascent: 1281 candidate
+    # points make 820k pairs, whose ends are built a chunk at a time, and
+    # only the leaders found so far are held across chunks
     r, peak = _traced_peak(lambda: bmo_norm(_zero_one_step(40), 3.0, SearchConfig(grid_points=31)))
     assert peak < 64 * 2**20
     assert r.lower == pytest.approx(0.5, rel=1e-12)
-    assert r.evaluations == 880527
+    assert r.evaluations == 820088
 
 
 def test_pair_enumeration_memory_stays_small():
@@ -794,15 +888,16 @@ def test_junction_scan_replays_per_junction_order():
 def test_dag_circle_report_keeps_evaluation_count():
     # the count of a junction-at-a-time scan with one query per arc,
     # refining with 15 sections per round; at p = 3 the leaves' flat
-    # searches refine by golden section, at p = 1 and 2 they enumerate
-    # (cell pair, threshold) rows and cell pairs, so only their share of the count moves
+    # searches take jumps in closed form and ascend by Newton, at p = 1
+    # and 2 they enumerate (cell pair, threshold) rows and cell pairs, so
+    # only their share of the count moves
     f, g = _dag_leaves()
     e = periodize(glue(homogenize(f, 0.95), g, 0.4, 0.95))
     cfg = SearchConfig(refine_iters=24, certify=True)
     leaves = {p: sum(bmo_norm(node.function, p, cfg).evaluations for node in (f, g)) for p in (1.0, 2.0, 3.0)}
-    assert circle_bmo_norm(e, 3.0, cfg).evaluations == 79726
+    assert circle_bmo_norm(e, 3.0, cfg).evaluations == 15936
     assert circle_bmo_norm(e, 1.0, cfg).evaluations == 15706
-    assert circle_bmo_norm(e, 2.0, cfg).evaluations - leaves[2.0] == 15706 - leaves[1.0] == 79726 - leaves[3.0]
+    assert circle_bmo_norm(e, 2.0, cfg).evaluations - leaves[2.0] == 15706 - leaves[1.0] == 15936 - leaves[3.0]
     assert leaves[2.0] < leaves[1.0] < leaves[3.0]
 
 

@@ -92,3 +92,38 @@ def test_compare_reports_lists_witness_moves(tmp_path, capsys):
     ]
     assert compare_reports.main([str(before), str(after), "--list-witness-moves", "--max-lower-drop", "0"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "0 lower(s) fell by more than 0 relative"
+
+
+def test_compare_reports_restricts_to_objectives(tmp_path, capsys):
+    compare_reports = _load("compare_reports")
+    before = tmp_path / "before.tsv"
+    after = tmp_path / "after.tsv"
+    before.write_text(
+        _record("t::a", "flat", 2.0, None, 0.0, 0.5, "bmo_3", "interval")
+        + _record("t::a", "flat", 4.0, None, 0.0, 1.0, "bmo_1", "interval")
+        + _record("t::b", "flat", 1.0, None, 0.0, 1.0, "bmo_1.5", "circle")
+        + _record("t::c", "flat", 1.0, None, 0.0, 1.0, "bmo_1", "interval")
+    )
+    after.write_text(
+        _record("t::a", "flat", 3.0, None, 0.0, 0.25, "bmo_3", "interval")
+        + _record("t::a", "flat", 2.0, None, 0.0, 0.75, "bmo_1", "interval")
+        + _record("t::b", "flat", 1.0, None, 0.0, 1.0, "bmo_1.5", "circle")
+    )
+    # the bmo_1 drop, its witness move and its unpaired report are left out
+    args = [str(before), str(after), "--list-witness-moves", "--max-lower-drop", "0", "--objective", "bmo_3,bmo_1.5"]
+    assert compare_reports.main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in lines[1:3]}
+    assert rows == {
+        ("bmo_1.5", "circle"): ["1", "0", "0", "0", "0", "0"],
+        ("bmo_3", "interval"): ["1", "0", "0.5", "0", "0", "1"],
+    }
+    assert lines[3:] == [
+        "no lower fell",
+        "reports only in the first file: 0, only in the second: 0",
+        "witness move, report 0 of t::a: [0.0, 0.5] -> [0.0, 0.25], lower moved 0.5 relative",
+        "1 witness(es) moved",
+        "0 lower(s) fell by more than 0 relative",
+    ]
+    # without the restriction the bmo_1 drop fails the run
+    assert compare_reports.main(args[:-2]) == 1

@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/compare_reports.py BEFORE.tsv AFTER.tsv [--max-lower-drop REL] [--list-witness-moves]
+    python3 tools/compare_reports.py BEFORE.tsv AFTER.tsv [--max-lower-drop REL] [--list-witness-moves] [--objective NAME[,NAME]]
 
 The k-th search report a test records in BEFORE is paired with the k-th
 one the same test records in AFTER (``construct.query`` lines are
@@ -19,7 +19,9 @@ With ``--max-lower-drop REL`` the script then lists every pair whose
 there is one.  With ``--list-witness-moves`` it lists every pair whose
 witness changed, with both witnesses and the relative move of ``lower``,
 so that a witness that moved between tied candidates (a move of 0) stands
-apart from one that moved with its value.
+apart from one that moved with its value.  With ``--objective
+NAME[,NAME]`` (objective names as recorded, e.g. ``bmo_3,bmo_1.5``) the
+summary and every listing cover only the reports of those objectives.
 """
 from __future__ import annotations
 
@@ -40,6 +42,11 @@ def read_reports(path: str) -> dict:
             out[(test, seen[test])] = fields
             seen[test] += 1
     return out
+
+
+def only_objectives(reports: dict, names) -> dict:
+    """The reports of ``reports`` whose objective is one of ``names``."""
+    return {key: fields for key, fields in reports.items() if fields[8] in names}
 
 
 def _value(text: str) -> float | None:
@@ -126,8 +133,13 @@ def main(argv=None) -> int:
                         help="exit with status 1, listing them, if some lower fell by more than REL relative")
     parser.add_argument("--list-witness-moves", action="store_true",
                         help="list every pair whose witness changed, with the relative move of its lower")
+    parser.add_argument("--objective", metavar="NAME[,NAME]", default=None,
+                        help="compare only the reports of these objectives, e.g. bmo_3,bmo_1.5")
     args = parser.parse_args(argv)
     before, after = read_reports(args.before), read_reports(args.after)
+    if args.objective is not None:
+        names = set(args.objective.split(","))
+        before, after = only_objectives(before, names), only_objectives(after, names)
     print(compare(before, after))
     if args.list_witness_moves:
         moves = witness_moves(before, after)
