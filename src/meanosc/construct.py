@@ -233,15 +233,13 @@ class LeafExpr(ConstructExpr):
         self.depth = 0
 
     def _combine(self, q, subs):
-        bp = self.function.breakpoints
         out = np.zeros((q.shape[1], self.atom_values.size))
         # where every atom has one piece a scatter places the overlaps (0.0 + x is x), else they add up
         scatter = self.atom_values.size == self.function.piece_count
         # the (ranges x pieces) overlaps in slices of at most _BATCH_BUDGET floats (or one range)
         step = max(1, _BATCH_BUDGET // self.function.piece_count)
         for s in range(0, q.shape[1], step):
-            l, r = q[:, s : s + step, None]
-            ov = np.maximum(np.minimum(r, bp[1:]) - np.maximum(l, bp[:-1]), 0.0)
+            ov = self.function.overlap_rows(*q[:, s : s + step])
             if scatter:
                 out[s : s + step, self._value_idx] = ov
             else:

@@ -55,6 +55,7 @@ __all__ = [
 
 _STRUCT_TOL = 1e-12
 _CURVE_TOL = 1e-10
+_SWEEP_LEVEL = 5  # dyadic level of the edge sweep's mixture weights
 
 
 def fold_alphas(probs) -> list[float]:
@@ -213,7 +214,7 @@ class MomentDomain:
 
     def functional_rows(self, w: np.ndarray, values: np.ndarray) -> np.ndarray:
         """``functional`` of each row of probability weights ``w`` over the atoms ``values``."""
-        return _BmoObjective(self.p).raw_from_weights(w, values) - self.eps**self.p
+        return _BmoObjective(self.p).raw_from_parts(w, values, 1.0) - self.eps**self.p
 
     def contains(self, d: DiscreteDistribution) -> bool:
         return self.functional(d) < 0
@@ -237,7 +238,7 @@ class ApDomain:
 
     def functional_rows(self, w: np.ndarray, values: np.ndarray) -> np.ndarray:
         """``functional`` of each row of probability weights ``w`` over the atoms ``values``."""
-        return _ApObjective(self.p).raw_from_weights(w, values) - self.bound
+        return _ApObjective(self.p).raw_from_parts(w, values, 1.0) - self.bound
 
     def contains(self, d: DiscreteDistribution) -> bool:
         return self.functional(d) < 0
@@ -392,14 +393,13 @@ def _edge_sweep_measure(dom, d0: DiscreteDistribution, d1: DiscreteDistribution,
         w = np.hstack(((1.0 - t) * d0.weights, t * d1.weights))
         return dom.functional_rows(w, values).reshape(np.shape(ts))
 
-    level = max(cfg.dyadic_level, 5)
-    ts = np.arange(1, 2**level) / 2.0**level
+    ts = np.arange(1, 2**_SWEEP_LEVEL) / 2.0**_SWEEP_LEVEL
     vs = mixtures(ts)
     best_t, best = 0.0, max(dom.functional(d0), dom.functional(d1))
     k = int(vs.argmax())
     if vs[k] > best:
         best, best_t = float(vs[k]), float(ts[k])
-    h = 1.0 / 2.0**level
+    h = 1.0 / 2.0**_SWEEP_LEVEL
     _, refined = _golden_max(mixtures, [max(best_t - h, 0.0)], [min(best_t + h, 1.0)], cfg.refine_iters)
     return max(best, float(refined[0]))
 

@@ -14,7 +14,10 @@ closed form (``_jump_candidates``); on the other cell pairs, the best
 pairs of points of a dyadic grid inside every cell seed a projected
 Newton ascent over their boxes (``_newton_ascent``), all in lockstep.
 
-Every search enters through ``_search``.  Flat step functions, and DAGs of
+Every search enters through ``_search``.  A candidate's overlaps come from
+the one overlap kernel, ``StepFunction.overlap_rows``, or its atom weights
+from a DAG query, and its value from its objective's one row functional,
+``raw_from_parts``; the grids are fixed.  Flat step functions, and DAGs of
 at most ``_FLAT_LIMIT`` pieces once materialized, are evaluated in
 vectorized chunks.  A flat circle searches the arcs of up to two periods
 as subintervals of its two-period unrolling, and longer arcs on a grid.
@@ -59,7 +62,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -98,31 +101,28 @@ _NEWTON_ITERS = 64  # most Newton iterations of a lane
 _NEWTON_CUTS = 4  # step halvings tried per Newton iteration
 _MAX_SECTIONS = 15  # most new probes per lane and golden round
 _PROBE_ROWS = 2048  # rows up to which a probe pass costs mostly its fixed cost
+_GRID_LEVEL = 2  # dyadic level of the in-cell, long-arc and junction offset grids
+_PER_OCTAVE = 3  # lengths per octave of the long-arc and junction grids
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs of the supremum searches.
 
-    ``grid_points`` sets the dyadic grid level inside each cell (rounded up
-    to the next dyadic level so grids nest), whose best pairs of points
-    seed the Newton ascent of flat BMO_p with p not in {1, 2}, and the
-    density of the long-arc and junction grids; ``refine_iters`` sets the
-    resolution of each golden-refined coordinate of DAG junction scans and
-    martingale edge sweeps: its final bracket is no wider than golden
-    section's after ``refine_iters`` probes, ``φ^-(refine_iters - 1)`` of
-    the initial one, whatever the probes per round (see ``_golden_max``).
-    Flat searches never refine by golden section, so ``refine_iters``
-    does not affect them, and the subintervals of flat BMO_1, BMO_2, A_p
-    and A_inf searches, which enumerate cell pairs exactly, depend on
-    neither knob.
+    ``refine_iters`` sets the resolution of each golden-refined coordinate
+    of DAG junction scans and martingale edge sweeps: its final bracket is
+    no wider than golden section's after ``refine_iters`` probes,
+    ``φ^-(refine_iters - 1)`` of the initial one, whatever the probes per
+    round (see ``_golden_max``).  Flat searches never refine by golden
+    section, so ``refine_iters`` does not affect them.  The grids are
+    fixed: ``_GRID_LEVEL`` dyadic offsets inside each cell and junction
+    and along long arcs, ``_PER_OCTAVE`` lengths per octave.
     ``r_long`` is the copy-count threshold of the long-arc regime;
     ``max_periods`` the largest scanned arc length in periods; ``certify``
     attaches an upper bound to each report; ``threads`` the worker count
     of the flat chunks.
     """
 
-    grid_points: int = 3
     refine_iters: int = 40
     r_long: int = 64
     max_periods: int = 256
@@ -130,23 +130,12 @@ class SearchConfig:
     threads: int = 1
 
     def __post_init__(self):
-        for name in ("grid_points", "refine_iters", "r_long", "max_periods", "threads"):
+        for name in ("refine_iters", "r_long", "max_periods", "threads"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be positive")
 
-    @property
-    def dyadic_level(self) -> int:
-        return max(1, math.ceil(math.log2(self.grid_points + 1)))
-
     def to_dict(self) -> dict:
-        return {
-            "grid_points": self.grid_points,
-            "refine_iters": self.refine_iters,
-            "r_long": self.r_long,
-            "max_periods": self.max_periods,
-            "certify": self.certify,
-            "threads": self.threads,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -196,11 +185,12 @@ class _Objective:
     requires_positive = False
     translation_invariant = False
 
-    def raw_from_parts(self, ov: np.ndarray, values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    def raw_from_parts(self, ov: np.ndarray, values: np.ndarray, lengths) -> np.ndarray:
         """Raw functional of each interval from its row of overlaps ``ov`` with the pieces and its length.
 
-        Row sums run through ``einsum``, as in ``raw_from_weights``, so an
-        interval's value does not depend on the batch it is evaluated in.
+        Rows of probability weights over atoms ``values`` pass ``lengths =
+        1.0``, an exact division.  Row sums run through ``einsum``, never
+        BLAS, so a row's value does not depend on the other rows of the batch.
         """
         raise NotImplementedError
 
@@ -269,14 +259,6 @@ class _Objective:
     def raw_from_dist(self, d: DiscreteDistribution) -> float:
         raise NotImplementedError
 
-    def raw_from_weights(self, w: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Raw functional of each row of probability weights ``w`` over the atoms ``values``.
-
-        Row sums run through ``einsum``, never BLAS, so a row's value does
-        not depend on the other rows of the batch.
-        """
-        raise NotImplementedError
-
     def value_from_raw(self, raw):
         return raw
 
@@ -309,10 +291,6 @@ class _BmoObjective(_Objective):
 
     def raw_from_dist(self, d):
         return d.central_moment(self.p)
-
-    def raw_from_weights(self, w, values):
-        m = np.einsum("ij,j->i", w, values)
-        return np.einsum("ij,ij->i", w, _abs_power(values[None, :] - m[:, None], self.p))
 
     def value_from_raw(self, raw):
         return raw ** (1.0 / self.p)
@@ -453,11 +431,6 @@ class _ApObjective(_WeightObjective):
     def raw_from_dist(self, d):
         return d.ap_form(self.p)
 
-    def raw_from_weights(self, w, values):
-        a = np.einsum("ij,j->i", w, values)
-        b = np.einsum("ij,j->i", w, values ** (-1.0 / (self.p - 1.0)))
-        return a * b ** (self.p - 1.0)
-
     def tv_slack(self, vmin, vmax, tv):
         ratio = vmax / vmin
         return 2.0 * self.p * tv * ratio ** max(1.0, 1.0 / (self.p - 1.0))
@@ -494,11 +467,6 @@ class _AInfObjective(_WeightObjective):
     def raw_from_dist(self, d):
         return d.geometric_form()
 
-    def raw_from_weights(self, w, values):
-        a = np.einsum("ij,j->i", w, values)
-        g = np.einsum("ij,j->i", w, np.log(values))
-        return a * np.exp(-g)
-
     def tv_slack(self, vmin, vmax, tv):
         biglog = max(abs(math.log(vmin)), abs(math.log(vmax)))
         return 2.0 * tv * (vmax / vmin) * (1.0 + biglog)
@@ -512,18 +480,21 @@ class _Best:
 
     Values within a relative 1e-12 of the running maximum count as ties, so
     one-ulp evaluation noise cannot displace a structurally cleaner witness;
-    the reported lower bound is still the exact maximum seen.
+    the reported lower bound is still the exact maximum seen.  Given a list
+    ``scan``, ``offer_array`` appends every batch to it as
+    ``(left, right, length, value)`` rows.
     """
 
-    __slots__ = ("value", "left", "right", "wv", "wl", "wr")
+    __slots__ = ("value", "left", "right", "wv", "wl", "wr", "scan")
 
-    def __init__(self):
+    def __init__(self, scan: list | None = None):
         self.value = -math.inf
         self.left = math.nan
         self.right = math.nan
         self.wv = -math.inf
         self.wl = math.nan
         self.wr = math.nan
+        self.scan = scan
 
     def _tol(self) -> float:
         return 1e-12 * abs(self.value)
@@ -545,6 +516,8 @@ class _Best:
     def offer_array(self, values: np.ndarray, lefts: np.ndarray, rights: np.ndarray):
         if values.size == 0:
             return
+        if self.scan is not None:
+            self.scan.append(np.column_stack((lefts, rights, rights - lefts, values)))
         vmax = float(values.max())
         if vmax < self.value - self._tol():
             return
@@ -676,7 +649,8 @@ def _centered(f: StepFunction, objective: _Objective) -> np.ndarray:
 class _FlatTarget:
     """An interval step function prepared for chunked candidate evaluation.
 
-    Candidates evaluate through exact overlap matrices.
+    Candidates evaluate through exact overlap matrices
+    (``StepFunction.overlap_rows``).
     """
 
     def __init__(self, f: StepFunction, objective: _Objective):
@@ -686,15 +660,8 @@ class _FlatTarget:
         self.objective = objective
         self.evaluations = 0
 
-    def overlaps(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-        """Overlap of each ``[lefts[k], rights[k]]`` with every piece, one row per interval."""
-        # in place: a chunk's overlap matrix may hold _CHUNK_BUDGET floats
-        ov = np.minimum(rights[:, None], self.bp[None, 1:])
-        ov -= np.maximum(lefts[:, None], self.bp[None, :-1])
-        return np.maximum(ov, 0.0, out=ov)
-
     def value_batch(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-        raw = self.objective.raw_from_parts(self.overlaps(lefts, rights), self.values, rights - lefts)
+        raw = self.objective.raw_from_parts(self.f.overlap_rows(lefts, rights), self.values, rights - lefts)
         return self.objective.value_from_raw(raw)
 
 
@@ -724,7 +691,7 @@ def _map_chunks(run, spans: list, threads: int, take):
             take(span, run(span))
 
 
-def _enumerate_pairs(target: _FlatTarget, cfg: SearchConfig, collect: list | None, lefts: int):
+def _enumerate_pairs(target: _FlatTarget, cfg: SearchConfig, best: _Best, lefts: int):
     """Exact supremum of a mean-decomposable objective: closed-form candidates per cell pair and split.
 
     An interval ``[l, r]`` with ``l`` in cell ``i`` and ``r`` in cell
@@ -753,10 +720,11 @@ def _enumerate_pairs(target: _FlatTarget, cfg: SearchConfig, collect: list | Non
     differences of prefix sums accumulated in extended precision, so
     short middles keep their digits.
 
-    With ``certify`` the second return value is a ceiling on the raw value
-    of every subinterval, else None.  A candidate's mean of a transform
-    ``t`` is off by at most ``(16·ε·M + (j − i − 1)·ε'·Q_j)/L``: ``M`` is
-    the integral of ``|t|`` over the interval, ``Q_j`` that over
+    Candidates are offered to ``best``.  With ``certify`` the return
+    value is a ceiling on the raw value of every subinterval, else None.
+    A candidate's mean of a transform ``t`` is off by at most
+    ``(16·ε·M + (j − i − 1)·ε'·Q_j)/L``: ``M`` is the integral of ``|t|``
+    over the interval, ``Q_j`` that over
     ``[b[0], b[j]]``, ``ε = 2⁻⁵²`` and ``ε'`` the spacing at 1 of the
     extended type.  The second term bounds the accumulation between the two
     prefix ends; the first bounds the transform values, cell lengths,
@@ -768,14 +736,12 @@ def _enumerate_pairs(target: _FlatTarget, cfg: SearchConfig, collect: list | Non
     """
     objective, bp = target.objective, target.bp
     n = target.values.size
-    best = _Best()
     if n == 1:
         # every subinterval has the carrier's value
         target.evaluations += 1
-        value = float(target.value_batch(bp[:1], bp[1:])[0])
-        best.offer(value, float(bp[0]), float(bp[1]))
-        ceiling = objective.raw_of_value(value) * (1.0 + 64.0 * _EPS) if cfg.certify else None
-        return best, ceiling
+        vals = target.value_batch(bp[:1], bp[1:])
+        best.offer_array(vals, bp[:1], bp[1:])
+        return objective.raw_of_value(float(vals[0])) * (1.0 + 64.0 * _EPS) if cfg.certify else None
     h, v = np.diff(bp), target.values
     taus = objective.thresholds(v)
     transforms = objective.prefix_transforms()
@@ -889,15 +855,14 @@ def _enumerate_pairs(target: _FlatTarget, cfg: SearchConfig, collect: list | Non
         target.evaluations += vals.size
         best.offer_array(vals, ls, rs)
         ceilings.append(ceiling)
-        if collect is not None:
-            collect.append(np.column_stack((ls, rs, rs - ls, vals)))
 
     _map_chunks(run, spans, cfg.threads, take)
-    return best, (max(ceilings) if cfg.certify else None)
+    return max(ceilings) if cfg.certify else None
 
 
-def _candidate_points(f: StepFunction, level: int) -> np.ndarray:
-    offsets = np.arange(1, 2**level) / 2.0**level
+def _candidate_points(f: StepFunction) -> np.ndarray:
+    """The breakpoints and the ``_GRID_LEVEL`` dyadic points inside every cell."""
+    offsets = np.arange(1, 2**_GRID_LEVEL) / 2.0**_GRID_LEVEL
     interior = (f.breakpoints[:-1, None] + np.diff(f.breakpoints)[:, None] * offsets[None, :]).ravel()
     return np.unique(np.concatenate((f.breakpoints, interior)))
 
@@ -951,7 +916,7 @@ def _jump_candidates(target: _FlatTarget):
     return np.concatenate(ls), np.concatenate(rs)
 
 
-def _chunked_pair_scan(target: _FlatTarget, points: np.ndarray, cfg: SearchConfig, best: _Best, collect: list | None):
+def _chunked_pair_scan(target: _FlatTarget, points: np.ndarray, cfg: SearchConfig, best: _Best):
     """Every pair of candidate points, a chunk at a time; returns the leaders of the Newton ascent.
 
     Candidate ``k`` is the ``k``-th pair of ``np.triu_indices`` order; the
@@ -983,8 +948,6 @@ def _chunked_pair_scan(target: _FlatTarget, points: np.ndarray, cfg: SearchConfi
         nonlocal lead
         ls, rs, vals, a, b = result
         best.offer_array(vals, ls, rs)
-        if collect is not None:
-            collect.append(np.column_stack((ls, rs, rs - ls, vals)))
         far = np.flatnonzero(cell_r[b] >= cell_l[a] + 2)
         v, k, a, b = (np.concatenate(pair) for pair in zip(lead, (vals[far], span[0] + far, a[far], b[far])))
         first = np.lexsort((k, -v))[:_REFINE_TOP]
@@ -1008,7 +971,7 @@ def _oscillation_parts(target: _FlatTarget, ls: np.ndarray, rs: np.ndarray, i: n
     infinite and so is the curvature.
     """
     p, v = target.objective.p, target.values
-    ov = target.overlaps(ls, rs)
+    ov = target.f.overlap_rows(ls, rs)
     L = rs - ls
     m = np.einsum("ij,j->i", ov, v) / L
     u = v[None, :] - m[:, None]
@@ -1099,53 +1062,50 @@ def _newton_ascent(target: _FlatTarget, ls, rs, i, j):
     return ends(at[0], at[1], i, j, hi, hj)
 
 
-def _oscillation_search(target: _FlatTarget, cfg: SearchConfig, best: _Best, collect: list | None):
+def _oscillation_search(target: _FlatTarget, cfg: SearchConfig, best: _Best):
     """BMO_p with p not in {1, 2}: exact adjacent cell pairs, and Newton ascent on the others.
 
     Adjacent cell pairs offer their supremum's interval in closed form
     (``_jump_candidates``).  The pairs of candidate points
-    (``_candidate_points`` at ``dyadic_level``) are offered, and the best
-    of them with ends in non-adjacent cells seed ``_newton_ascent``, whose
-    final intervals are offered with their values through ``value_batch``.
+    (``_candidate_points``) are offered, and the best of them with ends
+    in non-adjacent cells seed ``_newton_ascent``, whose final intervals
+    are offered with their values through ``value_batch``.
     """
     jl, jr = _jump_candidates(target)
     target.evaluations += jl.size
-    vals = target.value_batch(jl, jr)
-    best.offer_array(vals, jl, jr)
-    if collect is not None:
-        collect.append(np.column_stack((jl, jr, jr - jl, vals)))
-    ls, rs, i, j = _chunked_pair_scan(target, _candidate_points(target.f, cfg.dyadic_level), cfg, best, collect)
+    best.offer_array(target.value_batch(jl, jr), jl, jr)
+    ls, rs, i, j = _chunked_pair_scan(target, _candidate_points(target.f), cfg, best)
     ls, rs = _newton_ascent(target, ls, rs, i, j)
     target.evaluations += ls.size
     best.offer_array(target.value_batch(ls, rs), ls, rs)
 
 
-def _subinterval_search(target: _FlatTarget, cfg: SearchConfig, collect: list | None, lefts: int | None = None):
+def _subinterval_search(target: _FlatTarget, cfg: SearchConfig, scan: list | None, lefts: int | None = None):
     """The best subinterval of a flat target, and a proven raw ceiling over all of them or None.
 
     Objectives with prefix transforms enumerate cell pairs exactly, those
     whose left cell is below ``lefts`` (all by default), and certified
     searches get the ceiling; BMO_p with p not in {1, 2} takes its jumps
     in closed form and ascends from its leading candidates
-    (``_oscillation_search``), and gets None.  The chosen
+    (``_oscillation_search``), and gets None.  Every offered candidate
+    joins ``scan`` when it is a list (see ``_Best``).  The chosen
     candidate is re-evaluated through exact overlaps, so the returned
     best's value is its witness's value.
     """
+    best, ceiling = _Best(scan), None
     if target.objective.prefix_transforms() is not None:
-        best, ceiling = _enumerate_pairs(target, cfg, collect, target.values.size if lefts is None else lefts)
+        ceiling = _enumerate_pairs(target, cfg, best, target.values.size if lefts is None else lefts)
     else:
-        best, ceiling = _Best(), None
-        _oscillation_search(target, cfg, best, collect)
+        _oscillation_search(target, cfg, best)
     wl, wr, _ = best.finish()
     out = _Best()
     out.offer(float(target.value_batch(np.array([wl]), np.array([wr]))[0]), wl, wr)
     return out, ceiling
 
 
-def _flat_interval_search(f: StepFunction, objective: _Objective, cfg: SearchConfig, collect_scan: bool):
+def _flat_interval_search(f: StepFunction, objective: _Objective, cfg: SearchConfig, scan: list | None):
     target = _FlatTarget(f, objective)
-    collect: list | None = [] if collect_scan else None
-    best, ceiling = _subinterval_search(target, cfg, collect)
+    best, ceiling = _subinterval_search(target, cfg, scan)
     upper = None
     if cfg.certify:
         if ceiling is None:
@@ -1153,25 +1113,25 @@ def _flat_interval_search(f: StepFunction, objective: _Objective, cfg: SearchCon
         else:
             bound = objective.value_from_raw(ceiling)
         upper = max(bound, best.value)
-    scan = [tuple(row) for row in np.concatenate(collect)] if collect else []
-    return best, target.evaluations, upper, scan
+    return best, target.evaluations, upper
 
 
 # -- circle targets -----------------------------------------------------------------
 
 
-def _geom_lengths(lo: float, hi: float, per_octave: int) -> np.ndarray:
+def _geom_lengths(lo: float, hi: float) -> np.ndarray:
+    """Lengths from ``lo`` to ``hi``, ``_PER_OCTAVE`` per octave, evenly in log scale."""
     lo = max(lo, 1e-300)
     if hi <= lo:
         return np.array([hi])
-    count = max(2, int(math.ceil(per_octave * math.log2(hi / lo))) + 1)
+    count = max(2, int(math.ceil(_PER_OCTAVE * math.log2(hi / lo))) + 1)
     return np.geomspace(lo, hi, count)
 
 
 def _long_arc_grid(t0: float, cfg: SearchConfig):
     """Arcs of 2 to ``max_periods`` periods, starting at ``t0`` plus dyadic offsets."""
-    lengths = _geom_lengths(2.0, float(cfg.max_periods), max(2, cfg.grid_points))
-    offsets = np.arange(0, 2**cfg.dyadic_level) / 2.0**cfg.dyadic_level
+    lengths = _geom_lengths(2.0, float(cfg.max_periods))
+    offsets = np.arange(0, 2**_GRID_LEVEL) / 2.0**_GRID_LEVEL
     ls = t0 + np.tile(offsets, lengths.size)
     return ls, ls + np.repeat(lengths, offsets.size)
 
@@ -1197,13 +1157,12 @@ def _certificate(objective: _Objective, cfg: SearchConfig, values, period: Discr
     return max(objective.value_from_raw(raw_max + slack), best.value)
 
 
-def _flat_circle_search(f: StepFunction, objective: _Objective, cfg: SearchConfig, collect_scan: bool):
-    collect: list | None = [] if collect_scan else None
+def _flat_circle_search(f: StepFunction, objective: _Objective, cfg: SearchConfig, scan: list | None):
     t0 = float(f.breakpoints[0])
     flat = _FlatTarget(f.restrict((t0, t0 + 2.0)), objective)
     # a pair of two second-period cells is a one-period translate of a
     # first-period pair, which wins ties by its smaller left end
-    best, ceiling = _subinterval_search(flat, cfg, collect, f.piece_count)
+    best, ceiling = _subinterval_search(flat, cfg, scan, f.piece_count)
 
     ls, rs = _long_arc_grid(t0, cfg)
     flat.evaluations += ls.size
@@ -1212,13 +1171,12 @@ def _flat_circle_search(f: StepFunction, objective: _Objective, cfg: SearchConfi
     raw_short = objective.raw_of_value(best.value) if ceiling is None else ceiling
     raw_max = max(raw_short, _long_arc_scan(raws, ls, rs, objective, best))
     upper = _certificate(objective, cfg, f.values, f.distribution((t0, t0 + 1.0)), raw_max, best)
-    scan = [tuple(row) for row in np.concatenate(collect)] if collect else []
     # a long arc may top the short witness by less than the tie tolerance:
     # report the chosen witness's own value
     wl, wr, wv = best.finish()
     out = _Best()
     out.offer(wv, wl, wr)
-    return out, flat.evaluations, upper, scan
+    return out, flat.evaluations, upper
 
 
 # -- construction-DAG targets ----------------------------------------------------------
@@ -1288,7 +1246,7 @@ class _DagSearch:
     def raws(self, groups: list) -> np.ndarray:
         """Raw functional of every arc of ``groups``, ``(node, ls, rs)`` triples, in one multi-root query."""
         raw = np.concatenate([
-            self.objective.raw_from_weights(b.masses / b.masses.sum(axis=1)[:, None], node.atom_values)
+            self.objective.raw_from_parts(b.masses / b.masses.sum(axis=1)[:, None], node.atom_values, 1.0)
             for (node, _, _), b in zip(groups, query_batches(groups))
         ])
         self.evaluations += raw.size
@@ -1401,7 +1359,7 @@ class _DagSearch:
         if not nodes:
             return {}
         cfg = self.cfg
-        offsets = np.arange(1, 2**cfg.dyadic_level) / 2.0**cfg.dyadic_level
+        offsets = np.arange(1, 2**_GRID_LEVEL) / 2.0**_GRID_LEVEL
         jc, jlo, jnode, lengths = [], [], [], []  # per junction: center, shortest length, node, grid lengths
         clip_lo, clip_hi, scale_hi = [], [], []  # per node
         for i, node in enumerate(nodes):
@@ -1415,7 +1373,7 @@ class _DagSearch:
                 jc.append(c)
                 jlo.append(s)
                 jnode.append(i)
-                lengths.append(_geom_lengths(max(s, 1e-13), hi, max(2, cfg.grid_points)))
+                lengths.append(_geom_lengths(max(s, 1e-13), hi))
         jc, jnode, clip_lo, clip_hi = np.array(jc), np.array(jnode, dtype=int), np.array(clip_lo), np.array(clip_hi)
 
         def ends(js, ts, ells):
@@ -1495,13 +1453,14 @@ def _dag_search(expr: ConstructExpr, objective: _Objective, cfg: SearchConfig):
     if witness is not None:
         best.offer(value, witness[0], witness[1])
     upper = _certificate(objective, cfg, expr.atom_values, expr.distribution(), engine.raw_max, best)
-    return best, engine.evaluations, upper, []
+    return best, engine.evaluations, upper
 
 
 # -- public operations ------------------------------------------------------------------
 
 
-def _finish(cfg: SearchConfig, best: _Best, evaluations: int, upper, scan) -> SearchReport:
+def _finish(cfg: SearchConfig, best: _Best, evaluations: int, upper, scan: list | None = None) -> SearchReport:
+    """The report of a search; ``scan`` holds the ``(left, right, length, value)`` batches of its scan, if collected."""
     if not math.isfinite(best.value) or math.isnan(best.left):
         raise InputError("search produced no candidates")
     wl, wr, _ = best.finish()
@@ -1511,7 +1470,7 @@ def _finish(cfg: SearchConfig, best: _Best, evaluations: int, upper, scan) -> Se
         evaluations=evaluations,
         config=cfg,
         upper=upper,
-        scan=scan,
+        scan=[tuple(row) for row in np.concatenate(scan)] if scan else [],
     )
 
 
@@ -1547,7 +1506,8 @@ def _search(target, objective: _Objective, cfg: SearchConfig | None, collect_sca
             return _finish(cfg, *_dag_search(target, objective, cfg))
         target = materialize(target, max_pieces=_FLAT_LIMIT)
     flat_search = _flat_circle_search if circle else _flat_interval_search
-    return _finish(cfg, *flat_search(target, objective, cfg, collect_scan))
+    scan = [] if collect_scan else None
+    return _finish(cfg, *flat_search(target, objective, cfg, scan), scan)
 
 
 def bmo_norm(target, p: float, cfg: SearchConfig | None = None, collect_scan: bool = False) -> SearchReport:

@@ -220,21 +220,22 @@ class StepFunction:
         """
         q = as_query(q)
         self._check_query(q)
-        bp = self.breakpoints
-        if not self.is_circle:
-            lo = np.maximum(q.left, bp[:-1])
-            hi = np.minimum(q.right, bp[1:])
-            return np.maximum(hi - lo, 0.0)
-        raw = self._circle_indicator(q.right) - self._circle_indicator(q.left)
-        return np.maximum(raw, 0.0)
+        return self.overlap_rows([q.left], [q.right])[0]
 
     def overlap_rows(self, lefts, rights) -> np.ndarray:
-        """:meth:`overlaps` of the queries ``[lefts[k], rights[k]]``, one row per query, unchecked."""
+        """:meth:`overlaps` of the queries ``[lefts[k], rights[k]]``, one row per query, unchecked.
+
+        The package's one overlap kernel; in place, as a search chunk's matrix may be large.
+        """
         lefts, rights = (np.asarray(x, dtype=float)[:, None] for x in (lefts, rights))
         bp = self.breakpoints
         if not self.is_circle:
-            return np.maximum(np.minimum(rights, bp[1:]) - np.maximum(lefts, bp[:-1]), 0.0)
-        return np.maximum(self._circle_indicator(rights) - self._circle_indicator(lefts), 0.0)
+            ov = np.minimum(rights, bp[1:])
+            ov -= np.maximum(lefts, bp[:-1])
+        else:
+            ov = self._circle_indicator(rights)
+            ov -= self._circle_indicator(lefts)
+        return np.maximum(ov, 0.0, out=ov)
 
     def _circle_indicator(self, x) -> np.ndarray:
         # Per-piece antiderivative of the periodic piece indicator at x, one

@@ -97,12 +97,12 @@ def random_monotone_map(rng: np.random.Generator, lipschitz: float = 1.0) -> Mon
     return MonotoneMap(xs, ys)
 
 
-def _normalized_corpus(seed: int, count: int, cfg: SearchConfig):
+def _normalized_corpus(seed: int, count: int):
     rng = np.random.default_rng(seed)
     corpus = []
     for _ in range(count):
         f = random_step_function(rng)
-        norm2 = bmo_norm(f, 2.0, cfg).lower
+        norm2 = bmo_norm(f, 2.0).lower
         if norm2 < 1e-6:
             continue
         g = compose_monotone(f, MonotoneMap.scale(1.0 / norm2))
@@ -112,8 +112,7 @@ def _normalized_corpus(seed: int, count: int, cfg: SearchConfig):
 
 def verify_weak(seed: int = 0, count: int = 100, tol: float = 1e-9) -> dict:
     """Weak-type envelope check on a normalized random corpus."""
-    cfg = SearchConfig(refine_iters=48)
-    _, corpus = _normalized_corpus(seed, count, cfg)
+    _, corpus = _normalized_corpus(seed, count)
     lams = np.arange(0.25, 4.01, 0.25)
     worst = -math.inf
     for f in corpus:
@@ -127,22 +126,21 @@ def verify_weak(seed: int = 0, count: int = 100, tol: float = 1e-9) -> dict:
 
 def verify_lp(seed: int = 0, count: int = 100, tol: float = 1e-6) -> dict:
     """Oscillation-norm comparisons across p on a normalized random corpus."""
-    cfg = SearchConfig(refine_iters=48)
-    _, corpus = _normalized_corpus(seed, count, cfg)
+    _, corpus = _normalized_corpus(seed, count)
     checks = []
     worst_low = -math.inf
     worst_high_lo = -math.inf
     worst_high_hi = -math.inf
     for f in corpus:
-        r2 = bmo_norm(f, 2.0, cfg)
+        r2 = bmo_norm(f, 2.0)
         for p in (1.0, 1.5):
-            rp = bmo_norm(f, p, cfg)
+            rp = bmo_norm(f, p)
             # any witness interval is a valid lower bound for either norm
             n2 = max(r2.lower, f.central_moment(rp.witness, 2.0) ** 0.5)
             worst_low = max(worst_low, rp.lower - n2)
         for p in (3.0, 4.0):
             v = max(
-                bmo_norm(f, p, cfg).lower,
+                bmo_norm(f, p).lower,
                 f.central_moment(r2.witness, p) ** (1.0 / p),
             )
             worst_high_lo = max(worst_high_lo, r2.lower - v)
@@ -155,29 +153,28 @@ def verify_lp(seed: int = 0, count: int = 100, tol: float = 1e-6) -> dict:
 
 def verify_monotone(seed: int = 0, count: int = 100, tol: float = 1e-6) -> dict:
     """Norm monotonicity under composition, truncation, rearrangement, restriction."""
-    cfg = SearchConfig(refine_iters=48)
-    rng, corpus = _normalized_corpus(seed, count, cfg)
+    rng, corpus = _normalized_corpus(seed, count)
     worst = {"compose": -math.inf, "truncate": -math.inf, "rearrange": -math.inf, "restrict": -math.inf}
     tv_worst = 0.0
     for f in corpus:
-        base = bmo_norm(f, 2.0, cfg).lower
+        base = bmo_norm(f, 2.0).lower
         g = random_monotone_map(rng)
         worst["compose"] = max(
-            worst["compose"], bmo_norm(compose_monotone(f, g), 2.0, cfg).lower - g.lipschitz * base
+            worst["compose"], bmo_norm(compose_monotone(f, g), 2.0).lower - g.lipschitz * base
         )
         level = float(np.median(f.values))
         worst["truncate"] = max(
             worst["truncate"],
-            bmo_norm(compose_monotone(f, MonotoneMap.truncation(level)), 2.0, cfg).lower - base,
+            bmo_norm(compose_monotone(f, MonotoneMap.truncation(level)), 2.0).lower - base,
         )
         sorted_f = monotone_rearrangement(f)
-        worst["rearrange"] = max(worst["rearrange"], bmo_norm(sorted_f, 2.0, cfg).lower - base)
+        worst["rearrange"] = max(worst["rearrange"], bmo_norm(sorted_f, 2.0).lower - base)
         tv_worst = max(
             tv_worst, tv_distance(sorted_f.distribution((0.0, 1.0)), f.distribution((0.0, 1.0)))
         )
         a = float(rng.uniform(0.0, 0.45))
         b = float(rng.uniform(a + 0.1, 1.0))
-        worst["restrict"] = max(worst["restrict"], bmo_norm(f.restrict((a, b)), 2.0, cfg).lower - base)
+        worst["restrict"] = max(worst["restrict"], bmo_norm(f.restrict((a, b)), 2.0).lower - base)
     checks = [
         _check_le("compose_norm_excess", worst["compose"], 0.0, tol),
         _check_le("truncate_norm_excess", worst["truncate"], 0.0, tol),
@@ -190,12 +187,11 @@ def verify_monotone(seed: int = 0, count: int = 100, tol: float = 1e-6) -> dict:
 
 def verify_rh(tol_two_step: float = 1e-9, tol_staircase: float = 0.02, tol_rh: float = 1e-3) -> dict:
     """Weight-constant suite: two-step weight, power staircase, reverse Holder."""
-    cfg = SearchConfig(refine_iters=48)
     checks = []
     w = StepFunction(Interval(0.0, 1.0), [0.0, 0.5, 1.0], [2.0, 0.5])
-    checks.append(_check("two_step_a2", 25.0 / 16.0, ap_constant(w, 2.0, cfg).lower, tol_two_step))
+    checks.append(_check("two_step_a2", 25.0 / 16.0, ap_constant(w, 2.0).lower, tol_two_step))
     stair, _ = power_staircase(0.5, 2.0, 1.05, 200)
-    a2 = ap_constant(stair, 2.0, cfg).lower
+    a2 = ap_constant(stair, 2.0).lower
     checks.append(_check("power_staircase_a2", 4.0 / 3.0, a2, tol_staircase * 4.0 / 3.0))
     rh = reverse_holder_ratio(stair, (0.0, 1.0), 2.0)
     checks.append(_check("power_staircase_rh", (0.5**0.5) * 1.5, rh, tol_rh))
@@ -269,7 +265,6 @@ def verify_jn(
         r_long=r_long,
         max_periods=max_periods,
         refine_iters=24,
-        grid_points=3,
     )
     bracket = circle_bmo_norm(expr, 1.0, cfg)
     checks.append(_check_le("circle_norm_upper", bracket.upper, eps + 0.05, 0.0))

@@ -107,12 +107,12 @@ def test_criterion_4_staircase_convergence():
         assert abs(oracle - target) <= 1e-4
 
         f, _ = log_staircase(1.02, 400)
-        report = bmo_norm(f, 1.0, SearchConfig(refine_iters=32, grid_points=1))
+        report = bmo_norm(f, 1.0, SearchConfig(refine_iters=32))
         assert abs(report.lower - target) <= 0.02
 
         # monotone trend toward 2/e as the staircase refines
         trend = [
-            bmo_norm(log_staircase(lam, n)[0], 1.0, SearchConfig(refine_iters=16, grid_points=1)).lower
+            bmo_norm(log_staircase(lam, n)[0], 1.0, SearchConfig(refine_iters=16)).lower
             for lam, n in ((1.3, 12), (1.1, 60), (1.02, 400))
         ]
         assert trend[0] <= trend[1] <= trend[2] <= target + 1e-9

@@ -138,20 +138,6 @@ def test_unenumerated_lower_is_its_witness_value():
                 assert abs(at_witness - r.lower) <= 1e-15 * abs(r.lower), (p, target.is_circle)
 
 
-def test_monotone_convergence_in_grid_and_refinement():
-    rng = np.random.default_rng(9)
-    for _ in range(5):
-        n = int(rng.integers(3, 7))
-        bp = np.concatenate(([0.0], np.sort(rng.uniform(0.05, 0.95, n - 1)), [1.0]))
-        f = StepFunction(Interval(0.0, 1.0), bp, rng.normal(size=n))
-        prev = -math.inf
-        for grid, iters in ((1, 8), (3, 24), (7, 48)):
-            cfg = SearchConfig(grid_points=grid, refine_iters=iters)
-            lb = bmo_norm(f, 3.0, cfg).lower
-            assert lb >= prev - 1e-12
-            prev = lb
-
-
 def test_thread_count_does_not_change_report():
     f = split_step()
     base = bmo_norm(f, 3.0, SearchConfig(refine_iters=24, threads=1)).to_dict()
@@ -297,6 +283,34 @@ def test_scaling_holds_at_every_value_scale():
     # a jump of 1e-13 has BMO_2 half of it, not 0
     tiny = StepFunction(Interval(0.0, 1.0), [0.0, 0.5, 1.0], [0.0, 1e-13])
     assert abs(bmo_norm(tiny, 2.0).lower - 0.5e-13) <= 1e-12 * 0.5e-13
+
+
+def test_witness_is_in_the_scan():
+    # every candidate a flat search offers joins its scan, the Newton
+    # ascent's intervals too, so the witness is a row of it and no row is
+    # short of the lower; on circles only arcs shorter than two periods
+    # are scanned (longer ones are a grid outside the scan)
+    searches = [lambda t, p=p: (circle_bmo_norm if t.is_circle else bmo_norm)(t, p, collect_scan=True)
+                for p in (1.0, 1.5, 2.0, 3.0, 4.0)]
+    weights = [lambda t: ap_constant(t, 2.0, collect_scan=True), lambda t: a_inf_constant(t, collect_scan=True)]
+    checked = 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        f = _random_step(rng, 3 + seed % 6)
+        w = StepFunction(f.domain, f.breakpoints, np.exp(f.values))
+        for g, runs in ((f, searches), (w, weights)):
+            for target in (g, StepFunction(CIRCLE, g.breakpoints, g.values)):
+                for search in runs:
+                    r = search(target)
+                    if r.witness.length >= 2.0:
+                        continue
+                    rows = np.array(r.scan)
+                    at = (rows[:, 0] == r.witness.left) & (rows[:, 1] == r.witness.right)
+                    assert at.any(), (seed, target.is_circle)
+                    assert rows[:, 3].max() >= r.lower * (1.0 - 1e-12), (seed, target.is_circle)
+                    checked += 1
+    # every witness of these circles is shorter than two periods
+    assert checked == 12 * 14
 
 
 
@@ -628,13 +642,14 @@ def _traced_peak(search):
 
 
 def test_pair_scan_memory_stays_small():
-    # p = 3 still scans pairs to seed its Newton ascent: 1281 candidate
-    # points make 820k pairs, whose ends are built a chunk at a time, and
-    # only the leaders found so far are held across chunks
-    r, peak = _traced_peak(lambda: bmo_norm(_zero_one_step(40), 3.0, SearchConfig(grid_points=31)))
+    # p = 3 still scans pairs to seed its Newton ascent: 320 pieces at
+    # grid level 2 have 1281 candidate points, whose 820k pairs have their
+    # ends built a chunk at a time, and only the leaders found so far are
+    # held across chunks
+    r, peak = _traced_peak(lambda: bmo_norm(_zero_one_step(320), 3.0))
     assert peak < 64 * 2**20
     assert r.lower == pytest.approx(0.5, rel=1e-12)
-    assert r.evaluations == 820088
+    assert r.evaluations == 820353
 
 
 def test_pair_enumeration_memory_stays_small():
@@ -805,8 +820,10 @@ def test_offer_sequence_matches_sequential_offers(offers, start):
     got.offer_sequence(np.array(values[start:], dtype=float), np.array(lefts[start:]), np.array(rights[start:]))
     # it skips offers, never makes one sequential offering would not
     assert set(got.offers) <= set(want.offers)
+    assert got.scan is None and want.scan is None
     for name in _Best.__slots__:
-        assert float(getattr(got, name)).hex() == float(getattr(want, name)).hex(), name
+        if name != "scan":
+            assert float(getattr(got, name)).hex() == float(getattr(want, name)).hex(), name
 
 
 def _reference_junction_scan(engine, node, c, scale_lo, scale_hi, best, clip, k):
@@ -826,8 +843,8 @@ def _reference_junction_scan(engine, node, c, scale_lo, scale_hi, best, clip, k)
                     best.offer(v, l, r)
         return ls, rs, vs
 
-    lengths = _geom_lengths(max(scale_lo, 1e-13), scale_hi, max(2, cfg.grid_points))
-    offsets = np.arange(1, 2**cfg.dyadic_level) / 2.0**cfg.dyadic_level
+    lengths = _geom_lengths(max(scale_lo, 1e-13), scale_hi)
+    offsets = np.arange(1, 2**search_module._GRID_LEVEL) / 2.0**search_module._GRID_LEVEL
     ls, rs, vs = arcs(np.tile(offsets, lengths.size), np.repeat(lengths, offsets.size), True)
     top = [k for k in np.argsort(-vs, kind="stable")[:4] if vs[k] > -math.inf]
     ell0 = (rs[top] - ls[top]).tolist()
@@ -1064,7 +1081,7 @@ def test_reverse_holder_values():
 
 def test_config_validation():
     with pytest.raises(InputError):
-        SearchConfig(grid_points=0)
+        SearchConfig(r_long=0)
     with pytest.raises(InputError):
         SearchConfig(threads=0)
 

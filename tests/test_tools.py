@@ -1,5 +1,6 @@
 """Repository tools: the report comparison."""
 import importlib.util
+import math
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -127,3 +128,37 @@ def test_compare_reports_restricts_to_objectives(tmp_path, capsys):
     ]
     # without the restriction the bmo_1 drop fails the run
     assert compare_reports.main(args[:-2]) == 1
+
+
+def test_compare_reports_exact_lists_every_differing_field(tmp_path, capsys):
+    compare_reports = _load("compare_reports")
+    before = tmp_path / "before.tsv"
+    after = tmp_path / "after.tsv"
+    moved_count = _record("t::b", "flat", 1.0, None, 0.0, 1.0, "bmo_3", "interval").replace("\t7\t", "\t8\t")
+    before.write_text(
+        _record("t::a", "flat", 2.0, 3.0, 0.0, 0.5, "bmo_1", "interval")
+        + _record("t::a", "flat", 1.0, 3.0, 0.25, 0.5, "bmo_1", "circle")
+        + _record("t::b", "flat", 1.0, None, 0.0, 1.0, "bmo_3", "interval")
+        + _record("t::c", "flat", 0.0, None, 0.0, 1.0, "bmo_2", "interval")
+    )
+    after.write_text(
+        _record("t::a", "flat", 2.0, 3.0, 0.0, 0.5, "bmo_1", "interval")
+        # one ulp of lower (and so of the witness value), and upper gone
+        + _record("t::a", "flat", math.nextafter(1.0, 2.0), None, 0.25, 0.5, "bmo_1", "circle")
+        + moved_count
+        # a sign of zero is a bit
+        + _record("t::c", "flat", -0.0, None, 0.0, 1.0, "bmo_2", "interval")
+    )
+    assert compare_reports.main([str(before), str(after), "--exact"]) == 1
+    assert capsys.readouterr().out.splitlines()[-4:] == [
+        "differs, report 1 of t::a: lower, upper, witness value",
+        "differs, report 0 of t::b: evaluations",
+        "differs, report 0 of t::c: lower, witness value",
+        "3 report(s) differ",
+    ]
+    # a file against itself differs nowhere, also next to a lower-drop gate
+    assert compare_reports.main([str(before), str(before), "--exact", "--max-lower-drop", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["0 report(s) differ", "0 lower(s) fell by more than 0 relative"]
+    # the gates report separately: no lower fell by more than 1e-12, yet the bits differ
+    assert compare_reports.main([str(before), str(after), "--exact", "--max-lower-drop", "1e-12"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "0 lower(s) fell by more than 1e-12 relative"

@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/compare_reports.py BEFORE.tsv AFTER.tsv [--max-lower-drop REL] [--list-witness-moves] [--objective NAME[,NAME]]
+    python3 tools/compare_reports.py BEFORE.tsv AFTER.tsv [--max-lower-drop REL] [--list-witness-moves] [--exact] [--objective NAME[,NAME]]
 
 The k-th search report a test records in BEFORE is paired with the k-th
 one the same test records in AFTER (``construct.query`` lines are
@@ -19,7 +19,10 @@ With ``--max-lower-drop REL`` the script then lists every pair whose
 there is one.  With ``--list-witness-moves`` it lists every pair whose
 witness changed, with both witnesses and the relative move of ``lower``,
 so that a witness that moved between tied candidates (a move of 0) stands
-apart from one that moved with its value.  With ``--objective
+apart from one that moved with its value.  With ``--exact`` it lists
+every pair whose ``lower``, ``upper``, witness, evaluation count or
+witness value differs in any bit, naming the fields, and exits with
+status 1 if there is one.  With ``--objective
 NAME[,NAME]`` (objective names as recorded, e.g. ``bmo_3,bmo_1.5``) the
 summary and every listing cover only the reports of those objectives.
 """
@@ -96,6 +99,21 @@ def witness_moves(before: dict, after: dict) -> list:
     return moves
 
 
+# the fields --exact compares, by column; floats are recorded as float.hex text, equal exactly when their bits are
+_EXACT_FIELDS = (("lower", (2,)), ("upper", (3,)), ("witness", (4, 5)), ("evaluations", (6,)), ("witness value", (7,)))
+
+
+def exact_differences(before: dict, after: dict) -> list:
+    """``(test id, k, names of the differing fields)`` of every paired report that differs in any bit."""
+    out = []
+    for key in sorted(before.keys() & after.keys()):
+        b, a = before[key], after[key]
+        names = [name for name, cols in _EXACT_FIELDS if any(b[c] != a[c] for c in cols)]
+        if names:
+            out.append((*key, names))
+    return out
+
+
 def compare(before: dict, after: dict) -> str:
     groups: dict = defaultdict(_Group)
     worst = (0.0, None)
@@ -133,6 +151,8 @@ def main(argv=None) -> int:
                         help="exit with status 1, listing them, if some lower fell by more than REL relative")
     parser.add_argument("--list-witness-moves", action="store_true",
                         help="list every pair whose witness changed, with the relative move of its lower")
+    parser.add_argument("--exact", action="store_true",
+                        help="exit with status 1, listing them, if some paired report differs in any bit")
     parser.add_argument("--objective", metavar="NAME[,NAME]", default=None,
                         help="compare only the reports of these objectives, e.g. bmo_3,bmo_1.5")
     args = parser.parse_args(argv)
@@ -146,13 +166,20 @@ def main(argv=None) -> int:
         for test, k, (bl, br), (al, ar), move in moves:
             print(f"witness move, report {k} of {test}: [{bl!r}, {br!r}] -> [{al!r}, {ar!r}], lower moved {move:.3g} relative")
         print(f"{len(moves)} witness(es) moved")
-    if args.max_lower_drop is None:
-        return 0
-    drops = lower_drops(before, after, args.max_lower_drop)
-    for drop, test, k in drops:
-        print(f"lower drop {drop:.3g} relative, report {k} of {test}")
-    print(f"{len(drops)} lower(s) fell by more than {args.max_lower_drop:g} relative")
-    return 1 if drops else 0
+    status = 0
+    if args.exact:
+        diffs = exact_differences(before, after)
+        for test, k, names in diffs:
+            print(f"differs, report {k} of {test}: {', '.join(names)}")
+        print(f"{len(diffs)} report(s) differ")
+        status = 1 if diffs else status
+    if args.max_lower_drop is not None:
+        drops = lower_drops(before, after, args.max_lower_drop)
+        for drop, test, k in drops:
+            print(f"lower drop {drop:.3g} relative, report {k} of {test}")
+        print(f"{len(drops)} lower(s) fell by more than {args.max_lower_drop:g} relative")
+        status = 1 if drops else status
+    return status
 
 
 if __name__ == "__main__":
