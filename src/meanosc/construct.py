@@ -325,7 +325,7 @@ class HomExpr(ConstructExpr):
         bounds = self._bounds
         # cell j is [bounds[j], bounds[j + 1]]; a point on a bound belongs to the cell it starts
         j = bounds[1:-1].searchsorted(q, "right")
-        lo, hi = bounds[j], bounds[j + 1]
+        lo, hi = bounds[j], bounds[1:][j]
         (l, r), (al, ar), (bl, br) = q, lo, hi
         same = j[0] == j[1]
         # the whole cells run from wl to wr; wl == l when l starts its cell
@@ -441,10 +441,11 @@ class GlueExpr(_CircleExpr):
         reqs, arms = [], []
         for hom, a, b, *cols in self._arms:
             # clamped to the arm; a range that misses it comes out empty
-            arm = np.minimum(np.maximum(u, a), b)
+            arm = np.maximum(u, a)
+            np.minimum(arm, b, out=arm)
             live = (arm[1] > arm[0]).nonzero()[0]
             if live.size:
-                reqs.append((hom, a, b, arm[:, live], live))
+                reqs.append((hom, a, b, arm.take(live, axis=1), live))
                 arms.append((live, *cols))
         return reqs, (u.shape[1], arms)
 
@@ -681,18 +682,21 @@ def _pass(groups: list, q: np.ndarray, limits: np.ndarray):
             # copy-aligned ends exactly so recursion stays period-aligned (a
             # left end l <= a lands on A through the clamp)
             A, B = child.content_bounds()
-            m = A + (cq - a) * ((B - A) / (b - a))
-            m[1][cq[1] >= b] = B
+            m = np.subtract(cq, a)
+            m *= (B - A) / (b - a)
+            m += A
+            np.putmask(m[1], cq[1] >= b, B)
             np.maximum(np.minimum(m, B, out=m), A, out=m)
-            live = (m[1] > m[0]).nonzero()[0]
+            width = m[1] - m[0]
+            live = (width > 0.0).nonzero()[0]
             total, start, scale = cq.shape[1], 0, None
             if live.size:
                 if live.size < total:
-                    m, cq = m[:, live], cq[:, live]
+                    m, cq, width = m.take(live, axis=1), cq.take(live, axis=1), width[live]
                 start = send(child, m, (run, live if src is None else src[live]), margin - 1)
                 readers[id(child)] = readers.get(id(child), 0) + 1
                 # the child's masses rescale to this node's length units
-                scale = ((cq[1] - cq[0]) / (m[1] - m[0]))[:, None]
+                scale = ((cq[1] - cq[0]) / width)[:, None]
             copies.append((child, start, live, total, scale))
         runs.append((node, combine, state, copies))
 
@@ -783,6 +787,44 @@ class QueryBatch:
         )
 
 
+def _query_masses(requests, record=None) -> list[np.ndarray]:
+    """The chunk loop of :func:`query_batches`, without its input checks: per request, its ``(rows, atoms)`` masses in length units.
+
+    ``requests`` lists ``(node, lefts, rights)`` triples of float arrays
+    whose rows are finite, nonempty and inside their node's carrier.
+    ``record``, if given, is called as ``record(request, start, stop,
+    trail, (partial, offset), single)`` for the rows ``start:stop`` of
+    every chunk's :func:`_pass`; ``single`` says whether one chunk holds
+    every row.
+    """
+    nodes = [e for e, _, _ in requests]
+    sizes = [l.size for _, l, _ in requests]
+    q = np.stack([np.concatenate([row[k] for row in requests] or [np.zeros(0)]) for k in (1, 2)])
+    ends = np.cumsum(sizes).tolist()
+    weight = np.cumsum(np.repeat([e.atom_values.size for e in nodes], sizes))
+    limits = np.repeat([10 * (e.depth + 1) + 10 for e in nodes], sizes)
+    bounds, s = [], 0
+    while s < weight.size:
+        e = max(s + 1, int(weight.searchsorted((weight[s - 1] if s else 0) + _BATCH_BUDGET, "right")))
+        bounds.append((s, e))
+        s = e
+    masses: list = [None] * len(nodes)
+    for s, e in bounds:
+        groups = [(g, max(b - n, s) - s, min(b, e) - s) for g, (n, b) in enumerate(zip(sizes, ends)) if b - n < e and b > s]
+        results, trail = _pass([(nodes[g], a, b) for g, a, b in groups], q[:, s:e], limits[s:e])
+        for (g, a, b), (mass, partial) in zip(groups, results):
+            if b - a == sizes[g]:
+                masses[g] = mass
+            else:
+                if masses[g] is None:
+                    masses[g] = np.empty((sizes[g], nodes[g].atom_values.size))
+                first = s + a - (ends[g] - sizes[g])
+                masses[g][first : first + b - a] = mass
+            if record is not None:
+                record(g, a, b, trail, partial, len(bounds) == 1)
+    return [np.zeros((0, node.atom_values.size)) if m is None else m for node, m in zip(nodes, masses)]
+
+
 def query_batches(requests) -> list[QueryBatch]:
     """Exact interval queries against several construction nodes, answered together.
 
@@ -791,7 +833,8 @@ def query_batches(requests) -> list[QueryBatch]:
     topological pass over the nodes' DAGs, in chunks of rows whose roots'
     atom counts sum to at most ``_BATCH_BUDGET`` (or of one row).  Rows
     never influence each other, so every row equals a batch of one against
-    its own node bitwise.
+    its own node bitwise.  The input checks and the telemetry sit on top
+    of :func:`_query_masses`.
     """
     nodes = [e for e, _, _ in requests]
     ls = [np.asarray(l, dtype=float) for _, l, _ in requests]
@@ -808,41 +851,23 @@ def query_batches(requests) -> list[QueryBatch]:
         k = int(outside.argmax())
         a, b = carriers[int(np.searchsorted(np.cumsum(sizes), k, "right"))]
         raise InputError(f"query [{q[0, k]}, {q[1, k]}] outside carrier [{a}, {b}]")
-    ends = np.cumsum(sizes).tolist()
-    weight = np.cumsum(np.repeat([e.atom_values.size for e in nodes], sizes))
-    limits = np.repeat([10 * (e.depth + 1) + 10 for e in nodes], sizes)
-    bounds, s = [], 0
-    while s < weight.size:
-        e = max(s + 1, int(weight.searchsorted((weight[s - 1] if s else 0) + _BATCH_BUDGET, "right")))
-        bounds.append((s, e))
-        s = e
-    masses: list = [None] * len(nodes)
     chunks: list = [[] for _ in nodes]
-    for s, e in bounds:
-        groups = [(g, max(b - n, s) - s, min(b, e) - s) for g, (n, b) in enumerate(zip(sizes, ends)) if b - n < e and b > s]
-        results, trail = _pass([(nodes[g], a, b) for g, a, b in groups], q[:, s:e], limits[s:e])
-        for (g, a, b), (mass, (partial, start)) in zip(groups, results):
-            if b - a == sizes[g]:
-                masses[g] = mass
-            else:
-                if masses[g] is None:
-                    masses[g] = np.empty((sizes[g], nodes[g].atom_values.size))
-                first = s + a - (ends[g] - sizes[g])
-                masses[g][first : first + b - a] = mass
 
-            def telemetry(trail=trail, a=a, b=b):
-                return tuple(col[a:b] for col in trail.stats)
+    def record(g, a, b, trail, partial, single):
+        (resolved, start), k = partial, b - a
 
-            def partial_end(partial=partial, start=start, k=b - a):
-                return partial()[start : start + k]
+        def telemetry():
+            return tuple(col[a:b] for col in trail.stats)
 
-            # a batch of several chunks settles each chunk before the next
-            # runs, so that no chunk's pass outlives it
-            chunks[g].append((telemetry, partial_end) if len(bounds) == 1 else (telemetry(), partial_end()))
-    return [
-        QueryBatch(node.atom_values, np.zeros((0, node.atom_values.size)) if m is None else m, r - l, c)
-        for node, m, l, r, c in zip(nodes, masses, ls, rs, chunks)
-    ]
+        def partial_end():
+            return resolved()[start : start + k]
+
+        # a batch of several chunks settles each chunk before the next
+        # runs, so that no chunk's pass outlives it
+        chunks[g].append((telemetry, partial_end) if single else (telemetry(), partial_end()))
+
+    masses = _query_masses(list(zip(nodes, ls, rs)), record)
+    return [QueryBatch(node.atom_values, m, r - l, c) for node, m, l, r, c in zip(nodes, masses, ls, rs, chunks)]
 
 
 def query_batch(e: ConstructExpr, lefts, rights) -> QueryBatch:

@@ -33,17 +33,19 @@ A node with one atom (a constant, or constants of one value homogenized,
 glued or periodized) has that value on every arc; it is neither scanned
 nor queried, and the walk does not enter the nodes below it.
 
-DAG arcs are evaluated a batch at a time through
-``construct.query_batches``, whose rows may belong to different nodes.
+DAG arcs are evaluated a batch at a time through the masses-only chunk
+loop of ``construct.query_batches``, whose rows may belong to different
+nodes.
 The junction scans of every node the walk enters run in lockstep: the
 junction grids of all nodes and the long-arc grids of all circle nodes
 are one query, and the block golden-section refinement of all their
 junction leaders takes one query per round, whose best probes are the
-refined arcs; full arcs and embedded child witnesses are single
-queries.  Each node replays its offers where the structural walk reaches
-it, junction by junction in the order a junction-at-a-time scan makes
-them, so the batching changes no witness choice.  Ordered replays skip
-the offers that cannot change the running best (``_Best.offer_sequence``).
+refined arcs; a node's full carrier or base period takes the node
+distribution, and embedded child witnesses are single queries.  Each
+node replays its offers where the structural walk reaches it, junction
+by junction in the order a junction-at-a-time scan makes them, so the
+batching changes no witness choice.  Ordered replays skip the offers
+that cannot change the running best (``_Best.offer_sequence``).
 
 When ``certify`` is set, reports carry an upper bound next to the lower
 bound.  For flat interval functions under an enumerated objective it is a
@@ -72,9 +74,9 @@ from .construct import (
     HomExpr,
     LeafExpr,
     PeriodizeExpr,
+    _query_masses,
     materialize,
     query as dag_query,
-    query_batches,
     required_pieces,
 )
 from .distributions import DiscreteDistribution
@@ -1075,9 +1077,11 @@ def _oscillation_search(target: _FlatTarget, cfg: SearchConfig, best: _Best):
     target.evaluations += jl.size
     best.offer_array(target.value_batch(jl, jr), jl, jr)
     ls, rs, i, j = _chunked_pair_scan(target, _candidate_points(target.f), cfg, best)
-    ls, rs = _newton_ascent(target, ls, rs, i, j)
-    target.evaluations += ls.size
-    best.offer_array(target.value_batch(ls, rs), ls, rs)
+    # no leaders (no cell pair two or more cells apart, as on two pieces): nothing to ascend
+    if ls.size:
+        ls, rs = _newton_ascent(target, ls, rs, i, j)
+        target.evaluations += ls.size
+        best.offer_array(target.value_batch(ls, rs), ls, rs)
 
 
 def _subinterval_search(target: _FlatTarget, cfg: SearchConfig, scan: list | None, lefts: int | None = None):
@@ -1246,15 +1250,15 @@ class _DagSearch:
     def raws(self, groups: list) -> np.ndarray:
         """Raw functional of every arc of ``groups``, ``(node, ls, rs)`` triples, in one multi-root query."""
         raw = np.concatenate([
-            self.objective.raw_from_parts(b.masses / b.masses.sum(axis=1)[:, None], node.atom_values, 1.0)
-            for (node, _, _), b in zip(groups, query_batches(groups))
+            self.objective.raw_from_parts(m / m.sum(axis=1)[:, None], node.atom_values, 1.0)
+            for (node, _, _), m in zip(groups, _query_masses(groups))
         ])
         self.evaluations += raw.size
         self.raw_max = max(self.raw_max, float(raw.max()))
         return raw
 
     def _offer_one(self, node: ConstructExpr, l: float, r: float, best: _Best):
-        """Offer one arc, through a single query: full arcs and embedded witnesses."""
+        """Offer one arc, through a single query: embedded witnesses."""
         self.evaluations += 1
         raw = self.objective.raw_from_dist(dag_query(node, (l, r)).distribution)
         self.raw_max = max(self.raw_max, raw)
@@ -1279,13 +1283,7 @@ class _DagSearch:
         if key in self._memo:
             return self._memo[key]
         best = _Best()
-        if node.atom_values.size == 1:
-            # every arc of a one-atom node has the one value of its distribution
-            self.evaluations += 1
-            raw = self.objective.raw_from_dist(node.distribution())
-            self.raw_max = max(self.raw_max, raw)
-            best.offer(self.objective.value_from_raw(raw), *node.content_bounds())
-        elif isinstance(node, LeafExpr):
+        if isinstance(node, LeafExpr) and node.atom_values.size > 1:
             # the leaf's proven ceiling where its objective enumerates, else its lower bound
             leaf = _FlatTarget(node.function, self.objective)
             sub, ceiling = _subinterval_search(leaf, self.cfg, None)
@@ -1293,8 +1291,14 @@ class _DagSearch:
             self.raw_max = max(self.raw_max, self.objective.raw_of_value(sub.value) if ceiling is None else ceiling)
             best.offer(sub.value, sub.left, sub.right)
         else:
-            full, copies, _ = _layout(node)
-            self._search_copies(node, full, copies, best)
+            # the full carrier or base period holds the node distribution
+            # exactly, and on a one-atom node so does every arc
+            self.evaluations += 1
+            raw = self.objective.raw_from_dist(node.distribution())
+            self.raw_max = max(self.raw_max, raw)
+            best.offer(self.objective.value_from_raw(raw), *node.content_bounds())
+            if node.atom_values.size > 1:
+                self._search_copies(node, best)
         if math.isnan(best.left):
             out = (best.value, None)
         else:
@@ -1303,18 +1307,15 @@ class _DagSearch:
         self._memo[key] = out
         return out
 
-    def _search_copies(self, node, full, copies, best: _Best):
-        """Full arc, embedded child witnesses, the node's junction offers, and long arcs on circles."""
-        a, b = full
-        self._offer_one(node, a, b, best)
-        for child, lo, hi in copies:
+    def _search_copies(self, node, best: _Best):
+        """Embedded child witnesses, the node's junction offers, and long arcs on circles."""
+        for child, lo, hi in _layout(node)[1]:
             child_best, child_wit = self.search(child)
             self.raw_max = max(self.raw_max, self.objective.raw_of_value(child_best))
             self._embed(node, child, child_wit, lo, hi, best)
         offers, long_raws = self._scans.pop(id(node))
         best.offer_sequence(*offers)
         if node.is_circle:
-            self.raw_max = max(self.raw_max, self.objective.raw_from_dist(node.distribution()))
             _long_arc_scan(long_raws, *_long_arc_grid(0.0, self.cfg), self.objective, best)
 
     def _embed(self, node, child, witness, lo: float, hi: float, best: _Best):
@@ -1362,6 +1363,7 @@ class _DagSearch:
         offsets = np.arange(1, 2**_GRID_LEVEL) / 2.0**_GRID_LEVEL
         jc, jlo, jnode, lengths = [], [], [], []  # per junction: center, shortest length, node, grid lengths
         clip_lo, clip_hi, scale_hi = [], [], []  # per node
+        grids: dict = {}  # (shortest, longest) -> grid lengths
         for i, node in enumerate(nodes):
             full, _, junctions = _layout(node)
             hi = 2.0 if node.is_circle else full[1] - full[0]
@@ -1373,7 +1375,10 @@ class _DagSearch:
                 jc.append(c)
                 jlo.append(s)
                 jnode.append(i)
-                lengths.append(_geom_lengths(max(s, 1e-13), hi))
+                span = (max(s, 1e-13), hi)
+                if span not in grids:
+                    grids[span] = _geom_lengths(*span)
+                lengths.append(grids[span])
         jc, jnode, clip_lo, clip_hi = np.array(jc), np.array(jnode, dtype=int), np.array(clip_lo), np.array(clip_hi)
 
         def ends(js, ts, ells):
@@ -1417,7 +1422,8 @@ class _DagSearch:
         log_hi = [math.log(scale_hi[i]) for i in jnode[lj].tolist()]
 
         def exps(xs):
-            return np.array([math.exp(x) for x in xs.ravel().tolist()]).reshape(xs.shape)
+            # math.exp, which np.exp does not match in every last bit
+            return np.fromiter(map(math.exp, xs.ravel().tolist()), float, xs.size).reshape(xs.shape)
 
         def lane_values(ts, ells):
             # values of a (lanes, m) array of arcs, row k around the junction of lane k

@@ -278,9 +278,12 @@ def test_node_distribution_preservation(seed):
     e0, e1 = leaf(random_leaf(rng)), leaf(random_leaf(rng))
     alpha = float(rng.uniform(0.1, 0.9))
     lam = float(rng.uniform(0.5, 0.95))
-    g = glue(homogenize(e0, lam, 4), e1, alpha, lam, 4)
-    # cached node distribution equals the full-carrier query distribution
-    assert tv_distance(g.distribution(), query(g, (0.0, 1.0)).distribution) < 1e-12
+    h = homogenize(e0, lam, 4)
+    g = glue(h, e1, alpha, lam, 4)
+    # cached node distribution equals the full-carrier (base-period) query
+    # distribution, on every kind of node with children
+    for node in (h, g, periodize(h), periodize(e1)):
+        assert tv_distance(node.distribution(), query(node, node.content_bounds()).distribution) < 1e-12
     mixture = dist_mix(e0.distribution(), e1.distribution(), alpha)
     assert tv_distance(g.distribution(), mixture) < 1e-12
 

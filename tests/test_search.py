@@ -556,6 +556,18 @@ def test_enumeration_scaling_properties(seed):
             assert 1.0 <= value <= 1.0 + 1e-12
 
 
+def test_two_pieces_need_no_newton_ascent(monkeypatch):
+    # two pieces have no cell pair two or more cells apart: the pair scan
+    # leads no Newton lane, and the jump's closed form is the supremum,
+    # |d|^p·C_p with C_3 = 2^-3
+    def refuse(*args, **kwargs):
+        raise AssertionError("Newton ascent without leaders")
+
+    monkeypatch.setattr(search_module, "_oscillation_parts", refuse)
+    f = StepFunction(Interval(0.0, 1.0), [0.0, 0.3, 1.0], [0.0, 2.0])
+    assert bmo_norm(f, 3.0, SearchConfig(certify=True)).lower == pytest.approx(1.0, rel=1e-12)
+
+
 def test_mean_decomposable_flat_searches_never_refine(monkeypatch):
     # BMO_1, BMO_2, A_p and A_inf enumerate cell pairs on intervals and
     # circles; BMO_p with p not in {1, 2} takes jumps in closed form and
@@ -932,6 +944,45 @@ def test_martingale_circle_dag_report_is_pinned():
         assert (r.witness.left.hex(), r.witness.right.hex()) == ("0x1.fea60c033b555p-1", "0x1.00acf9fe62556p+0")
         # 43362 when the one-atom nodes were scanned too
         assert r.evaluations == 20194
+
+
+def test_martingale_circle_dag_query_counts_are_pinned(monkeypatch):
+    # the DAG of test_martingale_circle_dag_report_is_pinned: the junction
+    # grid and every golden round are one call each into the masses-only
+    # query core; only embedded child witnesses are single queries, as a
+    # node's full carrier or base period takes its node distribution
+    _, tree = log_staircase(math.exp(0.3 / 5.0), 3)
+    e = compile_to_circle(tree, (0.9, 20))
+    calls = {"core": 0, "rounds": 0, "single": []}
+    core, single, golden = search_module._query_masses, search_module.dag_query, search_module._golden_max
+
+    def counted_core(requests, *args):
+        calls["core"] += 1
+        return core(requests, *args)
+
+    def counted_single(node, q, *args):
+        calls["single"].append((node, tuple(q)))
+        return single(node, q, *args)
+
+    def counted_golden(f, *args, **kwargs):
+        def round_(xs):
+            calls["rounds"] += 1
+            return f(xs)
+
+        return golden(round_, *args, **kwargs)
+
+    monkeypatch.setattr(search_module, "_query_masses", counted_core)
+    monkeypatch.setattr(search_module, "dag_query", counted_single)
+    monkeypatch.setattr(search_module, "_golden_max", counted_golden)
+    for p in (1.0, 2.0):
+        calls.update(core=0, rounds=0, single=[])
+        circle_bmo_norm(e, p, SearchConfig(certify=True))
+        # two phases of 9 rounds, and the grid
+        assert calls["rounds"] == 18
+        assert calls["core"] == 2 * 9 + 1
+        # 12 when full arcs were single queries too
+        assert len(calls["single"]) == 7
+        assert all(q != node.content_bounds() for node, q in calls["single"])
 
 
 # -- circle searches -------------------------------------------------------------

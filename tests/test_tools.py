@@ -1,4 +1,4 @@
-"""Repository tools: the report comparison."""
+"""Repository tools: the report comparison and the DAG pass profile."""
 import importlib.util
 import math
 from pathlib import Path
@@ -162,3 +162,25 @@ def test_compare_reports_exact_lists_every_differing_field(tmp_path, capsys):
     # the gates report separately: no lower fell by more than 1e-12, yet the bits differ
     assert compare_reports.main([str(before), str(after), "--exact", "--max-lower-drop", "1e-12"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "0 lower(s) fell by more than 1e-12 relative"
+
+
+def test_dag_pass_profile_counts_the_search_passes(capsys):
+    from meanosc import construct, search
+
+    saved = construct._pass, search.dag_query, search._DagSearch.raws
+    profile = _load("dag_pass_profile")
+    assert profile.main(["--depth", "2", "--p", "1,2", "--repeat", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["search", "kind", "calls", "passes", "runs/pass", "ranges/run", "us/call", "us/pass", "us/run"]
+    rows = [line.split() for line in lines[1:]]
+    assert [(row[3], row[4]) for row in rows] == [("p=1", "batched"), ("p=1", "single"), ("p=2", "batched"), ("p=2", "single")]
+    for row in rows:
+        calls, passes = int(row[5]), int(row[6])
+        # verify_jn's refine_iters=24 makes 6 golden rounds per phase;
+        # single queries are the embedded child witnesses
+        assert calls == (2 * 6 + 1 if row[4] == "batched" else 5)
+        # a batch this small is one pass, a chunk, per call
+        assert passes == calls
+        assert all(float(x) > 0 for x in row[7:])
+    # the wrapped functions are restored
+    assert (construct._pass, search.dag_query, search._DagSearch.raws) == saved
