@@ -894,7 +894,19 @@ def query(e: ConstructExpr, q, functional=None) -> QueryResult:
 
 
 def _piece_info(e: ConstructExpr):
-    """Return (piece count after merging, first value, last value)."""
+    """Return (piece count after merging, first value, last value), once per distinct node, children first.
+
+    A plain recursion would cost 2^depth on a DAG that shares children.
+    """
+    if "_pieces" not in e.__dict__:
+        for node in reversed(e.nodes):
+            if "_pieces" not in node.__dict__:
+                node._pieces = _piece_step(node)
+    return e._pieces
+
+
+def _piece_step(e: ConstructExpr):
+    """``_piece_info`` of ``e`` from its children's."""
     if isinstance(e, LeafExpr):
         f = e.function
         vals = f.values
@@ -903,19 +915,19 @@ def _piece_info(e: ConstructExpr):
     if isinstance(e, ConstExpr):
         return 1, e.value, e.value
     if isinstance(e, HomExpr):
-        c, first, last = _piece_info(e.child)
+        c, first, last = e.child._pieces
         copies = 2 * (e.levels + 1)
         if c == 1 and abs(first - last) <= _ATOM_TOL:
             return 1, first, last
         merged_junctions = (copies - 1) if abs(last - first) <= _ATOM_TOL else 0
         return copies * c - merged_junctions, first, last
     if isinstance(e, GlueExpr):
-        c1, f1, l1 = _piece_info(e.hom1)
-        c0, f0, l0 = _piece_info(e.hom0)
+        c1, f1, l1 = e.hom1._pieces
+        c0, f0, l0 = e.hom0._pieces
         merge = 1 if abs(l1 - f0) <= _ATOM_TOL else 0
         return c1 + c0 - merge, f1, l0
     if isinstance(e, PeriodizeExpr):
-        return _piece_info(e.child)
+        return e.child._pieces
     raise InternalError(f"unknown node kind {e!r}")
 
 

@@ -42,10 +42,12 @@ are one query, and the block golden-section refinement of all their
 junction leaders takes one query per round, whose best probes are the
 refined arcs; a node's full carrier or base period takes the node
 distribution, and embedded child witnesses are single queries.  Each
-node replays its offers where the structural walk reaches it, junction
-by junction in the order a junction-at-a-time scan makes them, so the
-batching changes no witness choice.  Ordered replays skip the offers
-that cannot change the running best (``_Best.offer_sequence``).
+node takes its offers where the structural walk reaches it.
+
+The witness of a search depends on the set of its offers alone, never on
+their order or batching: it is the offer first in (left, length) order
+among those within a relative 1e-12 of the largest value offered
+(``_Best``).
 
 When ``certify`` is set, reports carry an upper bound next to the lower
 bound.  For flat interval functions under an enumerated objective it is a
@@ -478,83 +480,64 @@ class _AInfObjective(_WeightObjective):
 
 
 class _Best:
-    """Deterministic max with lexicographic (left, length) tie-breaking.
+    """The largest value offered, and a witness that depends on the set of offers alone.
 
-    Values within a relative 1e-12 of the running maximum count as ties, so
-    one-ulp evaluation noise cannot displace a structurally cleaner witness;
-    the reported lower bound is still the exact maximum seen.  Given a list
-    ``scan``, ``offer_array`` appends every batch to it as
-    ``(left, right, length, value)`` rows.
+    Offers within a relative 1e-12 of the maximum (the maximum itself at
+    ±inf) are ties, so one-ulp noise cannot displace a cleaner witness: the
+    witness is the tie first in (left, length) order, then by larger value
+    and larger right end (a computed end an ulp short of a breakpoint comes
+    after it).  ``front`` holds the ties that no other dominates (comes
+    first with an equal or higher value) as ``(left, length, -value,
+    -right)``, in that order, values rising.  Given a list ``scan``,
+    ``offer_array`` appends every batch to it as ``(left, right, length,
+    value)`` rows.  No offered value may be NaN.
     """
 
-    __slots__ = ("value", "left", "right", "wv", "wl", "wr", "scan")
+    __slots__ = ("value", "front", "scan")
 
     def __init__(self, scan: list | None = None):
         self.value = -math.inf
-        self.left = math.nan
-        self.right = math.nan
-        self.wv = -math.inf
-        self.wl = math.nan
-        self.wr = math.nan
+        self.front: list = []
         self.scan = scan
 
-    def _tol(self) -> float:
-        return 1e-12 * abs(self.value)
-
     def offer(self, value: float, left: float, right: float):
-        if value > self.value:
-            self.value, self.left, self.right = value, left, right
-            if self.wv < self.value - self._tol():
-                self.wv, self.wl, self.wr = value, left, right
-                return
-        if value >= self.value - self._tol():
-            if (
-                math.isnan(self.wl)
-                or left < self.wl
-                or (left == self.wl and right - left < self.wr - self.wl)
-            ):
-                self.wv, self.wl, self.wr = value, left, right
+        self.offer_array(np.array([value], dtype=float), np.array([left], dtype=float), np.array([right], dtype=float))
 
     def offer_array(self, values: np.ndarray, lefts: np.ndarray, rights: np.ndarray):
         if values.size == 0:
             return
         if self.scan is not None:
             self.scan.append(np.column_stack((lefts, rights, rights - lefts, values)))
-        vmax = float(values.max())
-        if vmax < self.value - self._tol():
+        # -0.0 counts as 0.0, so that no sign of zero depends on the order of offers
+        values = values + 0.0
+        self.value = max(self.value, float(values.max()))
+        window = self.value if math.isinf(self.value) else self.value - 1e-12 * abs(self.value)
+        idx = np.flatnonzero(values >= window)
+        if not idx.size:
             return
-        j = int(np.argmax(values))
-        self.offer(vmax, float(lefts[j]), float(rights[j]))
-        idx = np.flatnonzero(values >= self.value - self._tol())
-        if idx.size:
-            ls = lefts[idx]
-            lens = rights[idx] - ls
-            order = np.lexsort((lens, ls))
-            k = idx[order[0]]
-            self.offer(float(values[k]), float(lefts[k]), float(rights[k]))
-
-    def offer_sequence(self, values: np.ndarray, lefts: np.ndarray, rights: np.ndarray):
-        """``offer`` every ``(values[i], lefts[i], rights[i])`` in order, skipping the offers it would ignore.
-
-        An offer below the running maximum before it by more than the tie
-        tolerance changes nothing.  The running maximum is the prefix
-        maximum of the values (``offer`` never takes a NaN), so those
-        offers are found at once; the rest go through ``offer`` as Python
-        floats, and the result is bitwise that of offering all of them.
-        """
-        if values.size == 0:
-            return
-        run = np.fmax.accumulate(np.concatenate(([self.value], values[:-1])))
-        with np.errstate(invalid="ignore"):  # after +inf, inf - inf: nothing counts
-            keep = np.flatnonzero(values >= run - 1e-12 * np.abs(run))
-        for v, l, r in zip(values[keep].tolist(), lefts[keep].tolist(), rights[keep].tolist()):
-            self.offer(v, l, r)
+        v, l, r = values[idx], lefts[idx], rights[idx]
+        lens = r - l
+        # no undominated tie comes after the batch's first maximum in (left, length) order
+        at = v == v.max()
+        l0 = l[at].min()
+        near = np.flatnonzero((l < l0) | ((l == l0) & (lens <= lens[at & (l == l0)].min())))
+        v, l, r, lens = v[near], l[near], r[near], lens[near]
+        order = np.lexsort((-r, -v, lens, l))
+        # the batch's undominated ties: each value above every value before it in (left, length) order
+        sv = v[order]
+        keep = order[np.concatenate(([True], sv[1:] > np.maximum.accumulate(sv)[:-1]))]
+        keys = sorted(self.front + list(zip(l[keep].tolist(), lens[keep].tolist(), (-v[keep]).tolist(), (-r[keep]).tolist())))
+        self.front = []
+        for key in keys:
+            if -key[2] >= window and (not self.front or key[2] < self.front[-1][2]):
+                self.front.append(key)
 
     def finish(self):
-        """Resolve the final witness; the exact maximum stays the bound."""
-        if self.wv >= self.value - self._tol() and not math.isnan(self.wl):
-            return self.wl, self.wr, self.wv
-        return self.left, self.right, self.value
+        """The witness ``(left, right, value)``, or None when nothing was offered; the exact maximum stays the bound."""
+        if not self.front:
+            return None
+        left, _, neg, neg_right = self.front[0]
+        return left, -neg_right, -neg
 
 
 def _sections(lanes: int) -> int:
@@ -1085,7 +1068,7 @@ def _oscillation_search(target: _FlatTarget, cfg: SearchConfig, best: _Best):
 
 
 def _subinterval_search(target: _FlatTarget, cfg: SearchConfig, scan: list | None, lefts: int | None = None):
-    """The best subinterval of a flat target, and a proven raw ceiling over all of them or None.
+    """``(lower, witness, evaluations, ceiling)`` of a flat target: the best subinterval, and a proven raw ceiling over all of them or None.
 
     Objectives with prefix transforms enumerate cell pairs exactly, those
     whose left cell is below ``lefts`` (all by default), and certified
@@ -1093,8 +1076,8 @@ def _subinterval_search(target: _FlatTarget, cfg: SearchConfig, scan: list | Non
     in closed form and ascends from its leading candidates
     (``_oscillation_search``), and gets None.  Every offered candidate
     joins ``scan`` when it is a list (see ``_Best``).  The chosen
-    candidate is re-evaluated through exact overlaps, so the returned
-    best's value is its witness's value.
+    candidate is re-evaluated through exact overlaps, so ``lower`` is its
+    witness's value.
     """
     best, ceiling = _Best(scan), None
     if target.objective.prefix_transforms() is not None:
@@ -1102,22 +1085,20 @@ def _subinterval_search(target: _FlatTarget, cfg: SearchConfig, scan: list | Non
     else:
         _oscillation_search(target, cfg, best)
     wl, wr, _ = best.finish()
-    out = _Best()
-    out.offer(float(target.value_batch(np.array([wl]), np.array([wr]))[0]), wl, wr)
-    return out, ceiling
+    lower = float(target.value_batch(np.array([wl]), np.array([wr]))[0])
+    return lower, (wl, wr), target.evaluations, ceiling
 
 
 def _flat_interval_search(f: StepFunction, objective: _Objective, cfg: SearchConfig, scan: list | None):
-    target = _FlatTarget(f, objective)
-    best, ceiling = _subinterval_search(target, cfg, scan)
+    lower, witness, evaluations, ceiling = _subinterval_search(_FlatTarget(f, objective), cfg, scan)
     upper = None
     if cfg.certify:
         if ceiling is None:
             bound = objective.range_bound(float(f.values.min()), float(f.values.max()))
         else:
             bound = objective.value_from_raw(ceiling)
-        upper = max(bound, best.value)
-    return best, target.evaluations, upper
+        upper = max(bound, lower)
+    return lower, witness, evaluations, upper
 
 
 # -- circle targets -----------------------------------------------------------------
@@ -1140,14 +1121,7 @@ def _long_arc_grid(t0: float, cfg: SearchConfig):
     return ls, ls + np.repeat(lengths, offsets.size)
 
 
-def _long_arc_scan(raws: np.ndarray, ls: np.ndarray, rs: np.ndarray, objective: _Objective, best: _Best) -> float:
-    """Offer the long arcs ``[ls[i], rs[i]]`` with their raw values; returns the largest, for the certificate."""
-    # values through the scalar transform, which an array power may round differently
-    best.offer_sequence(np.array([objective.value_from_raw(raw) for raw in raws.tolist()]), ls, rs)
-    return float(raws.max())
-
-
-def _certificate(objective: _Objective, cfg: SearchConfig, values, period: DiscreteDistribution, raw_max: float, best: _Best):
+def _certificate(objective: _Objective, cfg: SearchConfig, values, period: DiscreteDistribution, raw_max: float, lower: float):
     """Upper bound from the largest raw value seen, one period's included, plus a TV slack.
 
     Arcs of at least ``r_long`` periods have distributions within total
@@ -1158,7 +1132,7 @@ def _certificate(objective: _Objective, cfg: SearchConfig, values, period: Discr
     raw_max = max(raw_max, objective.raw_from_dist(period))
     tv = 2.0 / (cfg.r_long + 1.0)
     slack = objective.tv_slack(float(values.min()), float(values.max()), tv)
-    return max(objective.value_from_raw(raw_max + slack), best.value)
+    return max(objective.value_from_raw(raw_max + slack), lower)
 
 
 def _flat_circle_search(f: StepFunction, objective: _Objective, cfg: SearchConfig, scan: list | None):
@@ -1166,21 +1140,19 @@ def _flat_circle_search(f: StepFunction, objective: _Objective, cfg: SearchConfi
     flat = _FlatTarget(f.restrict((t0, t0 + 2.0)), objective)
     # a pair of two second-period cells is a one-period translate of a
     # first-period pair, which wins ties by its smaller left end
-    best, ceiling = _subinterval_search(flat, cfg, scan, f.piece_count)
+    lower, witness, evaluations, ceiling = _subinterval_search(flat, cfg, scan, f.piece_count)
+    best = _Best()
+    best.offer(lower, *witness)
 
     ls, rs = _long_arc_grid(t0, cfg)
-    flat.evaluations += ls.size
     raws = objective.raw_from_parts(f.overlap_rows(ls, rs), _centered(f, objective), rs - ls)
-    # the short-arc maximum is read before the long arcs join it
-    raw_short = objective.raw_of_value(best.value) if ceiling is None else ceiling
-    raw_max = max(raw_short, _long_arc_scan(raws, ls, rs, objective, best))
-    upper = _certificate(objective, cfg, f.values, f.distribution((t0, t0 + 1.0)), raw_max, best)
+    best.offer_array(objective.value_from_raw(raws), ls, rs)
+    raw_max = max(objective.raw_of_value(lower) if ceiling is None else ceiling, float(raws.max()))
+    upper = _certificate(objective, cfg, f.values, f.distribution((t0, t0 + 1.0)), raw_max, best.value)
     # a long arc may top the short witness by less than the tie tolerance:
     # report the chosen witness's own value
     wl, wr, wv = best.finish()
-    out = _Best()
-    out.offer(wv, wl, wr)
-    return out, flat.evaluations, upper
+    return wv, (wl, wr), evaluations + ls.size, upper
 
 
 # -- construction-DAG targets ----------------------------------------------------------
@@ -1231,8 +1203,8 @@ class _DagSearch:
     its distribution, and its witness is its carrier (a circle's base
     period), so the walk never enters the nodes below it.  The junction
     scans and long-arc grids of every node the walk enters run first, in
-    lockstep (see ``_lockstep_scans``); each node replays its offers, in
-    order, where its walk reaches them (``_Best.offer_sequence``).
+    lockstep (see ``_lockstep_scans``); each node takes its offers where
+    its walk reaches them.
     Candidates whose embedding would collapse below float
     resolution still contribute to the certified raw maximum; only
     anchored candidates (re-evaluated at the node itself) feed the
@@ -1282,28 +1254,24 @@ class _DagSearch:
         key = id(node)
         if key in self._memo:
             return self._memo[key]
-        best = _Best()
         if isinstance(node, LeafExpr) and node.atom_values.size > 1:
             # the leaf's proven ceiling where its objective enumerates, else its lower bound
-            leaf = _FlatTarget(node.function, self.objective)
-            sub, ceiling = _subinterval_search(leaf, self.cfg, None)
-            self.evaluations += leaf.evaluations
-            self.raw_max = max(self.raw_max, self.objective.raw_of_value(sub.value) if ceiling is None else ceiling)
-            best.offer(sub.value, sub.left, sub.right)
+            lower, witness, evaluations, ceiling = _subinterval_search(_FlatTarget(node.function, self.objective), self.cfg, None)
+            self.evaluations += evaluations
+            self.raw_max = max(self.raw_max, self.objective.raw_of_value(lower) if ceiling is None else ceiling)
+            out = (lower, witness)
         else:
             # the full carrier or base period holds the node distribution
             # exactly, and on a one-atom node so does every arc
             self.evaluations += 1
             raw = self.objective.raw_from_dist(node.distribution())
             self.raw_max = max(self.raw_max, raw)
+            best = _Best()
             best.offer(self.objective.value_from_raw(raw), *node.content_bounds())
             if node.atom_values.size > 1:
                 self._search_copies(node, best)
-        if math.isnan(best.left):
-            out = (best.value, None)
-        else:
-            wl, wr, _ = best.finish()
-            out = (best.value, (wl, wr))
+            found = best.finish()
+            out = (best.value, None if found is None else found[:2])
         self._memo[key] = out
         return out
 
@@ -1314,9 +1282,9 @@ class _DagSearch:
             self.raw_max = max(self.raw_max, self.objective.raw_of_value(child_best))
             self._embed(node, child, child_wit, lo, hi, best)
         offers, long_raws = self._scans.pop(id(node))
-        best.offer_sequence(*offers)
+        best.offer_array(*offers)
         if node.is_circle:
-            _long_arc_scan(long_raws, *_long_arc_grid(0.0, self.cfg), self.objective, best)
+            best.offer_array(self.objective.value_from_raw(long_raws), *_long_arc_grid(0.0, self.cfg))
 
     def _embed(self, node, child, witness, lo: float, hi: float, best: _Best):
         """Map a child witness through the copy occupying [lo, hi] of node."""
@@ -1353,9 +1321,8 @@ class _DagSearch:
         query per round.  The refined arcs are the rounds' best probes, so
         their values need no query of their own; they count as evaluations
         all the same.  Returns, by node ``id``, the node's junction offers
-        as the arrays ``(values, lefts, rights)``, junction by junction,
-        grid first, in the order a junction-at-a-time scan makes them, and
-        the raw values of its long-arc grid (None on interval nodes).
+        as the arrays ``(values, lefts, rights)``, and the raw values of its
+        long-arc grid (None on interval nodes).
         """
         if not nodes:
             return {}
@@ -1438,41 +1405,34 @@ class _DagSearch:
         # the refined arcs are the best probes, already evaluated; they still count
         fl, fr, live = ends(lj, tt, ell1)
         self.evaluations += live.size
-        # replay junction by junction, grid arcs first, as a junction-at-a-time scan offers them
-        js = np.concatenate((owner, lj))
-        order = np.argsort(js, kind="stable")
-        v, l, r = (np.concatenate(pair)[order] for pair in ((vs, fv), (ls, fl), (rs, fr)))
-        keep = v > -math.inf
-        counts = np.bincount(jnode[js[order][keep]], minlength=len(nodes)).tolist()
-        v, l, r = v[keep], l[keep], r[keep]
+        # the offers of every node: its grid arcs, then its refined arcs
+        ni = jnode[np.concatenate((owner, lj))]
+        keep = np.concatenate((vs, fv)) > -math.inf
+        order = np.argsort(ni[keep], kind="stable")
+        v, l, r = (np.concatenate(pair)[keep][order] for pair in ((vs, fv), (ls, fl), (rs, fr)))
+        cuts = np.cumsum(np.bincount(ni[keep], minlength=len(nodes)))[:-1]
         long_of = {id(node): long_raws[k * gl.size : (k + 1) * gl.size] for k, node in enumerate(circles)}
-        out, s = {}, 0
-        for node, n in zip(nodes, counts):
-            out[id(node)], s = ((v[s : s + n], l[s : s + n], r[s : s + n]), long_of.get(id(node))), s + n
-        return out
+        splits = zip(*(np.split(a, cuts) for a in (v, l, r)))
+        return {id(node): (offers, long_of.get(id(node))) for node, offers in zip(nodes, splits)}
 
 
 def _dag_search(expr: ConstructExpr, objective: _Objective, cfg: SearchConfig):
     engine = _DagSearch(objective, cfg)
-    value, witness = engine.run(expr)
-    best = _Best()
-    if witness is not None:
-        best.offer(value, witness[0], witness[1])
-    upper = _certificate(objective, cfg, expr.atom_values, expr.distribution(), engine.raw_max, best)
-    return best, engine.evaluations, upper
+    lower, witness = engine.run(expr)
+    upper = _certificate(objective, cfg, expr.atom_values, expr.distribution(), engine.raw_max, lower)
+    return lower, witness, engine.evaluations, upper
 
 
 # -- public operations ------------------------------------------------------------------
 
 
-def _finish(cfg: SearchConfig, best: _Best, evaluations: int, upper, scan: list | None = None) -> SearchReport:
+def _finish(cfg: SearchConfig, lower: float, witness, evaluations: int, upper, scan: list | None = None) -> SearchReport:
     """The report of a search; ``scan`` holds the ``(left, right, length, value)`` batches of its scan, if collected."""
-    if not math.isfinite(best.value) or math.isnan(best.left):
+    if not math.isfinite(lower) or witness is None:
         raise InputError("search produced no candidates")
-    wl, wr, _ = best.finish()
     return SearchReport(
-        lower=best.value,
-        witness=IntervalQuery(wl, wr),
+        lower=lower,
+        witness=IntervalQuery(*witness),
         evaluations=evaluations,
         config=cfg,
         upper=upper,

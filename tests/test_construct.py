@@ -214,6 +214,25 @@ def test_materialize_hom_piece_count():
     assert materialize(h).piece_count == 16
 
 
+def test_piece_count_takes_one_step_per_distinct_node(monkeypatch):
+    # x_{k+1} = glue(x_k, x_k) shares its children, so a plain recursion
+    # takes 2^k steps; the first value 0 and last value -1 never merge, so
+    # each level holds 2·2·(levels + 1) = 12 copies of the one below
+    def chain(depth):
+        x = leaf(StepFunction(Interval(0.0, 1.0), [0.0, 0.3, 0.7, 1.0], [0.0, 2.0, -1.0]))
+        for _ in range(depth):
+            x = glue(x, x, 0.5, 0.9, 2)
+        return x
+
+    steps, step = [], construct._piece_step
+    monkeypatch.setattr(construct, "_piece_step", lambda e: steps.append(id(e)) or step(e))
+    x = chain(12)
+    assert required_pieces(x) == 3 * 12**12
+    assert sorted(steps) == sorted(id(node) for node in x.nodes)
+    assert required_pieces(chain(2)) == materialize(chain(2)).piece_count == 3 * 12**2
+    assert required_pieces(chain(40)) == 3 * 12**40
+
+
 def test_materialize_glue_constants_collapse():
     g = glue(constant(0.0), constant(1.0), 0.5, 0.5, 2)
     assert required_pieces(g) == 2

@@ -1,4 +1,4 @@
-"""Repository tools: the report comparison and the DAG pass profile."""
+"""Repository tools: the report comparison, the workload report recorder and the DAG pass profile."""
 import importlib.util
 import math
 from pathlib import Path
@@ -162,6 +162,52 @@ def test_compare_reports_exact_lists_every_differing_field(tmp_path, capsys):
     # the gates report separately: no lower fell by more than 1e-12, yet the bits differ
     assert compare_reports.main([str(before), str(after), "--exact", "--max-lower-drop", "1e-12"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "0 lower(s) fell by more than 1e-12 relative"
+
+
+def test_compare_reports_exact_compares_query_records(tmp_path, capsys):
+    compare_reports = _load("compare_reports")
+
+    def query(test, left, values, nodes):
+        return "\t".join((test, "query", left.hex(), "0x1p+0", values, "0x1p-1,0x1p-1", "2", str(nodes), "0x0p+0")) + "\n"
+
+    report = _record("t::a", "dag", 1.0, 2.0, 0.0, 0.5, "bmo_2", "circle")
+    before = tmp_path / "before.tsv"
+    after = tmp_path / "after.tsv"
+    before.write_text(
+        query("t::a", 0.0, "0x0p+0,0x1p+0", 5) + report + query("t::a", 0.25, "0x0p+0,0x1p+0", 5)
+        + query("t::b", 0.5, "0x0p+0,0x1p+0", 3)
+    )
+    # the second query of t::a moved a value by one ulp and visited one node more; t::b lost its query
+    after.write_text(
+        query("t::a", 0.0, "0x0p+0,0x1p+0", 5) + report
+        + query("t::a", 0.25, "0x0p+0,0x1.0000000000001p+0", 6)
+    )
+    assert compare_reports.main([str(before), str(after), "--exact"]) == 1
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "differs, query 1 of t::a: distribution, nodes visited",
+        "1 query record(s) differ; only in the first file: 1, only in the second: 0",
+        "0 report(s) differ",
+    ]
+    assert compare_reports.main([str(before), str(before), "--exact"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2] == "0 query record(s) differ; only in the first file: 0, only in the second: 0"
+
+
+def test_workload_reports_records_one_report_per_op(tmp_path, capsys):
+    from meanosc import search
+
+    saved = search._search
+    workload_reports, compare_reports = _load("workload_reports"), _load("compare_reports")
+    out = tmp_path / "ops.tsv"
+    assert workload_reports.main([str(out), "--workload", "flat_small", "--seeds", "1"]) == 0
+    rows = [line.split("\t") for line in out.read_text().splitlines()]
+    # 3 step functions with 7 ops each and 2 small circles, all searched flat: no query records
+    assert len(rows) == 23
+    assert [row[0].split("::")[1].split(":")[0] for row in rows] == [str(i) for i in range(23)]
+    assert all(len(row) == 10 and row[0].startswith("flat_small[seed=1]::") for row in rows)
+    assert rows[0][0] == "flat_small[seed=1]::0:bmo_norm/flat/p=1" and rows[0][8] == "bmo_1"
+    assert search._search is saved
+    assert compare_reports.main([str(out), str(out), "--exact"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0 report(s) differ"
 
 
 def test_dag_pass_profile_counts_the_search_passes(capsys):

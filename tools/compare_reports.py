@@ -5,8 +5,8 @@ Usage, from the root of a checkout::
     python3 tools/compare_reports.py BEFORE.tsv AFTER.tsv [--max-lower-drop REL] [--list-witness-moves] [--exact] [--objective NAME[,NAME]]
 
 The k-th search report a test records in BEFORE is paired with the k-th
-one the same test records in AFTER (``construct.query`` lines are
-skipped).  For every objective and carrier the script prints how many
+one the same test records in AFTER, and so is its k-th
+``construct.query`` record.  For every objective and carrier the script prints how many
 pairs there are, the largest relative drop and rise of ``lower`` and of
 ``upper`` from BEFORE to AFTER, and how many pairs changed witness; then
 the pair with the largest relative drop of ``lower``, and the number of
@@ -20,11 +20,14 @@ there is one.  With ``--list-witness-moves`` it lists every pair whose
 witness changed, with both witnesses and the relative move of ``lower``,
 so that a witness that moved between tied candidates (a move of 0) stands
 apart from one that moved with its value.  With ``--exact`` it lists
-every pair whose ``lower``, ``upper``, witness, evaluation count or
+every pair of query records that differs in any field (ends,
+distribution, depth, nodes visited, partial end weight), then every pair
+of reports whose ``lower``, ``upper``, witness, evaluation count or
 witness value differs in any bit, naming the fields, and exits with
-status 1 if there is one.  With ``--objective
+status 1 if there is one of either.  With ``--objective
 NAME[,NAME]`` (objective names as recorded, e.g. ``bmo_3,bmo_1.5``) the
-summary and every listing cover only the reports of those objectives.
+summary and every listing of reports cover only the reports of those
+objectives; query records are compared whatever the objective.
 """
 from __future__ import annotations
 
@@ -33,14 +36,14 @@ import sys
 from collections import defaultdict
 
 
-def read_reports(path: str) -> dict:
-    """``(test id, k) -> fields`` of the k-th search report each test recorded."""
+def read_reports(path: str, queries: bool = False) -> dict:
+    """``(test id, k) -> fields`` of the k-th search report each test recorded, or with ``queries`` of its k-th query record."""
     out, seen = {}, defaultdict(int)
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             fields = line.rstrip("\n").split("\t")
-            if len(fields) != 10:
-                continue  # a construct.query record
+            if (fields[1] == "query") != queries:
+                continue
             test = fields[0]
             out[(test, seen[test])] = fields
             seen[test] += 1
@@ -101,14 +104,15 @@ def witness_moves(before: dict, after: dict) -> list:
 
 # the fields --exact compares, by column; floats are recorded as float.hex text, equal exactly when their bits are
 _EXACT_FIELDS = (("lower", (2,)), ("upper", (3,)), ("witness", (4, 5)), ("evaluations", (6,)), ("witness value", (7,)))
+_QUERY_FIELDS = (("ends", (2, 3)), ("distribution", (4, 5)), ("depth", (6,)), ("nodes visited", (7,)), ("partial end weight", (8,)))
 
 
-def exact_differences(before: dict, after: dict) -> list:
-    """``(test id, k, names of the differing fields)`` of every paired report that differs in any bit."""
+def exact_differences(before: dict, after: dict, fields=_EXACT_FIELDS) -> list:
+    """``(test id, k, names of the differing fields)`` of every paired record that differs in any bit."""
     out = []
     for key in sorted(before.keys() & after.keys()):
         b, a = before[key], after[key]
-        names = [name for name, cols in _EXACT_FIELDS if any(b[c] != a[c] for c in cols)]
+        names = [name for name, cols in fields if any(b[c] != a[c] for c in cols)]
         if names:
             out.append((*key, names))
     return out
@@ -168,6 +172,13 @@ def main(argv=None) -> int:
         print(f"{len(moves)} witness(es) moved")
     status = 0
     if args.exact:
+        qb, qa = read_reports(args.before, queries=True), read_reports(args.after, queries=True)
+        diffs = exact_differences(qb, qa, _QUERY_FIELDS)
+        for test, k, names in diffs:
+            print(f"differs, query {k} of {test}: {', '.join(names)}")
+        print(f"{len(diffs)} query record(s) differ; only in the first file: {len(qb.keys() - qa.keys())}, "
+              f"only in the second: {len(qa.keys() - qb.keys())}")
+        status = 1 if diffs else status
         diffs = exact_differences(before, after)
         for test, k, names in diffs:
             print(f"differs, report {k} of {test}: {', '.join(names)}")
