@@ -67,7 +67,6 @@ __all__ = [
     "expr_from_dict",
 ]
 
-_ATOM_TOL = 1e-12
 _BATCH_BUDGET = 1 << 16  # floats per (ranges x atoms) mass matrix of one batch chunk
 # read-only cell-bound tables by (lam, levels), alive while a HomExpr holds one;
 # a compiled martingale repeats one schedule at every gluing
@@ -81,12 +80,12 @@ def default_levels(lam: float, floor: float = 1e-3) -> int:
     return max(1, int(math.ceil(math.log(floor) / math.log(lam))))
 
 
-def _merge_values(values: np.ndarray) -> np.ndarray:
-    values = np.sort(np.asarray(values, dtype=float))
-    keep = np.concatenate(([True], np.diff(values) > _ATOM_TOL))
-    out = values[keep]
-    out.setflags(write=False)
-    return out
+def _atom_table(values: np.ndarray):
+    """The sorted distinct values, read-only, and the index of each value in them."""
+    atoms, idx = np.unique(values, return_inverse=True)
+    atoms.setflags(write=False)
+    return atoms, idx
+
 
 def _contiguous_span(mapping: np.ndarray):
     if mapping.size == 0:
@@ -95,19 +94,6 @@ def _contiguous_span(mapping: np.ndarray):
     if np.array_equal(mapping, np.arange(start, start + mapping.size)):
         return (start, start + mapping.size)
     return None
-
-
-def _index_map(child_vals: np.ndarray, parent_vals: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(parent_vals, child_vals)
-    idx = np.clip(idx, 0, parent_vals.size - 1)
-    left = np.clip(idx - 1, 0, parent_vals.size - 1)
-    use_left = np.abs(parent_vals[left] - child_vals) <= np.abs(
-        parent_vals[idx] - child_vals
-    )
-    idx = np.where(use_left, left, idx)
-    if np.any(np.abs(parent_vals[idx] - child_vals) > 10 * _ATOM_TOL):
-        raise InternalError("atom table mismatch between child and parent")
-    return idx
 
 
 @dataclass(frozen=True)
@@ -224,8 +210,7 @@ class LeafExpr(ConstructExpr):
             raise InputError("leaf nodes carry interval step functions")
         self.function = f
         self.carrier = (float(f.breakpoints[0]), float(f.breakpoints[-1]))
-        self.atom_values = _merge_values(f.values)
-        self._value_idx = _index_map(f.values, self.atom_values)
+        self.atom_values, self._value_idx = _atom_table(f.values)
         vec = np.zeros(self.atom_values.size)
         np.add.at(vec, self._value_idx, f.lengths / (f.breakpoints[-1] - f.breakpoints[0]))
         vec.setflags(write=False)
@@ -258,7 +243,7 @@ class ConstExpr(ConstructExpr):
             raise InputError("constant value must be finite")
         self.value = float(value)
         self.carrier = (-0.5, 0.5)
-        self.atom_values = _merge_values(np.array([self.value]))
+        self.atom_values, _ = _atom_table(np.array([self.value]))
         self.dist_vec = np.array([1.0])
         self.dist_vec.setflags(write=False)
         self.depth = 0
@@ -413,17 +398,13 @@ class GlueExpr(_CircleExpr):
         self.rank = max(self.hom0.rank, self.hom1.rank) + 1
         self.lam = float(lam)
         self.levels = int(levels)
-        self.atom_values = _merge_values(
-            np.concatenate((e0.atom_values, e1.atom_values))
-        )
-        map0 = _index_map(e0.atom_values, self.atom_values)
-        map1 = _index_map(e1.atom_values, self.atom_values)
+        self.atom_values, idx = _atom_table(np.concatenate((e0.atom_values, e1.atom_values)))
+        map0, map1 = idx[: e0.atom_values.size], idx[e0.atom_values.size :]
         # (copy, its range in the base period, child atom -> node atom map,
-        # contiguous span or None, whether the map is injective); a map
-        # between sorted atom tables never decreases, and merges within
-        # _ATOM_TOL may send two child atoms to one node atom
+        # contiguous span or None); a map between tables of distinct sorted
+        # atoms is strictly increasing, so no two child atoms share a node atom
         self._arms = tuple(
-            (hom, a, b, mapping, _contiguous_span(mapping), bool((np.diff(mapping) > 0).all()))
+            (hom, a, b, mapping, _contiguous_span(mapping))
             for hom, a, b, mapping in ((self.hom1, 0.0, self.alpha, map1), (self.hom0, self.alpha, 1.0, map0))
         )
         vec = np.zeros(self.atom_values.size)
@@ -452,13 +433,11 @@ class GlueExpr(_CircleExpr):
     def _period_combine(self, state, subs):
         m, arms = state
         out = np.zeros((m, self.atom_values.size))
-        for (live, mapping, span, injective), sub in zip(arms, subs):
+        for (live, mapping, span), sub in zip(arms, subs):
             if span is not None:
                 out[live, span[0] : span[1]] += sub
-            elif injective:
-                out[live[:, None], mapping] += sub
             else:
-                np.add.at(out, (live[:, None], mapping), sub)
+                out[live[:, None], mapping] += sub
         return out
 
     def to_dict(self) -> dict:
@@ -910,22 +889,19 @@ def _piece_step(e: ConstructExpr):
     if isinstance(e, LeafExpr):
         f = e.function
         vals = f.values
-        count = 1 + int(np.sum(np.abs(np.diff(vals)) > _ATOM_TOL))
+        count = 1 + int(np.count_nonzero(np.diff(vals)))
         return count, float(vals[0]), float(vals[-1])
     if isinstance(e, ConstExpr):
         return 1, e.value, e.value
     if isinstance(e, HomExpr):
         c, first, last = e.child._pieces
         copies = 2 * (e.levels + 1)
-        if c == 1 and abs(first - last) <= _ATOM_TOL:
-            return 1, first, last
-        merged_junctions = (copies - 1) if abs(last - first) <= _ATOM_TOL else 0
+        merged_junctions = (copies - 1) if last == first else 0
         return copies * c - merged_junctions, first, last
     if isinstance(e, GlueExpr):
         c1, f1, l1 = e.hom1._pieces
         c0, f0, l0 = e.hom0._pieces
-        merge = 1 if abs(l1 - f0) <= _ATOM_TOL else 0
-        return c1 + c0 - merge, f1, l0
+        return c1 + c0 - int(l1 == f0), f1, l0
     if isinstance(e, PeriodizeExpr):
         return e.child._pieces
     raise InternalError(f"unknown node kind {e!r}")
@@ -997,7 +973,7 @@ def _flatten_content(e: ConstructExpr, lo: float, hi: float, cuts: list, vals: l
 def _emit(cuts: list, vals: list, lo: float, hi: float, value: float):
     if hi <= lo:
         return
-    if vals and abs(vals[-1] - value) <= _ATOM_TOL:
+    if vals and vals[-1] == value:
         cuts[-1] = hi
         return
     cuts.append(hi)

@@ -2,9 +2,10 @@
 
 Atoms are scalar by default; plane-valued atoms (2-vectors) are supported
 for barycenter, mixing, and total-variation distance, which is all the
-measure-valued martingale machinery needs of them.  Atoms whose values
-coincide within 1e-12 are merged at construction, so distributions coming
-out of transfers and homogenizations compare exactly.
+measure-valued martingale machinery needs of them.  Two atoms are the
+same exactly when their values are equal, at any value scale: equal atoms
+merge at construction.  Transfers, homogenizations, gluings and mixtures
+copy atom values without arithmetic, so their distributions compare exactly.
 """
 from __future__ import annotations
 
@@ -20,17 +21,18 @@ __all__ = [
     "FUNCTIONAL_NAMES",
 ]
 
-_MERGE_TOL = 1e-12
 _SUM_TOL = 1e-9
 
 
-def _merge_sorted(values: np.ndarray, weights: np.ndarray):
-    """Merge adjacent atoms (already sorted) whose values agree within tolerance."""
+def _merge(values: np.ndarray, weights: np.ndarray):
+    """Sort the atoms stably and merge equal neighbours, adding their weights."""
     if values.ndim == 1:
-        newgroup = np.concatenate(([True], np.abs(np.diff(values)) > _MERGE_TOL))
+        order = np.argsort(values, kind="stable")
     else:
-        d = np.abs(np.diff(values, axis=0)).max(axis=1)
-        newgroup = np.concatenate(([True], d > _MERGE_TOL))
+        order = np.lexsort((values[:, 1], values[:, 0]))
+    values, weights = values[order], weights[order]
+    differs = np.diff(values, axis=0) != 0
+    newgroup = np.concatenate(([True], differs if values.ndim == 1 else differs.any(axis=1)))
     idx = np.cumsum(newgroup) - 1
     out_vals = values[newgroup]
     out_w = np.zeros(out_vals.shape[0])
@@ -69,11 +71,7 @@ class DiscreteDistribution:
         total = float(w.sum())
         if abs(total - 1.0) > _SUM_TOL:
             raise InputError(f"weights must sum to 1, got {total!r}")
-        if vals.ndim == 1:
-            order = np.argsort(vals, kind="stable")
-        else:
-            order = np.lexsort((vals[:, 1], vals[:, 0]))
-        vals, w = _merge_sorted(vals[order], w[order])
+        vals, w = _merge(vals, w)
         vals.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -209,38 +207,11 @@ def dist_mix(d0: DiscreteDistribution, d1: DiscreteDistribution, alpha: float) -
 
 
 def tv_distance(d0: DiscreteDistribution, d1: DiscreteDistribution) -> float:
-    """Total-variation distance, matching atoms within the merge tolerance."""
+    """Total-variation distance; an atom of one matches an atom of the other when their values are equal."""
     if d0.is_scalar != d1.is_scalar:
         raise InputError("cannot compare scalar and plane distributions")
-    v0, w0 = d0.values, d0.weights
-    v1, w1 = d1.values, d1.weights
-    i = j = 0
-    total = 0.0
-    scalar = d0.is_scalar
-
-    def close(a, b):
-        if scalar:
-            return abs(a - b) <= _MERGE_TOL
-        return abs(a[0] - b[0]) <= _MERGE_TOL and abs(a[1] - b[1]) <= _MERGE_TOL
-
-    def less(a, b):
-        if scalar:
-            return a < b
-        return (a[0], a[1]) < (b[0], b[1])
-
-    while i < len(w0) and j < len(w1):
-        if close(v0[i], v1[j]):
-            total += abs(w0[i] - w1[j])
-            i += 1
-            j += 1
-        elif less(v0[i], v1[j]):
-            total += w0[i]
-            i += 1
-        else:
-            total += w1[j]
-            j += 1
-    total += w0[i:].sum() + w1[j:].sum()
-    return 0.5 * float(total)
+    _, diff = _merge(np.concatenate((d0.values, d1.values)), np.concatenate((d0.weights, -d1.weights)))
+    return 0.5 * float(np.abs(diff).sum())
 
 
 FUNCTIONAL_NAMES = (

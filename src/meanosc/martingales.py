@@ -132,7 +132,7 @@ class MartingaleTree:
     # -- structural validation -------------------------------------------------
 
     def check_structure(self) -> None:
-        """Raise InputError unless this is a structurally valid martingale."""
+        """Raise InputError unless this is a structurally valid martingale (a measure node repeats its children's atom values exactly)."""
         for path, node in self.walk():
             if node.is_measure != (self.kind == "measure"):
                 raise InputError(f"mixed node kinds at {list(path)}")

@@ -36,9 +36,6 @@ __all__ = [
     "monotone_rearrangement",
 ]
 
-_MERGE_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class Interval:
     """A finite interval domain ``[a, b]`` with ``a < b``."""
@@ -137,7 +134,7 @@ class StepFunction:
         One finite value per piece.
     """
 
-    __slots__ = ("domain", "breakpoints", "values", "_prefix_cache")
+    __slots__ = ("domain", "breakpoints", "values")
 
     def __init__(self, domain, breakpoints, values):
         bp = np.asarray(breakpoints, dtype=float)
@@ -165,7 +162,6 @@ class StepFunction:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_prefix_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("StepFunction is immutable")
@@ -438,9 +434,6 @@ def monotone_rearrangement(f: StepFunction) -> StepFunction:
     bp = np.concatenate(([f.breakpoints[0]], f.breakpoints[0] + np.cumsum(lens)))
     bp[-1] = f.breakpoints[-1]
     # merge adjacent equal values produced by the reordering
-    keep = np.concatenate(([True], np.abs(np.diff(vals)) > _MERGE_TOL))
-    if not keep.all():
-        idx = np.flatnonzero(keep)
-        vals = vals[idx]
-        bp = np.concatenate((bp[idx], [bp[-1]]))
+    keep = np.concatenate(([True], np.diff(vals) != 0))
+    vals, bp = vals[keep], np.append(bp[:-1][keep], bp[-1])
     return StepFunction(Interval(f.breakpoints[0], f.breakpoints[-1]), bp, vals)

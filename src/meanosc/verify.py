@@ -102,9 +102,14 @@ def _normalized_corpus(seed: int, count: int):
     corpus = []
     for _ in range(count):
         f = random_step_function(rng)
-        norm2 = bmo_norm(f, 2.0).lower
-        if norm2 < 1e-6:
+        r = bmo_norm(f, 2.0, SearchConfig(certify=True))
+        if r.lower < 1e-6:
             continue
+        # divide by the certified upper rounded up to 20 significant bits: the
+        # corpus stays in the unit ball the weak-type envelope assumes, and a
+        # last-bit move of the bound moves it only across a point of that grid
+        mantissa, exponent = math.frexp(r.upper)
+        norm2 = math.ldexp(math.ceil(math.ldexp(mantissa, 20)), exponent - 20)
         g = compose_monotone(f, MonotoneMap.scale(1.0 / norm2))
         corpus.append(g)
     return rng, corpus

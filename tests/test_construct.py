@@ -127,6 +127,23 @@ def test_glue_matches_mixture_oracle(seed):
     assert tv_distance(g.distribution(), oracle) < 1e-12
 
 
+def test_glue_of_near_atom_chains_keeps_every_atom():
+    # two glue chains of constants whose atoms lie 1.1e-12 apart, offset by
+    # half a step: the gluing keeps all 24 atoms and mixes them exactly
+    def chain(values):
+        e = constant(values[0])
+        for v in values[1:]:
+            e = glue(e, constant(v), 0.5, 0.5, 2)
+        return e
+
+    a = chain([k * 1.1e-12 for k in range(12)])
+    b = chain([(k + 0.5) * 1.1e-12 for k in range(12)])
+    g = glue(a, b, 0.25, 0.5, 2)
+    assert g.atom_values.size == 24
+    assert tv_distance(g.distribution(), dist_mix(a.distribution(), b.distribution(), 0.25)) == 0.0
+    assert tv_distance(query(g, (0.0, 1.0)).distribution, g.distribution()) == 0.0
+
+
 def test_glue_alpha_validation():
     with pytest.raises(InputError):
         glue(constant(0.0), constant(1.0), 1.0)

@@ -102,9 +102,25 @@ def test_mix_grouping_consistency(seed):
 
 
 def test_atom_merging():
-    d = DiscreteDistribution([1.0, 1.0 + 1e-13, 2.0], [0.25, 0.25, 0.5])
-    assert d.atom_count == 2
-    assert d.weights[0] == 0.5
+    # atoms are the same exactly when their values are equal: equal values
+    # merge, and values 1e-13 apart stay two atoms at any scale
+    d = DiscreteDistribution([1.0, 1.0 + 1e-13, 2.0, 1.0], [0.25, 0.25, 0.25, 0.25])
+    assert d.values.tolist() == [1.0, 1.0 + 1e-13, 2.0]
+    assert d.weights.tolist() == [0.5, 0.25, 0.25]
+    plane = DiscreteDistribution([[0.0, 1.0], [0.0, 1.0 + 1e-13], [0.0, 1.0]], [0.25, 0.25, 0.5])
+    assert plane.values.tolist() == [[0.0, 1.0], [0.0, 1.0 + 1e-13]]
+    assert plane.weights.tolist() == [0.75, 0.25]
+
+
+def test_tv_distance_matches_only_equal_atoms():
+    one, near = DiscreteDistribution.delta(1.0), DiscreteDistribution.delta(1.0 + 1e-13)
+    assert tv_distance(one, near) == 1.0
+    assert tv_distance(one, DiscreteDistribution.delta(1.0)) == 0.0
+    d = DiscreteDistribution([1.0, 1.0 + 1e-13], [0.5, 0.5])
+    assert tv_distance(d, one) == 0.5
+    point = DiscreteDistribution.delta([0.0, 1.0])
+    assert tv_distance(point, DiscreteDistribution.delta([0.0, 1.0 + 1e-13])) == 1.0
+    assert tv_distance(point, DiscreteDistribution.delta([0.0, 1.0])) == 0.0
 
 
 def test_weights_validation():

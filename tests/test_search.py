@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from meanosc import search as search_module
-from meanosc.construct import constant, glue, homogenize, leaf, materialize, periodize
+from meanosc.construct import constant, glue, homogenize, leaf, materialize, periodize, required_pieces
 from meanosc.errors import InputError
 from meanosc.martingales import compile_to_circle, log_staircase
 from meanosc.search import (
@@ -284,6 +284,33 @@ def test_scaling_holds_at_every_value_scale():
     # a jump of 1e-13 has BMO_2 half of it, not 0
     tiny = StepFunction(Interval(0.0, 1.0), [0.0, 0.5, 1.0], [0.0, 1e-13])
     assert abs(bmo_norm(tiny, 2.0).lower - 0.5e-13) <= 1e-12 * 0.5e-13
+
+
+def test_dag_scaling_holds_at_every_value_scale():
+    # bmo(s·f + 3s) = |s|·bmo(f) at p = 1 and 2, A_2(c·w) = A_2(w) and
+    # A_inf(c·w) = A_inf(w) on construction DAGs, to 1e-12 relative: one
+    # searched flat, one over _FLAT_LIMIT pieces searched structurally
+    rng = np.random.default_rng(7)
+    bp = np.concatenate(([0.0], np.sort(rng.uniform(0.05, 0.95, 4)), [1.0]))
+    v = rng.normal(size=5)
+    w = np.exp(v)
+
+    def flat(vals):
+        return periodize(homogenize(leaf(StepFunction(Interval(0.0, 1.0), bp, vals)), 0.5, 2))
+
+    def dag(vals):
+        f = StepFunction(Interval(0.0, 1.0), bp, vals)
+        return glue(homogenize(leaf(f), 0.5, 6), leaf(f), 0.3, 0.5, 6)
+
+    assert required_pieces(flat(v)) <= search_module._FLAT_LIMIT < required_pieces(dag(v))
+    for build in (flat, dag):
+        base = [circle_bmo_norm(build(v), p).lower for p in (1.0, 2.0)]
+        a2, ainf = ap_constant(build(w), 2.0).lower, a_inf_constant(build(w)).lower
+        for s in (1e-15, 1e-13, 1e-10, 1e8):
+            for p, b in zip((1.0, 2.0), base):
+                assert abs(circle_bmo_norm(build(s * v + 3.0 * s), p).lower / s - b) <= 1e-12 * b, (build, p, s)
+            assert abs(ap_constant(build(s * w), 2.0).lower - a2) <= 1e-12 * a2, (build, s)
+            assert abs(a_inf_constant(build(s * w)).lower - ainf) <= 1e-12 * ainf, (build, s)
 
 
 def test_witness_is_in_the_scan():

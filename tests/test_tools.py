@@ -192,6 +192,42 @@ def test_compare_reports_exact_compares_query_records(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-2] == "0 query record(s) differ; only in the first file: 0, only in the second: 0"
 
 
+def test_compare_reports_exact_fails_on_records_of_a_shared_test_in_one_file(tmp_path, capsys):
+    compare_reports = _load("compare_reports")
+
+    def query(test, left):
+        return "\t".join((test, "query", left.hex(), "0x1p+0", "0x0p+0", "0x1p+0", "1", "1", "0x0p+0")) + "\n"
+
+    report = _record("t::a", "dag", 1.0, 2.0, 0.0, 0.5, "bmo_2", "circle")
+    before = tmp_path / "before.tsv"
+    after = tmp_path / "after.tsv"
+    # t::a loses its second report in after; t::b is in before only, t::c in after only
+    before.write_text(query("t::a", 0.0) + report + report + query("t::b", 0.0) + report.replace("t::a", "t::b"))
+    after.write_text(query("t::a", 0.0) + report + query("t::c", 0.0))
+    assert compare_reports.main([str(before), str(after), "--exact"]) == 1
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "0 query record(s) differ; only in the first file: 1, only in the second: 1",
+        "unpaired, report 1 of t::a: only in the first file",
+        "0 report(s) differ",
+    ]
+    # a vanished query record of a shared test fails as well, either way round
+    after.write_text(report + report + report.replace("t::a", "t::b") + query("t::b", 0.0) + query("t::b", 0.5))
+    assert compare_reports.main([str(before), str(after), "--exact"]) == 1
+    assert capsys.readouterr().out.splitlines()[-4:] == [
+        "unpaired, query 0 of t::a: only in the first file",
+        "unpaired, query 1 of t::b: only in the second file",
+        "0 query record(s) differ; only in the first file: 1, only in the second: 1",
+        "0 report(s) differ",
+    ]
+    # tests found in one file only are counted and do not fail
+    after.write_text(query("t::a", 0.0) + report + report)
+    assert compare_reports.main([str(before), str(after), "--exact"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "0 query record(s) differ; only in the first file: 1, only in the second: 0",
+        "0 report(s) differ",
+    ]
+
+
 def test_workload_reports_records_one_report_per_op(tmp_path, capsys):
     from meanosc import search
 

@@ -24,7 +24,10 @@ every pair of query records that differs in any field (ends,
 distribution, depth, nodes visited, partial end weight), then every pair
 of reports whose ``lower``, ``upper``, witness, evaluation count or
 witness value differs in any bit, naming the fields, and exits with
-status 1 if there is one of either.  With ``--objective
+status 1 if there is one of either.  It also lists, and exits with status
+1 for, every query record or report that only one file holds of a test
+that both files hold; a test found in one file only is counted, not
+failed.  With ``--objective
 NAME[,NAME]`` (objective names as recorded, e.g. ``bmo_3,bmo_1.5``) the
 summary and every listing of reports cover only the reports of those
 objectives; query records are compared whatever the objective.
@@ -118,6 +121,11 @@ def exact_differences(before: dict, after: dict, fields=_EXACT_FIELDS) -> list:
     return out
 
 
+def unpaired(before: dict, after: dict, tests) -> list:
+    """``(test id, k, "first" or "second")`` of every record of a test in ``tests`` that only that file holds."""
+    return sorted((*key, "first" if key in before else "second") for key in before.keys() ^ after.keys() if key[0] in tests)
+
+
 def compare(before: dict, after: dict) -> str:
     groups: dict = defaultdict(_Group)
     worst = (0.0, None)
@@ -156,7 +164,8 @@ def main(argv=None) -> int:
     parser.add_argument("--list-witness-moves", action="store_true",
                         help="list every pair whose witness changed, with the relative move of its lower")
     parser.add_argument("--exact", action="store_true",
-                        help="exit with status 1, listing them, if some paired report differs in any bit")
+                        help="exit with status 1, listing them, if some paired record differs in any bit "
+                             "or only one file holds a record of a test in both")
     parser.add_argument("--objective", metavar="NAME[,NAME]", default=None,
                         help="compare only the reports of these objectives, e.g. bmo_3,bmo_1.5")
     args = parser.parse_args(argv)
@@ -173,17 +182,22 @@ def main(argv=None) -> int:
     status = 0
     if args.exact:
         qb, qa = read_reports(args.before, queries=True), read_reports(args.after, queries=True)
-        diffs = exact_differences(qb, qa, _QUERY_FIELDS)
+        shared = {test for test, _ in [*before, *qb]} & {test for test, _ in [*after, *qa]}
+        diffs, lost = exact_differences(qb, qa, _QUERY_FIELDS), unpaired(qb, qa, shared)
         for test, k, names in diffs:
             print(f"differs, query {k} of {test}: {', '.join(names)}")
+        for test, k, where in lost:
+            print(f"unpaired, query {k} of {test}: only in the {where} file")
         print(f"{len(diffs)} query record(s) differ; only in the first file: {len(qb.keys() - qa.keys())}, "
               f"only in the second: {len(qa.keys() - qb.keys())}")
-        status = 1 if diffs else status
-        diffs = exact_differences(before, after)
+        status = 1 if diffs or lost else status
+        diffs, lost = exact_differences(before, after), unpaired(before, after, shared)
         for test, k, names in diffs:
             print(f"differs, report {k} of {test}: {', '.join(names)}")
+        for test, k, where in lost:
+            print(f"unpaired, report {k} of {test}: only in the {where} file")
         print(f"{len(diffs)} report(s) differ")
-        status = 1 if diffs else status
+        status = 1 if diffs or lost else status
     if args.max_lower_drop is not None:
         drops = lower_drops(before, after, args.max_lower_drop)
         for drop, test, k in drops:
