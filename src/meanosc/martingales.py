@@ -10,15 +10,15 @@ circle functions through a left fold of gluings, which reproduces the root
 distribution exactly; oscillation control of the compiled function is not
 guaranteed by construction and must be verified by the circle searches.
 
-Membership validation sweeps, for every node, the convex hull of its
-children against a domain: for measure-valued domains the membership
-functional is maximized along each edge of the children simplex by a fine
-grid plus block golden refinement (the domain is not convex, hence the
-sweep), both evaluated as batches of mixture weights,
-with interiors of three-or-more-child simplices sampled on a barycentric
-grid; for point-valued strip domains the functional is concave along
-segments and the segment maxima are evaluated in closed form.  Tests are
-strict (< 0) with signed margins reported.
+Membership validation checks, for every node, the convex hull of its
+children against a domain.  The domains are not convex, so each edge of
+the hull is maximized on its own, in closed form (every domain's
+``segment_max``): along mixtures of two distributions the variance is a
+concave quadratic, the mean deviation a quadratic between the times where
+the mean crosses an atom, and the weight form log-concave; the strip
+functionals are concave along segments.  The inside of a hull of three or
+more children is sampled on a barycentric grid.  Tests are strict (< 0)
+with signed margins reported.
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ import numpy as np
 from .construct import ConstructExpr, constant, default_levels, glue, periodize
 from .distributions import DiscreteDistribution, dist_mix, tv_distance
 from .errors import InputError
-from .search import SearchConfig, _ApObjective, _BmoObjective, _golden_max
 from .stepfun import Interval, StepFunction
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
 
 _STRUCT_TOL = 1e-12
 _CURVE_TOL = 1e-10
-_SWEEP_LEVEL = 5  # dyadic level of the edge sweep's mixture weights
 
 
 def fold_alphas(probs) -> list[float]:
@@ -196,14 +194,67 @@ class MartingaleTree:
 # -- membership domains ------------------------------------------------------------
 
 
+def _segment_max(dom, a, b, t: float) -> float:
+    """The largest functional at the ends of the segment ``(1 − t)·a + t·b``, and at ``t`` if it lies between them."""
+    ends = max(dom.functional(a), dom.functional(b))
+    if not 0.0 < t < 1.0:
+        return ends
+    mid = dist_mix(a, b, t) if dom.kind == "measure" else (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+    return max(ends, dom.functional(mid))
+
+
+def _variance_t(d0: DiscreteDistribution, d1: DiscreteDistribution) -> float:
+    """The vertex of the mixtures' variance ``(1 − t)·v0 + t·v1 + t(1 − t)·(m1 − m0)²``, nan if it is affine."""
+    dm2 = (d1.barycenter() - d0.barycenter()) ** 2
+    return (d1.central_moment(2.0) - d0.central_moment(2.0) + dm2) / (2.0 * dm2) if dm2 else math.nan
+
+
+def _deviation_t(d0: DiscreteDistribution, d1: DiscreteDistribution) -> float:
+    """The best t for the mixtures' mean deviation ``∫|x − m|``, nan if it is affine.
+
+    The mean m is affine in t, so between the times where m crosses an
+    atom the deviation is a quadratic in t.  With the atoms sorted by
+    crossing time, those crossed so far count with one sign and the rest
+    with the other, so prefix sums give the coefficients of every piece
+    at once; the best of the pieces' ends and concave vertices wins.
+    """
+    m0 = d0.barycenter()
+    dm = d1.barycenter() - m0
+    if dm == 0.0:
+        return math.nan
+    x = np.concatenate((d0.values, d1.values)) - m0
+    order = np.argsort(x / dm, kind="stable")
+    x, dw = x[order], np.concatenate((-d0.weights, d1.weights))[order]
+    w = np.concatenate((d0.weights, 0.0 * d1.weights))[order]
+    ends = np.clip(np.concatenate(([-np.inf], x / dm, [np.inf])), 0.0, 1.0)
+    live = ends[1:] > ends[:-1]
+    lo, hi = ends[:-1][live], ends[1:][live]
+    # the coefficients of 1, t and t² of each atom's (w + t·dw)·(x − t·dm); piece j has the first j atoms crossed
+    prefix = np.cumsum(np.insert(np.stack((w * x, dw * x - w * dm, -dw * dm)), 0, 0.0, axis=1), axis=1)
+    q0, q1, q2 = (np.sign(dm) * (prefix[:, -1:] - 2.0 * prefix))[:, live]
+    vertex = np.clip(np.divide(-q1, 2.0 * q2, out=lo.copy(), where=q2 < 0.0), lo, hi)
+    ts = np.stack((lo, hi, vertex))
+    return float(ts.flat[np.argmax(q0 + ts * (q1 + ts * q2))])
+
+
+def _weight_t(d0: DiscreteDistribution, d1: DiscreteDistribution, p: float) -> float:
+    """The stationary point of the log-concave ``a·b^(p−1)`` along the mixtures, nan if it is monotone.
+
+    ``a`` and ``b``, the means of x and of ``x^(−1/(p−1))``, are affine in t.
+    """
+    (a0, b0), (a1, b1) = ((d.barycenter(), float(np.dot(d.weights, d.values ** (-1.0 / (p - 1.0))))) for d in (d0, d1))
+    da, db = a1 - a0, b1 - b0
+    return -(da * b0 + (p - 1.0) * db * a0) / (p * da * db) if da and db else math.nan
+
+
 class MomentDomain:
-    """Distributions whose centered p-th moment is below ``eps**p``."""
+    """Distributions whose centered p-th moment is below ``eps**p``; p is 1 or 2, the orders with closed-form edge maxima."""
 
     kind = "measure"
 
     def __init__(self, p: float, eps: float):
-        if p < 1:
-            raise InputError(f"moment order p must be >= 1, got {p}")
+        if p not in (1, 2):
+            raise InputError(f"moment order p must be 1 or 2, got {p}")
         if eps <= 0:
             raise InputError(f"radius must be positive, got {eps}")
         self.p = float(p)
@@ -212,12 +263,8 @@ class MomentDomain:
     def functional(self, d: DiscreteDistribution) -> float:
         return d.central_moment(self.p) - self.eps**self.p
 
-    def functional_rows(self, w: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """``functional`` of each row of probability weights ``w`` over the atoms ``values``."""
-        return _BmoObjective(self.p).raw_from_parts(w, values, 1.0) - self.eps**self.p
-
-    def contains(self, d: DiscreteDistribution) -> bool:
-        return self.functional(d) < 0
+    def segment_max(self, d0: DiscreteDistribution, d1: DiscreteDistribution) -> float:
+        return _segment_max(self, d0, d1, (_variance_t if self.p == 2.0 else _deviation_t)(d0, d1))
 
 
 class ApDomain:
@@ -236,12 +283,8 @@ class ApDomain:
     def functional(self, d: DiscreteDistribution) -> float:
         return d.ap_form(self.p) - self.bound
 
-    def functional_rows(self, w: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """``functional`` of each row of probability weights ``w`` over the atoms ``values``."""
-        return _ApObjective(self.p).raw_from_parts(w, values, 1.0) - self.bound
-
-    def contains(self, d: DiscreteDistribution) -> bool:
-        return self.functional(d) < 0
+    def segment_max(self, d0: DiscreteDistribution, d1: DiscreteDistribution) -> float:
+        return _segment_max(self, d0, d1, _weight_t(d0, d1, self.p))
 
 
 class ParabolaStrip:
@@ -267,14 +310,8 @@ class ParabolaStrip:
 
     def segment_max(self, a, b) -> float:
         # the functional is concave along segments: closed-form vertex
-        x0, y0 = a
         dx, dy = b[0] - a[0], b[1] - a[1]
-        cands = [self.functional(a), self.functional(b)]
-        if dx != 0.0:
-            t = (dy - 2.0 * x0 * dx) / (2.0 * dx * dx)
-            if 0.0 < t < 1.0:
-                cands.append(self.functional((x0 + t * dx, y0 + t * dy)))
-        return max(cands)
+        return _segment_max(self, a, b, (dy - 2.0 * a[0] * dx) / (2.0 * dx * dx) if dx else math.nan)
 
 
 class PowerCurveStrip:
@@ -309,17 +346,9 @@ class PowerCurveStrip:
 
     def segment_max(self, a, b) -> float:
         # concave along segments with x > 0: stationary point in closed form
-        x0, y0 = a
         dx, dy = b[0] - a[0], b[1] - a[1]
-        cands = [self.functional(a), self.functional(b)]
-        if dx != 0.0 and dy != 0.0:
-            rhs = -self.bound * self.s * dx / dy
-            if rhs > 0:
-                xs = rhs ** (1.0 / (self.s + 1.0))
-                t = (xs - x0) / dx
-                if 0.0 < t < 1.0:
-                    cands.append(self.functional((x0 + t * dx, y0 + t * dy)))
-        return max(cands)
+        rhs = -self.bound * self.s * dx / dy if dy else 0.0
+        return _segment_max(self, a, b, (rhs ** (1.0 / (self.s + 1.0)) - a[0]) / dx if rhs > 0 else math.nan)
 
 
 # -- boundary curves ------------------------------------------------------------------
@@ -380,30 +409,6 @@ class ValidationReport:
         }
 
 
-def _edge_sweep_measure(dom, d0: DiscreteDistribution, d1: DiscreteDistribution, cfg: SearchConfig) -> float:
-    """Largest functional over the mixtures ``(1 − t)·d0 + t·d1``: a dyadic sweep of t, refined around its best point.
-
-    A batch of mixtures is one matrix of weight rows over the atoms of
-    both ends, one row per t.
-    """
-    values = np.concatenate((d0.values, d1.values))
-
-    def mixtures(ts):
-        t = np.clip(ts, 0.0, 1.0).reshape(-1, 1)
-        w = np.hstack(((1.0 - t) * d0.weights, t * d1.weights))
-        return dom.functional_rows(w, values).reshape(np.shape(ts))
-
-    ts = np.arange(1, 2**_SWEEP_LEVEL) / 2.0**_SWEEP_LEVEL
-    vs = mixtures(ts)
-    best_t, best = 0.0, max(dom.functional(d0), dom.functional(d1))
-    k = int(vs.argmax())
-    if vs[k] > best:
-        best, best_t = float(vs[k]), float(ts[k])
-    h = 1.0 / 2.0**_SWEEP_LEVEL
-    _, refined = _golden_max(mixtures, [max(best_t - h, 0.0)], [min(best_t + h, 1.0)], cfg.refine_iters)
-    return max(best, float(refined[0]))
-
-
 def _barycentric_grid(m: int, resolution: int):
     """All weight vectors with entries k/resolution summing to 1, k >= 1."""
 
@@ -419,32 +424,20 @@ def _barycentric_grid(m: int, resolution: int):
         yield np.array(combo, dtype=float) / resolution
 
 
-def _node_margin(dom, node: MartNode, cfg: SearchConfig) -> float:
-    children = node.children
-    if dom.kind == "measure":
-        dists = [c.value for _, c in children]
-        margin = max(dom.functional(d) for d in dists)
-        for i in range(len(dists)):
-            for j in range(i + 1, len(dists)):
-                margin = max(margin, _edge_sweep_measure(dom, dists[i], dists[j], cfg))
-        if len(dists) >= 3:
-            for w in _barycentric_grid(len(dists), 8):
-                margin = max(margin, dom.functional(mix_children(dists, w)))
-        return margin
-    pts = [c.value for _, c in children]
-    margin = max(dom.functional(pt) for pt in pts)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            margin = max(margin, dom.segment_max(pts[i], pts[j]))
-    if len(pts) >= 3:
-        for w in _barycentric_grid(len(pts), 8):
-            x = float(np.dot(w, [p[0] for p in pts]))
-            y = float(np.dot(w, [p[1] for p in pts]))
-            margin = max(margin, dom.functional((x, y)))
+def _node_margin(dom, node: MartNode) -> float:
+    vals = [c.value for _, c in node.children]
+    margin = max(dom.functional(v) for v in vals)
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            margin = max(margin, dom.segment_max(vals[i], vals[j]))
+    if len(vals) >= 3:
+        for w in _barycentric_grid(len(vals), 8):
+            hull = mix_children(vals, w) if dom.kind == "measure" else tuple(float(np.dot(w, c)) for c in zip(*vals))
+            margin = max(margin, dom.functional(hull))
     return margin
 
 
-def validate_membership(M: MartingaleTree, dom, cfg: SearchConfig | None = None) -> ValidationReport:
+def validate_membership(M: MartingaleTree, dom) -> ValidationReport:
     """Check both martingale admissibility conditions against a domain.
 
     Condition 1: for every internal node the convex hull of its children's
@@ -453,7 +446,6 @@ def validate_membership(M: MartingaleTree, dom, cfg: SearchConfig | None = None)
     (point-valued).  Structural violations raise InputError before any
     membership is evaluated.
     """
-    cfg = cfg or SearchConfig()
     M.check_structure()
     if (dom.kind == "measure") != (M.kind == "measure"):
         raise InputError(f"domain expects {dom.kind}-valued martingales, tree is {M.kind}-valued")
@@ -475,7 +467,7 @@ def validate_membership(M: MartingaleTree, dom, cfg: SearchConfig | None = None)
                 bad_lower = min(dom.lower(c.value) for _, c in node.children)
                 if bad_lower < -_STRUCT_TOL:
                     return ValidationReport(False, math.inf, margins, list(path))
-            margin = _node_margin(dom, node, cfg)
+            margin = _node_margin(dom, node)
         margins[path] = margin
         if margin > worst:
             worst = margin

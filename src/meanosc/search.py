@@ -114,11 +114,11 @@ class SearchConfig:
     """Knobs of the supremum searches.
 
     ``refine_iters`` sets the resolution of each golden-refined coordinate
-    of DAG junction scans and martingale edge sweeps: its final bracket is
+    of DAG junction scans, the only golden refinement: its final bracket is
     no wider than golden section's after ``refine_iters`` probes,
     ``φ^-(refine_iters - 1)`` of the initial one, whatever the probes per
-    round (see ``_golden_max``).  Flat searches never refine by golden
-    section, so ``refine_iters`` does not affect them.  The grids are
+    round (see ``_golden_max``); flat searches and membership validation
+    do not read it.  The grids are
     fixed: ``_GRID_LEVEL`` dyadic offsets inside each cell and junction
     and along long arcs, ``_PER_OCTAVE`` lengths per octave.
     ``r_long`` is the copy-count threshold of the long-arc regime;
@@ -1147,8 +1147,11 @@ def _flat_circle_search(f: StepFunction, objective: _Objective, cfg: SearchConfi
     ls, rs = _long_arc_grid(t0, cfg)
     raws = objective.raw_from_parts(f.overlap_rows(ls, rs), _centered(f, objective), rs - ls)
     best.offer_array(objective.value_from_raw(raws), ls, rs)
-    raw_max = max(objective.raw_of_value(lower) if ceiling is None else ceiling, float(raws.max()))
-    upper = _certificate(objective, cfg, f.values, f.distribution((t0, t0 + 1.0)), raw_max, best.value)
+    if ceiling is None:
+        # nothing enumerated: the value range bounds every arc, long ones included
+        upper = max(objective.range_bound(float(f.values.min()), float(f.values.max())), best.value) if cfg.certify else None
+    else:
+        upper = _certificate(objective, cfg, f.values, f.distribution((t0, t0 + 1.0)), max(ceiling, float(raws.max())), best.value)
     # a long arc may top the short witness by less than the tie tolerance:
     # report the chosen witness's own value
     wl, wr, wv = best.finish()

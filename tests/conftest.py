@@ -13,6 +13,10 @@ that function:
     test id, ``query``, left, right, distribution values, distribution
     weights, depth, nodes visited, partial end weight
 
+and one per ``martingales.validate_membership`` call, bound the same way:
+
+    test id, ``membership``, passed, worst margin, offending path
+
 Floats are written with ``float.hex`` (a distribution as comma-separated
 hex), so two records compare bitwise with ``diff``.  The target kind is
 ``dag`` for a construction searched structurally (more than
@@ -42,7 +46,7 @@ def pytest_addoption(parser):
         "--record-reports",
         metavar="PATH",
         default=None,
-        help="append every search report and construct.query result to PATH as float-hex lines",
+        help="append every search report, construct.query result and membership validation to PATH as float-hex lines",
     )
 
 
@@ -52,7 +56,7 @@ def _hex(x) -> str:
 
 class _Recorder:
     def __init__(self, path: str):
-        from meanosc import construct, search
+        from meanosc import construct, martingales, search
 
         self._search_mod = search
         self._construct = construct
@@ -61,18 +65,20 @@ class _Recorder:
         self._out = open(path, "a", encoding="utf-8")
         self.test_id = "-"
         search._search = self._wrap(self._original)
-        # rebind construct.query in every loaded library module; modules
-        # imported later bind the wrapped function themselves
+        # rebind construct.query and validate_membership in every loaded
+        # library module; modules imported later bind the wrapped functions
+        # themselves
+        validate = martingales.validate_membership
+        wrappers = {self._query: self._wrap_query(self._query), validate: self._wrap_membership(validate)}
         self._bindings = [
-            (mod, name)
+            (mod, name, value)
             for key, mod in list(sys.modules.items())
             if key.split(".")[0] == "meanosc"
             for name, value in list(vars(mod).items())
-            if value is self._query
+            if any(value is original for original in wrappers)
         ]
-        wrapped = self._wrap_query(self._query)
-        for mod, name in self._bindings:
-            setattr(mod, name, wrapped)
+        for mod, name, original in self._bindings:
+            setattr(mod, name, wrappers[original])
 
     def _witness_value(self, target, objective, report) -> float:
         q = (report.witness.left, report.witness.right)
@@ -128,10 +134,19 @@ class _Recorder:
 
         return recorded
 
+    def _wrap_membership(self, original):
+        def recorded(M, dom):
+            report = original(M, dom)
+            fields = (self.test_id, "membership", str(report.passed), _hex(report.worst_margin), str(report.offending_path))
+            self._out.write("\t".join(fields) + "\n")
+            return report
+
+        return recorded
+
     def close(self):
         self._search_mod._search = self._original
-        for mod, name in self._bindings:
-            setattr(mod, name, self._query)
+        for mod, name, original in self._bindings:
+            setattr(mod, name, original)
         self._out.close()
 
 

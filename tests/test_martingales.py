@@ -1,8 +1,10 @@
-"""Martingale trees: validation sweeps, lifts, compilation, staircases."""
+"""Martingale trees: membership validation, lifts, compilation, staircases."""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanosc.construct import query
 from meanosc.distributions import DiscreteDistribution, dist_mix, tv_distance
@@ -74,7 +76,7 @@ def test_structure_rejects_broken_martingale_property():
 
 def test_two_leaf_membership_threshold():
     tree = two_leaf_tree()
-    # segment sweep maximum of the second moment is 4a(1-a) = 1 at a = 1/2
+    # segment maximum of the second moment is 4a(1-a) = 1 at a = 1/2
     assert not validate_membership(tree, MomentDomain(2.0, 0.95)).passed
     assert not validate_membership(tree, MomentDomain(2.0, 1.0)).passed
     assert validate_membership(tree, MomentDomain(2.0, 1.05)).passed
@@ -96,6 +98,58 @@ def test_membership_margin_against_grid_oracle():
         for t in np.linspace(0.0, 1.0, 2001)
     )
     assert report.worst_margin == pytest.approx(oracle, abs=1e-6)
+
+
+def test_mean_deviation_peak_between_dyadic_mixtures_fails():
+    # the root's edge from δ_1.5 to the node {-4.8, 1.4} is the quadratic
+    # 6.3s - 3.2s² in the node's weight s past the kink at s = 1/32; its
+    # vertex s = 63/64 lies between dyadic samples and reaches 3.10078125
+    leaf = lambda v: MartNode(DiscreteDistribution.delta(v))
+    node = MartNode(DiscreteDistribution([-4.8, 1.4], [0.5, 0.5]), ((0.5, leaf(-4.8)), (0.5, leaf(1.4))))
+    root = MartNode(dist_mix(DiscreteDistribution.delta(1.5), node.value, 0.5), ((0.5, leaf(1.5)), (0.5, node)))
+    report = validate_membership(MartingaleTree(root), MomentDomain(1.0, 3.1005))
+    assert not report.passed and report.offending_path == []
+    assert report.worst_margin == pytest.approx(3.10078125 - 3.1005, rel=1e-12)
+
+
+def test_moment_domain_rejects_orders_without_closed_form():
+    for p in (0.5, 1.5, 3.0):
+        with pytest.raises(InputError):
+            MomentDomain(p, 1.0)
+
+
+_ATOMS = st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(0.05, 1.0)), min_size=1, max_size=6)
+
+
+def _atoms_dist(atoms, shift: float) -> DiscreteDistribution:
+    values, weights = np.array(atoms).T
+    return DiscreteDistribution(values - shift, weights / weights.sum())
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [MomentDomain(1.0, 1.0), MomentDomain(2.0, 1.0), ApDomain(1.5, 2.0), ApDomain(2.0, 2.0), ApDomain(3.0, 2.0)],
+    ids=["moment_1", "moment_2", "ap_1.5", "ap_2", "ap_3"],
+)
+@settings(max_examples=100, deadline=None)
+@given(_ATOMS, _ATOMS)
+def test_segment_max_is_at_least_a_dense_grid(dom, atoms0, atoms1):
+    # moment domains see atoms in (-5, 5), weight domains positive ones
+    shift = 5.0 if isinstance(dom, MomentDomain) else 0.0
+    d0, d1 = _atoms_dist(atoms0, shift), _atoms_dist(atoms1, shift)
+    ts = np.linspace(0.0, 1.0, 2001)[:, None]
+    x = np.concatenate((d0.values, d1.values))
+    w = np.hstack(((1.0 - ts) * d0.weights, ts * d1.weights))
+    mean = w @ x
+    if isinstance(dom, MomentDomain):
+        raw, offset = (w * np.abs(x - mean[:, None]) ** dom.p).sum(axis=1), dom.eps**dom.p
+        # a moment is computed no closer than rounding at the atoms' scale
+        scale = np.abs(x).max() ** dom.p
+    else:
+        raw, offset = mean * (w @ x ** (-1.0 / (dom.p - 1.0))) ** (dom.p - 1.0), dom.bound
+        scale = 1.0
+    grid = float(raw.max())
+    assert dom.segment_max(d0, d1) + offset >= grid - 1e-15 * max(grid, scale)
 
 
 def test_parabola_strip_point_martingale():

@@ -182,6 +182,23 @@ def test_certified_circle_upper_dominates_dense_scan():
     assert dense <= report.upper + 1e-12
 
 
+def test_certified_flat_circle_bmo3_upper_dominates_dense_scan_of_long_arcs():
+    # BMO_3 enumerates no cell pairs, so its certified circle upper is the
+    # value-range bound, which holds for arcs of any length
+    rng = np.random.default_rng(31)
+    bp = np.concatenate(([0.0], np.sort(rng.uniform(0.05, 0.95, 4)), [1.0]))
+    f = StepFunction(CIRCLE, bp, rng.normal(size=5))
+    report = circle_bmo_norm(f, 3.0, SearchConfig(certify=True))
+    assert report.lower <= report.upper
+    xs = np.linspace(0.0, 3.0, 241)
+    ls, rs = np.meshgrid(xs, xs, indexing="ij")
+    ls, rs = ls[rs > ls], rs[rs > ls]
+    ov = f.overlap_rows(ls, rs)
+    means = ov @ f.values / (rs - ls)
+    dense = float(((ov * np.abs(f.values - means[:, None]) ** 3).sum(axis=1) / (rs - ls)).max()) ** (1.0 / 3.0)
+    assert dense <= report.upper
+
+
 def test_lipschitz_composition_bound_across_p():
     from meanosc.stepfun import compose_monotone
     from meanosc.verify import random_monotone_map, random_step_function

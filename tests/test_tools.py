@@ -228,6 +228,40 @@ def test_compare_reports_exact_fails_on_records_of_a_shared_test_in_one_file(tmp
     ]
 
 
+def test_compare_reports_exact_compares_membership_records(tmp_path, capsys):
+    compare_reports = _load("compare_reports")
+
+    def membership(test, passed, margin, path):
+        return "\t".join((test, "membership", str(passed), margin.hex(), str(path))) + "\n"
+
+    report = _record("t::a", "flat", 1.0, None, 0.0, 0.5, "bmo_1", "interval")
+    before = tmp_path / "before.tsv"
+    after = tmp_path / "after.tsv"
+    before.write_text(
+        membership("t::a", True, -0.5, None) + report + membership("t::a", True, -0.25, None)
+        + membership("t::b", False, 0.125, [0, 1])
+    )
+    # t::a's second margin moved by one ulp and t::a validated once more; t::b fails elsewhere
+    after.write_text(
+        membership("t::a", True, -0.5, None) + report + membership("t::a", True, math.nextafter(-0.25, 0.0), None)
+        + membership("t::a", True, -1.0, None) + membership("t::b", False, 0.125, [])
+    )
+    assert compare_reports.main([str(before), str(after), "--exact"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    # membership lines are neither search reports nor query records
+    assert "reports only in the first file: 0, only in the second: 0" in out
+    assert out[-6:] == [
+        "differs, membership 1 of t::a: worst margin",
+        "differs, membership 0 of t::b: offending path",
+        "unpaired, membership 2 of t::a: only in the second file",
+        "2 membership record(s) differ; only in the first file: 0, only in the second: 1",
+        "0 query record(s) differ; only in the first file: 0, only in the second: 0",
+        "0 report(s) differ",
+    ]
+    assert compare_reports.main([str(before), str(before), "--exact"]) == 0
+    assert capsys.readouterr().out.splitlines()[-3] == "0 membership record(s) differ; only in the first file: 0, only in the second: 0"
+
+
 def test_workload_reports_records_one_report_per_op(tmp_path, capsys):
     from meanosc import search
 

@@ -5,9 +5,9 @@ Usage, from the root of a checkout::
     python3 tools/compare_reports.py BEFORE.tsv AFTER.tsv [--max-lower-drop REL] [--list-witness-moves] [--exact] [--objective NAME[,NAME]]
 
 The k-th search report a test records in BEFORE is paired with the k-th
-one the same test records in AFTER, and so is its k-th
-``construct.query`` record.  For every objective and carrier the script prints how many
-pairs there are, the largest relative drop and rise of ``lower`` and of
+one the same test records in AFTER, and so are its k-th
+``construct.query`` record and its k-th membership validation.  For
+every objective and carrier the script prints how many pairs there are, the largest relative drop and rise of ``lower`` and of
 ``upper`` from BEFORE to AFTER, and how many pairs changed witness; then
 the pair with the largest relative drop of ``lower``, and the number of
 reports found in only one file.  A relative change is
@@ -20,17 +20,20 @@ there is one.  With ``--list-witness-moves`` it lists every pair whose
 witness changed, with both witnesses and the relative move of ``lower``,
 so that a witness that moved between tied candidates (a move of 0) stands
 apart from one that moved with its value.  With ``--exact`` it lists
-every pair of query records that differs in any field (ends,
-distribution, depth, nodes visited, partial end weight), then every pair
+every pair of membership records that differs in any field (passed,
+worst margin, offending path), then every pair of query records that
+differs in any field (ends, distribution, depth, nodes visited, partial
+end weight), then every pair
 of reports whose ``lower``, ``upper``, witness, evaluation count or
 witness value differs in any bit, naming the fields, and exits with
-status 1 if there is one of either.  It also lists, and exits with status
-1 for, every query record or report that only one file holds of a test
+status 1 if there is one of any.  It also lists, and exits with status
+1 for, every record or report that only one file holds of a test
 that both files hold; a test found in one file only is counted, not
 failed.  With ``--objective
 NAME[,NAME]`` (objective names as recorded, e.g. ``bmo_3,bmo_1.5``) the
 summary and every listing of reports cover only the reports of those
-objectives; query records are compared whatever the objective.
+objectives; membership and query records are compared whatever the
+objective.
 """
 from __future__ import annotations
 
@@ -39,13 +42,16 @@ import sys
 from collections import defaultdict
 
 
-def read_reports(path: str, queries: bool = False) -> dict:
-    """``(test id, k) -> fields`` of the k-th search report each test recorded, or with ``queries`` of its k-th query record."""
+_RECORD_KINDS = ("query", "membership")
+
+
+def read_reports(path: str, kind: str | None = None) -> dict:
+    """``(test id, k) -> fields`` of the k-th search report each test recorded, or of its k-th record of ``kind`` (``query`` or ``membership``)."""
     out, seen = {}, defaultdict(int)
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             fields = line.rstrip("\n").split("\t")
-            if (fields[1] == "query") != queries:
+            if (fields[1] if fields[1] in _RECORD_KINDS else None) != kind:
                 continue
             test = fields[0]
             out[(test, seen[test])] = fields
@@ -108,6 +114,7 @@ def witness_moves(before: dict, after: dict) -> list:
 # the fields --exact compares, by column; floats are recorded as float.hex text, equal exactly when their bits are
 _EXACT_FIELDS = (("lower", (2,)), ("upper", (3,)), ("witness", (4, 5)), ("evaluations", (6,)), ("witness value", (7,)))
 _QUERY_FIELDS = (("ends", (2, 3)), ("distribution", (4, 5)), ("depth", (6,)), ("nodes visited", (7,)), ("partial end weight", (8,)))
+_MEMBERSHIP_FIELDS = (("passed", (2,)), ("worst margin", (3,)), ("offending path", (4,)))
 
 
 def exact_differences(before: dict, after: dict, fields=_EXACT_FIELDS) -> list:
@@ -181,16 +188,19 @@ def main(argv=None) -> int:
         print(f"{len(moves)} witness(es) moved")
     status = 0
     if args.exact:
-        qb, qa = read_reports(args.before, queries=True), read_reports(args.after, queries=True)
-        shared = {test for test, _ in [*before, *qb]} & {test for test, _ in [*after, *qa]}
-        diffs, lost = exact_differences(qb, qa, _QUERY_FIELDS), unpaired(qb, qa, shared)
-        for test, k, names in diffs:
-            print(f"differs, query {k} of {test}: {', '.join(names)}")
-        for test, k, where in lost:
-            print(f"unpaired, query {k} of {test}: only in the {where} file")
-        print(f"{len(diffs)} query record(s) differ; only in the first file: {len(qb.keys() - qa.keys())}, "
-              f"only in the second: {len(qa.keys() - qb.keys())}")
-        status = 1 if diffs or lost else status
+        records = {kind: (read_reports(args.before, kind), read_reports(args.after, kind)) for kind in _RECORD_KINDS}
+        files = [(before, after), *records.values()]
+        shared = {test for b, _ in files for test, _ in b} & {test for _, a in files for test, _ in a}
+        for kind, fields in (("membership", _MEMBERSHIP_FIELDS), ("query", _QUERY_FIELDS)):
+            rb, ra = records[kind]
+            diffs, lost = exact_differences(rb, ra, fields), unpaired(rb, ra, shared)
+            for test, k, names in diffs:
+                print(f"differs, {kind} {k} of {test}: {', '.join(names)}")
+            for test, k, where in lost:
+                print(f"unpaired, {kind} {k} of {test}: only in the {where} file")
+            print(f"{len(diffs)} {kind} record(s) differ; only in the first file: {len(rb.keys() - ra.keys())}, "
+                  f"only in the second: {len(ra.keys() - rb.keys())}")
+            status = 1 if diffs or lost else status
         diffs, lost = exact_differences(before, after), unpaired(before, after, shared)
         for test, k, names in diffs:
             print(f"differs, report {k} of {test}: {', '.join(names)}")
