@@ -11,14 +11,20 @@ distribution exactly; oscillation control of the compiled function is not
 guaranteed by construction and must be verified by the circle searches.
 
 Membership validation checks, for every node, the convex hull of its
-children against a domain.  The domains are not convex, so each edge of
-the hull is maximized on its own, in closed form (every domain's
-``segment_max``): along mixtures of two distributions the variance is a
-concave quadratic, the mean deviation a quadratic between the times where
-the mean crosses an atom, and the weight form log-concave; the strip
-functionals are concave along segments.  The inside of a hull of three or
-more children is sampled on a barycentric grid.  Tests are strict (< 0)
-with signed margins reported.
+children against a domain.  The domains are not convex, but every
+functional's maximum over a hull lies on one of its edges (the edge
+principle).  The mixture's mean (for the strips, x) is linear in the
+weights, and with it held fixed the functional is linear in them or
+increasing in a linear function of them: the centered moments and the
+strip functionals are linear, and the weight form ``a·b^(p−1)`` is
+increasing in ``b``, the mean of ``x^(−1/(p−1))``.  So the maximum over the
+slice of the hull at a fixed mean sits at a vertex of the slice, whose
+weights have at most two nonzero entries: a point of an edge.  Each edge is
+maximized in closed form (every domain's ``segment_max``): along mixtures
+of two distributions the variance is a concave quadratic, the mean
+deviation a quadratic between the times where the mean crosses an atom,
+and the weight form log-concave; the strip functionals are concave along
+segments.  Tests are strict (< 0) with signed margins reported.
 """
 from __future__ import annotations
 
@@ -409,31 +415,13 @@ class ValidationReport:
         }
 
 
-def _barycentric_grid(m: int, resolution: int):
-    """All weight vectors with entries k/resolution summing to 1, k >= 1."""
-
-    def rec(parts_left, total_left):
-        if parts_left == 1:
-            yield (total_left,)
-            return
-        for k in range(1, total_left - parts_left + 2):
-            for rest in rec(parts_left - 1, total_left - k):
-                yield (k,) + rest
-
-    for combo in rec(m, resolution):
-        yield np.array(combo, dtype=float) / resolution
-
-
 def _node_margin(dom, node: MartNode) -> float:
+    """The largest functional over the hull of the node's children: over its vertices and edges, by the edge principle."""
     vals = [c.value for _, c in node.children]
     margin = max(dom.functional(v) for v in vals)
     for i in range(len(vals)):
         for j in range(i + 1, len(vals)):
             margin = max(margin, dom.segment_max(vals[i], vals[j]))
-    if len(vals) >= 3:
-        for w in _barycentric_grid(len(vals), 8):
-            hull = mix_children(vals, w) if dom.kind == "measure" else tuple(float(np.dot(w, c)) for c in zip(*vals))
-            margin = max(margin, dom.functional(hull))
     return margin
 
 

@@ -2,10 +2,14 @@
 
 The quantities searched for (oscillation seminorms, weight constants) are
 defined as suprema over all subintervals of the carrier.  The supremum is
-generally *not* attained at breakpoint pairs.  For objectives determined by
-the means of a few value transforms (BMO_2, A_p, A_inf) it is attained at
-one of at most 9 closed-form points per pair of cells, the KKT points of a
-box, and flat searches enumerate them exactly (``_enumerate_pairs``).
+generally *not* attained at breakpoint pairs.  It lies on the boundary of
+a cell pair's box of end positions (the edge principle): the intervals of
+one mean of the first transform form a line of the box, and every
+functional searched is monotone along it (see ``_enumerate_pairs``).  For
+objectives determined by the means of a few value transforms (BMO_2, A_p,
+A_inf) it is therefore attained at one of at most 8 closed-form points
+per pair of cells, the box's corners and edge roots, and flat searches
+enumerate them exactly.
 BMO_1 is the largest of one such objective per value threshold (``∫|f −
 m| = 2·max_τ ∫(f − m)·1{f ≥ τ}``), and is enumerated per cell pair and
 threshold.  For BMO_p with p not in {1, 2} an interval across one jump is
@@ -232,30 +236,6 @@ class _Objective:
         """
         raise NotImplementedError
 
-    def interior(self, L0, S, ti, tj, hi, hj, adjacent):
-        """The interior stationary point ``(x, y)`` of each cell pair's box, and whether it is a candidate.
-
-        ``L0`` and ``S`` are the length and transform integrals of the
-        pair's middle, ``ti`` and ``tj`` its cells' transform values, ``hi``
-        and ``hj`` their lengths.  For two transforms, both ends'
-        stationarity conditions put the means at the stationary point of
-        ``F`` on the chord between the cells' transform points, which an
-        interval's means reach only on adjacent cells (a non-adjacent pair's
-        middle would have to lie on the chord too, and then the stationary
-        set reaches the box's edges); there they are a ray from the common
-        breakpoint, and its largest point in the box is the candidate.  That
-        point is also an edge's root in exact arithmetic; its closed form
-        makes it the canonical witness (``[1/2, 1]`` for a 0/1 step at 3/4).
-        """
-        w = (self.interior_mean(ti, tj) - ti[0]) / (tj[0] - ti[0])
-        si, sj = hi / (1.0 - w), hj / w
-        xc, yc = np.where(si <= sj, hi, sj * (1.0 - w)), np.where(si <= sj, si * w, hj)
-        return xc, yc, adjacent & (0 < w) & (w < 1)
-
-    def interior_mean(self, ti, tj):
-        """Mean of the first transform at the stationary point of ``F`` on the chord between cells ``i`` and ``j``."""
-        raise NotImplementedError
-
     def raw_ceiling(self, means, errs):
         """Largest raw value over the means ``means[k] ± errs[k]``."""
         raise NotImplementedError
@@ -323,9 +303,6 @@ class _Bmo2Objective(_BmoObjective):
         # L²·[(t1 − m)² − var]
         return (t[0] * L - T[0]) ** 2 - (T[1] * L - T[0] * T[0])
 
-    def interior_mean(self, ti, tj):
-        return 0.5 * (ti[0] + tj[0])
-
     def raw_ceiling(self, means, errs):
         (a, b), (da, db) = means, errs
         return (b + db) - np.maximum(np.abs(a) - da, 0.0) ** 2
@@ -356,22 +333,6 @@ class _Bmo1Objective(_BmoObjective):
         # L³/2 times the derivative of 2·N/L² with N = B·L − A·U, whose x² and y² terms cancel
         A, U, B = T
         return (t[0] * L - A) * (t[1] * L - U) - (B * L - A * U)
-
-    def interior(self, L0, S, ti, tj, hi, hj, adjacent):
-        # N = N00 + N10·x + N01·y + c·x·y; both ends stationary means
-        # N_x = N_y, the line x − y = d, and on it the stationarity is affine in y
-        A, U, B = S
-        n00 = B * L0 - A * U
-        n10, n01 = ((t[2] * L0 + B - t[0] * U - A * t[1]) for t in (ti, tj))
-        c = (ti[0] - tj[0]) * (ti[1] - tj[1])
-        d = (n10 - n01) / c
-        yc = (2.0 * n00 - n10 * (L0 - d)) / (c * (L0 - d) - 2.0 * n01)
-        # where the whole line is stationary (adjacent cells: R_τ depends
-        # on x : y alone) its largest box point is the canonical witness
-        line = np.isnan(yc)
-        yc = np.where(line, np.minimum(hj, hi - d), yc)
-        xc = yc + d
-        return xc, yc, (0 <= xc) & (xc <= hi) & (0 <= yc) & (yc <= hj)
 
     def raw_ceiling(self, means, errs):
         (a, u, b), (da, du, db) = means, errs
@@ -421,13 +382,6 @@ class _ApObjective(_WeightObjective):
         (A, B), (t1, t2) = T, t
         return B * (t1 * L - A) + (self.p - 1.0) * A * (t2 * L - B)
 
-    def interior_mean(self, ti, tj):
-        # b/a = (p − 1)(w_j − w_i)/(v_i − v_j) with w = v^(−1/(p−1))
-        (t1i, t2i), (t1j, t2j) = ti, tj
-        q = self.p - 1.0
-        ratio = q * (t2j - t2i) / (t1i - t1j)
-        return (ratio * t1i + q * t2i) / (self.p * ratio)
-
     def raw_ceiling(self, means, errs):
         (a, b), (da, db) = means, errs
         return (a + da) * (b + db) ** (self.p - 1.0)
@@ -459,10 +413,6 @@ class _AInfObjective(_WeightObjective):
         # L²·[(t1 − a) − a·(t2 − g)]
         (A, B), (t1, t2) = T, t
         return L * (t1 * L - A) - A * (t2 * L - B)
-
-    def interior_mean(self, ti, tj):
-        # the logarithmic mean of v_i and v_j
-        return (ti[0] - tj[0]) / (ti[1] - tj[1])
 
     def raw_ceiling(self, means, errs):
         (a, g), (da, dg) = means, errs
@@ -683,12 +633,24 @@ def _enumerate_pairs(target: _FlatTarget, cfg: SearchConfig, best: _Best, lefts:
     ``j > i`` is the point ``(x, y) = (b[i+1] − l, r − b[j])`` of the box
     ``[0, h_i] x [0, h_j]``; its length and the integrals of the prefix
     transforms are affine in ``(x, y)``.  The raw value's maximum over the
-    box is attained at one of 9 candidates (a KKT argument): the 4
-    corners; the root on each of the 4 edges of the objective's
-    ``stationarity``, which is affine along an edge and so is found from
-    the edge's two corners; and the objective's ``interior`` stationary
-    point.  Intervals inside one cell take the objective's smallest value
-    and need no candidate; a one-cell target offers its carrier.
+    box lies on its boundary.  The mean ``c`` of the first transform is
+    linear-fractional on the box, so each level set ``{mean = c}`` is a
+    line, and along it the raw value is linear-fractional, or a monotone
+    function of a linear-fractional one: BMO_p's is ``(G(c) + x·|v_i −
+    c|^p + y·|v_j − c|^p)/(L0 + x + y)``, with ``G(c)`` the integral of
+    ``|f − c|^p`` over the pair's middle of length ``L0``; A_p's is
+    ``c·b^(p−1)`` and A_inf's ``c·exp(−g)``, with ``b`` and ``g``
+    linear-fractional; and each BMO_1 split's is ``2·(b_τ − c·u_τ)``.  A
+    linear-fractional function is monotone along a segment, so an end of
+    the segment, on the boundary, is at least as good as any point inside
+    it.  Where ``v_i = v_j = c``
+    the whole box is one level set, the raw value is linear-fractional on
+    it, and a corner wins.  So the maximum is attained at one of 8
+    candidates: the 4 corners, and the root on each of the 4 edges of the
+    objective's ``stationarity``, which is affine along an edge and so is
+    found from the edge's two corners.  Intervals inside one cell take the
+    objective's smallest value and need no candidate; a one-cell target
+    offers its carrier.
 
     The rows of the enumeration are (cell pair, split).  An objective with
     ``thresholds`` is split: each threshold ``τ`` has its own transforms,
@@ -715,9 +677,8 @@ def _enumerate_pairs(target: _FlatTarget, cfg: SearchConfig, best: _Best, lefts:
     prefix ends; the first bounds the transform values, cell lengths,
     affine parts and division (about ``7·ε``), and its margin covers the
     rounding of ``raw_ceiling``, which maximizes the raw value over those
-    means.  A computed edge root or interior point misses the exact one by
-    rounding, where the raw value is stationary, so it loses a
-    second-order amount.
+    means.  A computed edge root misses the exact one by rounding, where
+    the raw value is stationary, so it loses a second-order amount.
     """
     objective, bp = target.objective, target.bp
     n = target.values.size
@@ -790,7 +751,7 @@ def _enumerate_pairs(target: _FlatTarget, cfg: SearchConfig, best: _Best, lefts:
             first, counts = window(i, j)
             i, j = np.repeat(i, counts), np.repeat(j, counts)
             split = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(i.size)
-        hi, hj, adjacent = h[i], h[j], j == i + 1
+        hi, hj = h[i], h[j]
         zero = np.zeros_like(hi)
         L0, S, ti, tj = pair_parts(i, j, split)
 
@@ -804,14 +765,9 @@ def _enumerate_pairs(target: _FlatTarget, cfg: SearchConfig, best: _Best, lefts:
             # edge roots: the left end moves along y = 0 and y = h_j, the right along x = 0 and x = h_i
             xb, xt = hi * gi[0] / (gi[0] - gi[1]), hi * gi[2] / (gi[2] - gi[3])
             yl, yr = hj * gj[0] / (gj[0] - gj[2]), hj * gj[1] / (gj[1] - gj[3])
-            xc, yc, inner = objective.interior(L0, S, ti, tj, hi, hj, adjacent)
-            X = np.stack((zero, hi, zero, hi, xb, xt, zero, hi, xc))
-            Y = np.stack((zero, zero, hj, hj, zero, hj, yl, yr, yc))
-            live = np.concatenate((
-                L > 0,
-                [(0 < xb) & (xb < hi), (0 < xt) & (xt < hi), (0 < yl) & (yl < hj), (0 < yr) & (yr < hj)],
-                [inner],
-            ))
+            X = np.stack((zero, hi, zero, hi, xb, xt, zero, hi))
+            Y = np.stack((zero, zero, hj, hj, zero, hj, yl, yr))
+            live = np.concatenate((L > 0, [(0 < xb) & (xb < hi), (0 < xt) & (xt < hi), (0 < yl) & (yl < hj), (0 < yr) & (yr < hj)]))
             L, T = parts(X, Y)
             means = [t / L for t in T]
             raw = objective.raw_from_means(means)[live]
@@ -823,7 +779,7 @@ def _enumerate_pairs(target: _FlatTarget, cfg: SearchConfig, best: _Best, lefts:
         rs = np.where(Y == hj, bp[j + 1], bp[j] + Y)[live]
         return ls, rs, objective.value_from_raw(raw), ceiling
 
-    # a row's 9 candidates hold about 128 floats of temporaries per transform
+    # a row's 8 candidates hold about 128 floats of temporaries per transform
     chunk = max(1, _CHUNK_BUDGET // (128 * len(transforms)))
     if taus is None:
         spans = [(s, min(s + chunk, n_pairs)) for s in range(0, n_pairs, chunk)]
@@ -883,8 +839,10 @@ def _jump_candidates(target: _FlatTarget):
     ``i`` and ``i + 1`` lie in those cells, so its raw value is ``|d|^p·φ_p(t)``
     (see ``_jump_peak``), and the supremum over the pair's box is
     ``|d|^p·C_p``, attained on the ray of weight ``t*`` (and ``1 − t*``).
-    The candidate is the longest box point on the ray, as ``_Objective.interior``
-    takes at ``p = 2``; its ends are breakpoints where the box binds.
+    The raw value is constant along the ray, and the candidate is its
+    longest box point, on the box's boundary as the edge principle of
+    ``_enumerate_pairs`` has it: its ends are breakpoints where the box
+    binds.
     """
     bp = target.bp
     h = np.diff(bp)
@@ -980,6 +938,13 @@ def _oscillation_parts(target: _FlatTarget, ls: np.ndarray, rs: np.ndarray, i: n
     return F, Fx, Fy, Fxx, Fxy, Fyy
 
 
+def _first_distinct(*columns) -> np.ndarray:
+    """Indices, rising, of the first row of each distinct row of the table whose columns are ``columns``."""
+    order = np.lexsort(columns[::-1])  # stable: equal rows keep their order
+    rows = np.vstack(columns)[:, order]
+    return np.sort(order[np.concatenate(([True], (rows[:, 1:] != rows[:, :-1]).any(axis=0)))])
+
+
 def _newton_ascent(target: _FlatTarget, ls, rs, i, j):
     """Projected Newton ascent of raw BMO_p over each lane's cell-pair box, all lanes in lockstep.
 
@@ -994,7 +959,10 @@ def _newton_ascent(target: _FlatTarget, ls, rs, i, j):
     ``1e-15`` of its cell widths, after ``_NEWTON_ITERS`` iterations, or
     when it holds a face that is an adjacent cell pair (``j = i + 2`` and
     ``x = 0`` or ``y = 0``), where ``_jump_candidates`` has the supremum.
-    Returns the final ends of every lane.
+    Lanes never influence each other, so a live lane at the cell pair and
+    point ``(i, j, x, y)`` of an earlier live lane has its future; it
+    retires as a twin before each iteration.  Returns the distinct final
+    intervals of the lanes that did not retire as twins.
     """
     bp = target.bp
     hi, hj = bp[i + 1] - bp[i], bp[j + 1] - bp[j]
@@ -1008,9 +976,13 @@ def _newton_ascent(target: _FlatTarget, ls, rs, i, j):
     # rows: the position, then the raw value, its gradient and Hessian there
     at = np.vstack((bp[i + 1] - ls, rs - bp[j], _oscillation_parts(target, ls, rs, i, j)))
     live = np.arange(ls.size)
+    twin = np.zeros(ls.size, dtype=bool)
     for _ in range(_NEWTON_ITERS):
         if not live.size:
             break
+        elder = live[_first_distinct(i[live], j[live], *at[:2, live])]
+        twin[np.setdiff1d(live, elder)] = True
+        live = elder
         li, lj, lhi, lhj = i[live], j[live], hi[live], hj[live]
         lx, ly, F, gx, gy, a, b, c = at[:, live]
         # hold the faces whose gradient points out of the box
@@ -1044,7 +1016,10 @@ def _newton_ascent(target: _FlatTarget, ls, rs, i, j):
         small = (np.abs(moved[0] - lx[up]) <= 1e-15 * lhi[up]) & (np.abs(moved[1] - ly[up]) <= 1e-15 * lhj[up])
         at[:, live] = moved
         live = live[~small]
-    return ends(at[0], at[1], i, j, hi, hj)
+    ls, rs = ends(at[0], at[1], i, j, hi, hj)
+    ls, rs = ls[~twin], rs[~twin]
+    first = _first_distinct(ls, rs)
+    return ls[first], rs[first]
 
 
 def _oscillation_search(target: _FlatTarget, cfg: SearchConfig, best: _Best):

@@ -1,4 +1,5 @@
 """Martingale trees: membership validation, lifts, compilation, staircases."""
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from meanosc.martingales import (
     ParabolaStrip,
     PowerCurve,
     PowerCurveStrip,
+    _node_margin,
     compile_to_circle,
     lift,
     log_staircase,
@@ -121,9 +123,25 @@ def test_moment_domain_rejects_orders_without_closed_form():
 _ATOMS = st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(0.05, 1.0)), min_size=1, max_size=6)
 
 
-def _atoms_dist(atoms, shift: float) -> DiscreteDistribution:
+def _domain_dist(dom, atoms) -> DiscreteDistribution:
+    """The distribution of ``atoms``: moment domains see them in (-5, 5), weight domains positive in (0.1, 10)."""
     values, weights = np.array(atoms).T
-    return DiscreteDistribution(values - shift, weights / weights.sum())
+    return DiscreteDistribution(values - (5.0 if isinstance(dom, MomentDomain) else 0.0), weights / weights.sum())
+
+
+def _mixture_functionals(dom, dists, w: np.ndarray):
+    """``(raw, offset, scale)``: the raw functional of the mixture of ``dists`` by each row of weights ``w``.
+
+    The domain's functional is ``raw - offset``; ``scale`` is a rounding
+    floor, as a moment is computed no closer than rounding at the atoms'
+    scale.
+    """
+    x = np.concatenate([d.values for d in dists])
+    mix = np.hstack([w[:, [k]] * d.weights for k, d in enumerate(dists)])
+    mean = mix @ x
+    if isinstance(dom, MomentDomain):
+        return (mix * np.abs(x - mean[:, None]) ** dom.p).sum(axis=1), dom.eps**dom.p, np.abs(x).max() ** dom.p
+    return mean * (mix @ x ** (-1.0 / (dom.p - 1.0))) ** (dom.p - 1.0), dom.bound, 1.0
 
 
 @pytest.mark.parametrize(
@@ -134,23 +152,59 @@ def _atoms_dist(atoms, shift: float) -> DiscreteDistribution:
 @settings(max_examples=100, deadline=None)
 @given(_ATOMS, _ATOMS)
 def test_segment_max_is_at_least_a_dense_grid(dom, atoms0, atoms1):
-    # moment domains see atoms in (-5, 5), weight domains positive ones
-    shift = 5.0 if isinstance(dom, MomentDomain) else 0.0
-    d0, d1 = _atoms_dist(atoms0, shift), _atoms_dist(atoms1, shift)
+    d0, d1 = (_domain_dist(dom, atoms) for atoms in (atoms0, atoms1))
     ts = np.linspace(0.0, 1.0, 2001)[:, None]
-    x = np.concatenate((d0.values, d1.values))
-    w = np.hstack(((1.0 - ts) * d0.weights, ts * d1.weights))
-    mean = w @ x
-    if isinstance(dom, MomentDomain):
-        raw, offset = (w * np.abs(x - mean[:, None]) ** dom.p).sum(axis=1), dom.eps**dom.p
-        # a moment is computed no closer than rounding at the atoms' scale
-        scale = np.abs(x).max() ** dom.p
-    else:
-        raw, offset = mean * (w @ x ** (-1.0 / (dom.p - 1.0))) ** (dom.p - 1.0), dom.bound
-        scale = 1.0
+    raw, offset, scale = _mixture_functionals(dom, [d0, d1], np.hstack((1.0 - ts, ts)))
     grid = float(raw.max())
     assert dom.segment_max(d0, d1) + offset >= grid - 1e-15 * max(grid, scale)
 
+
+# resolution of the barycentric grid by child count: at least 16, and at most about 20k weight vectors
+_HULL_RESOLUTION = {3: 96, 4: 40, 5: 24, 6: 16}
+
+
+def _barycentric_weights(m: int, resolution: int) -> np.ndarray:
+    """Every weight vector of ``m`` entries ``k/resolution``, ``k >= 0``, summing to 1: stars and bars."""
+    bars = np.array(list(itertools.combinations(range(resolution + m - 1), m - 1)))
+    ends = np.hstack((np.full((bars.shape[0], 1), -1), bars, np.full((bars.shape[0], 1), resolution + m - 1)))
+    return (np.diff(ends, axis=1) - 1) / resolution
+
+
+_HULL_DOMAINS = [
+    MomentDomain(1.0, 1.0), MomentDomain(2.0, 1.0), ApDomain(1.5, 2.0), ApDomain(2.0, 2.0), ApDomain(3.0, 2.0),
+    ParabolaStrip(1.0), PowerCurveStrip(2.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("dom", _HULL_DOMAINS, ids=["moment_1", "moment_2", "ap_1.5", "ap_2", "ap_3", "parabola", "power_curve"])
+@settings(max_examples=40, deadline=None)
+# per child: its atoms (a point takes its x from the first) and a point's height above the boundary curve
+@given(st.lists(st.tuples(_ATOMS, st.floats(0.0, 2.0)), min_size=3, max_size=6))
+def test_node_margin_is_at_least_a_dense_hull_grid(dom, children):
+    # the edge principle: the largest functional over the hull of 3-6
+    # children lies on an edge, where segment_max finds it, so no point of
+    # a dense barycentric grid beats the margin by more than rounding
+    w = _barycentric_weights(len(children), _HULL_RESOLUTION[len(children)])
+    if dom.kind == "measure":
+        values = [_domain_dist(dom, atoms) for atoms, _ in children]
+        raw, offset, scale = _mixture_functionals(dom, values, w)
+    else:
+        # x in (-4.9, 5) for the parabola and (0.1, 10) for the power curve
+        xs = np.array([atoms[0][0] for atoms, _ in children])
+        if isinstance(dom, ParabolaStrip):
+            xs -= 5.0
+            curve, offset = xs * xs, dom.eps**2
+        else:
+            curve, offset = xs ** (-dom.s), 0.0
+        ys = curve + np.array([height for _, height in children])
+        hx, hy = w @ xs, w @ ys
+        raw = hy - (hx * hx if isinstance(dom, ParabolaStrip) else dom.bound * hx ** (-dom.s))
+        scale = float(np.abs(ys).max() + (dom.bound if isinstance(dom, PowerCurveStrip) else 1.0) * np.abs(curve).max())
+        values = list(zip(xs.tolist(), ys.tolist()))
+    # neither the node's own value nor the transition probabilities play a part in its margin
+    node = MartNode(values[0], [(1.0 / len(values), MartNode(v)) for v in values])
+    grid = float(raw.max())
+    assert _node_margin(dom, node) + offset >= grid - 1e-15 * max(abs(grid), scale)
 
 def test_parabola_strip_point_martingale():
     root = MartNode((0.0, 1.0), ((0.5, MartNode((-1.0, 1.0))), (0.5, MartNode((1.0, 1.0)))))

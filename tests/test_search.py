@@ -601,6 +601,22 @@ def test_enumeration_scaling_properties(seed):
             assert 1.0 <= value <= 1.0 + 1e-12
 
 
+def test_newton_ascent_returns_distinct_lanes(monkeypatch):
+    # 32 lanes on 5 pieces at p = 3 end at 3 distinct intervals: a lane
+    # that meets an earlier one has its future and retires, and no
+    # interval is returned twice
+    ascent, returned = search_module._newton_ascent, []
+
+    def recorded(*args):
+        returned.append(ascent(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(search_module, "_newton_ascent", recorded)
+    bmo_norm(_random_step(np.random.default_rng(0), 5), 3.0)
+    (ls, rs), = returned
+    assert 0 < len(set(zip(ls.tolist(), rs.tolist()))) == ls.size
+
+
 def test_two_pieces_need_no_newton_ascent(monkeypatch):
     # two pieces have no cell pair two or more cells apart: the pair scan
     # leads no Newton lane, and the jump's closed form is the supremum,
@@ -992,9 +1008,9 @@ def test_dag_circle_report_keeps_evaluation_count():
     e = periodize(glue(homogenize(f, 0.95), g, 0.4, 0.95))
     cfg = SearchConfig(refine_iters=24, certify=True)
     leaves = {p: sum(bmo_norm(node.function, p, cfg).evaluations for node in (f, g)) for p in (1.0, 2.0, 3.0)}
-    assert circle_bmo_norm(e, 3.0, cfg).evaluations == 15936
-    assert circle_bmo_norm(e, 1.0, cfg).evaluations == 15706
-    assert circle_bmo_norm(e, 2.0, cfg).evaluations - leaves[2.0] == 15706 - leaves[1.0] == 15936 - leaves[3.0]
+    assert circle_bmo_norm(e, 3.0, cfg).evaluations == 15932
+    assert circle_bmo_norm(e, 1.0, cfg).evaluations == 15702
+    assert circle_bmo_norm(e, 2.0, cfg).evaluations - leaves[2.0] == 15702 - leaves[1.0] == 15932 - leaves[3.0]
     assert leaves[2.0] < leaves[1.0] < leaves[3.0]
 
 

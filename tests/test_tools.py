@@ -150,10 +150,15 @@ def test_compare_reports_exact_lists_every_differing_field(tmp_path, capsys):
         + _record("t::c", "flat", -0.0, None, 0.0, 1.0, "bmo_2", "interval")
     )
     assert compare_reports.main([str(before), str(after), "--exact"]) == 1
-    assert capsys.readouterr().out.splitlines()[-4:] == [
+    assert capsys.readouterr().out.splitlines()[-8:] == [
         "differs, report 1 of t::a: lower, upper, witness value",
         "differs, report 0 of t::b: evaluations",
         "differs, report 0 of t::c: lower, witness value",
+        # per field: an upper gone has no relative move, and -0.0 against 0.0 none either
+        "field lower: 2 of 4 paired reports differ; largest relative fall 0, rise 2.22e-16",
+        "field upper: 1 of 4 paired reports differ; largest relative fall 0, rise 0",
+        "field evaluations: 1 of 4 paired reports differ",
+        "field witness value: 2 of 4 paired reports differ",
         "3 report(s) differ",
     ]
     # a file against itself differs nowhere, also next to a lower-drop gate
@@ -163,6 +168,37 @@ def test_compare_reports_exact_lists_every_differing_field(tmp_path, capsys):
     assert compare_reports.main([str(before), str(after), "--exact", "--max-lower-drop", "1e-12"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "0 lower(s) fell by more than 1e-12 relative"
 
+
+def test_compare_reports_exact_summarizes_each_field(tmp_path, capsys):
+    # five paired reports: one lower falls by 1e-3 and one rises by 1e-2, an
+    # upper falls by 0.25 alone, a witness and two evaluation counts move
+    compare_reports = _load("compare_reports")
+    before = tmp_path / "before.tsv"
+    after = tmp_path / "after.tsv"
+    rows = [(1.0, 2.0, 0.5, 1.0), (4.0, 8.0, 0.0, 1.0), (2.0, 4.0, 0.0, 1.0), (1.0, None, 0.0, 0.5), (3.0, 3.0, 0.0, 0.5)]
+    moved = [(1.0 - 1e-3, 2.0, 0.5, 1.0), (4.0, 6.0, 0.0, 1.0), (2.0 * 1.01, 4.0, 0.0, 1.0), (1.0, None, 0.25, 0.5), (3.0, 3.0, 0.0, 0.5)]
+
+    def write(path, rows, counts):
+        path.write_text("".join(
+            _record("t::a", "flat", lower, upper, wl, wr, "bmo_2", "interval").replace("\t7\t", f"\t{count}\t")
+            for (lower, upper, wl, wr), count in zip(rows, counts)
+        ))
+
+    write(before, rows, [7, 7, 7, 7, 7])
+    write(after, moved, [7, 6, 7, 5, 7])
+    assert compare_reports.main([str(before), str(after), "--exact"]) == 1
+    assert capsys.readouterr().out.splitlines()[-7:] == [
+        "differs, report 3 of t::a: witness, evaluations",
+        "field lower: 2 of 5 paired reports differ; largest relative fall 0.001, rise 0.01",
+        "field upper: 1 of 5 paired reports differ; largest relative fall 0.25, rise 0",
+        "field witness: 1 of 5 paired reports differ",
+        "field evaluations: 2 of 5 paired reports differ",
+        "field witness value: 2 of 5 paired reports differ",
+        "4 report(s) differ",
+    ]
+    # nothing differs: no field line
+    assert compare_reports.main([str(before), str(before), "--exact"]) == 0
+    assert not any(line.startswith("field ") for line in capsys.readouterr().out.splitlines())
 
 def test_compare_reports_exact_compares_query_records(tmp_path, capsys):
     compare_reports = _load("compare_reports")

@@ -25,10 +25,12 @@ worst margin, offending path), then every pair of query records that
 differs in any field (ends, distribution, depth, nodes visited, partial
 end weight), then every pair
 of reports whose ``lower``, ``upper``, witness, evaluation count or
-witness value differs in any bit, naming the fields, and exits with
-status 1 if there is one of any.  It also lists, and exits with status
-1 for, every record or report that only one file holds of a test
-that both files hold; a test found in one file only is counted, not
+witness value differs in any bit, naming the fields, then one line per
+field that some paired report differs in: how many do, and for
+``lower`` and ``upper`` the largest relative fall and rise among them.
+It exits with status 1 if there is a difference of any kind.  It also
+lists, and exits with status 1 for, every record or report that only
+one file holds of a test that both files hold; a test found in one file only is counted, not
 failed.  With ``--objective
 NAME[,NAME]`` (objective names as recorded, e.g. ``bmo_3,bmo_1.5``) the
 summary and every listing of reports cover only the reports of those
@@ -128,6 +130,22 @@ def exact_differences(before: dict, after: dict, fields=_EXACT_FIELDS) -> list:
     return out
 
 
+def field_summary(before: dict, after: dict, diffs: list) -> list:
+    """One line per field that some report of ``diffs`` (see ``exact_differences``) differs in: the count, and the largest relative fall and rise of ``lower`` and ``upper``."""
+    lines = []
+    for name, cols in _EXACT_FIELDS:
+        moved = [(test, k) for test, k, names in diffs if name in names]
+        if not moved:
+            continue
+        line = f"field {name}: {len(moved)} of {len(before.keys() & after.keys())} paired reports differ"
+        if name in ("lower", "upper"):
+            pairs = ((_value(before[key][cols[0]]), _value(after[key][cols[0]])) for key in moved)
+            rels = [_relative(b, a) for b, a in pairs if b is not None and a is not None]
+            line += f"; largest relative fall {max([0.0, *(-r for r in rels)]):.3g}, rise {max([0.0, *rels]):.3g}"
+        lines.append(line)
+    return lines
+
+
 def unpaired(before: dict, after: dict, tests) -> list:
     """``(test id, k, "first" or "second")`` of every record of a test in ``tests`` that only that file holds."""
     return sorted((*key, "first" if key in before else "second") for key in before.keys() ^ after.keys() if key[0] in tests)
@@ -206,6 +224,8 @@ def main(argv=None) -> int:
             print(f"differs, report {k} of {test}: {', '.join(names)}")
         for test, k, where in lost:
             print(f"unpaired, report {k} of {test}: only in the {where} file")
+        for line in field_summary(before, after, diffs):
+            print(line)
         print(f"{len(diffs)} report(s) differ")
         status = 1 if diffs or lost else status
     if args.max_lower_drop is not None:
