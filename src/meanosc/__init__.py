@@ -29,16 +29,10 @@ from .martingales import (
     MartingaleTree,
     MartNode,
     MomentDomain,
-    Parabola,
-    ParabolaStrip,
-    PowerCurve,
-    PowerCurveStrip,
     ValidationReport,
     compile_to_circle,
-    lift,
     log_staircase,
     power_staircase,
-    truncated_staircase,
     validate_membership,
 )
 from .search import (
@@ -64,7 +58,6 @@ from .stepfun import (
     compose_monotone,
     distribution,
     monotone_rearrangement,
-    transfer,
 )
 
 __version__ = "0.1.0"
@@ -84,10 +77,6 @@ __all__ = [
     "MartingaleTree",
     "MomentDomain",
     "MonotoneMap",
-    "Parabola",
-    "ParabolaStrip",
-    "PowerCurve",
-    "PowerCurveStrip",
     "QueryResult",
     "SearchConfig",
     "SearchReport",
@@ -114,7 +103,6 @@ __all__ = [
     "homogenize",
     "jn_weak_envelope",
     "leaf",
-    "lift",
     "log_staircase",
     "lp_equiv_constant",
     "materialize",
@@ -124,8 +112,6 @@ __all__ = [
     "query",
     "required_pieces",
     "reverse_holder_ratio",
-    "transfer",
-    "truncated_staircase",
     "tv_distance",
     "validate_membership",
     "weak_distribution",

@@ -34,16 +34,6 @@ from .stepfun import MonotoneMap, StepFunction, compose_monotone, monotone_rearr
 from . import verify as verify_mod
 
 
-def _load_json(path: str) -> dict:
-    if not os.path.exists(path):
-        raise InputError(f"input file does not exist: {path}")
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"malformed JSON in {path}: {exc}") from exc
-
-
 def _check_out(path: str | None):
     if path is None:
         return
@@ -52,16 +42,36 @@ def _check_out(path: str | None):
         raise InputError(f"output directory does not exist: {parent}")
 
 
-def _load_target(path: str):
-    d = _load_json(path)
+def _load(path: str, decoder):
+    """``decoder`` applied to the JSON in ``path``; a missing file, malformed JSON or any decoding error is an InputError naming the file."""
+    if not os.path.exists(path):
+        raise InputError(f"input file does not exist: {path}")
+    with open(path) as fh:
+        try:
+            d = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"malformed JSON in {path}: {exc}") from exc
+    try:
+        return decoder(d)
+    except KeyError as exc:
+        raise InputError(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:  # InputError is a ValueError
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def _target_from_dict(d: dict):
     if "domain" in d:
         return StepFunction.from_dict(d)
     kind = d.get("kind")
     if kind in ("leaf", "const", "hom", "glue", "periodize"):
         return expr_from_dict(d)
-    if kind in ("measure", "point"):
+    if kind == "measure":
         return MartingaleTree.from_dict(d)
-    raise InputError(f"unrecognized input schema in {path}")
+    raise InputError("unrecognized input schema")
+
+
+def _load_target(path: str):
+    return _load(path, _target_from_dict)
 
 
 def _emit(obj, out: str | None):
@@ -332,7 +342,7 @@ def monotone_cmd(paths, out):
     target = _load_target(paths[0])
     if not isinstance(target, StepFunction):
         raise InputError("the first input must be a step function")
-    gmap = MonotoneMap.from_dict(_load_json(paths[1]))
+    gmap = _load(paths[1], MonotoneMap.from_dict)
     result = compose_monotone(target, gmap)
     _emit({"function": result.to_dict(), "lipschitz": gmap.lipschitz}, out)
 

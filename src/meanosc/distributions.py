@@ -1,11 +1,9 @@
 """Finite atomic probability distributions and their exact functionals.
 
-Atoms are scalar by default; plane-valued atoms (2-vectors) are supported
-for barycenter, mixing, and total-variation distance, which is all the
-measure-valued martingale machinery needs of them.  Two atoms are the
-same exactly when their values are equal, at any value scale: equal atoms
-merge at construction.  Transfers, homogenizations, gluings and mixtures
-copy atom values without arithmetic, so their distributions compare exactly.
+Atoms are real numbers.  Two atoms are the same exactly when their values
+are equal, at any value scale: equal atoms merge at construction.
+Homogenizations, gluings and mixtures copy atom values without
+arithmetic, so their distributions compare exactly.
 """
 from __future__ import annotations
 
@@ -26,13 +24,9 @@ _SUM_TOL = 1e-9
 
 def _merge(values: np.ndarray, weights: np.ndarray):
     """Sort the atoms stably and merge equal neighbours, adding their weights."""
-    if values.ndim == 1:
-        order = np.argsort(values, kind="stable")
-    else:
-        order = np.lexsort((values[:, 1], values[:, 0]))
+    order = np.argsort(values, kind="stable")
     values, weights = values[order], weights[order]
-    differs = np.diff(values, axis=0) != 0
-    newgroup = np.concatenate(([True], differs if values.ndim == 1 else differs.any(axis=1)))
+    newgroup = np.concatenate(([True], np.diff(values) != 0))
     idx = np.cumsum(newgroup) - 1
     out_vals = values[newgroup]
     out_w = np.zeros(out_vals.shape[0])
@@ -45,8 +39,8 @@ class DiscreteDistribution:
 
     Parameters
     ----------
-    values : array-like, shape (n,) or (n, 2)
-        Atom locations; scalars or points in the plane.
+    values : array-like, shape (n,)
+        Atom locations.
     weights : array-like, shape (n,)
         Positive masses summing to 1.
     """
@@ -58,8 +52,8 @@ class DiscreteDistribution:
         w = np.asarray(weights, dtype=float)
         if vals.ndim == 0:
             vals = vals.reshape(1)
-        if vals.ndim not in (1, 2) or (vals.ndim == 2 and vals.shape[1] != 2):
-            raise InputError("atom values must be scalars or plane points")
+        if vals.ndim != 1:
+            raise InputError("atom values must be scalars")
         if w.shape != (vals.shape[0],):
             raise InputError("one weight per atom required")
         if vals.shape[0] == 0:
@@ -95,44 +89,31 @@ class DiscreteDistribution:
         return self.values.shape[0]
 
     @property
-    def is_scalar(self) -> bool:
-        return self.values.ndim == 1
-
-    @property
     def is_delta(self) -> bool:
         return self.atom_count == 1
 
     def __repr__(self) -> str:
         return f"DiscreteDistribution(atoms={self.atom_count})"
 
-    def _require_scalar(self, what: str) -> None:
-        if not self.is_scalar:
-            raise InputError(f"{what} requires scalar atoms")
-
     def _require_positive(self, what: str) -> None:
-        self._require_scalar(what)
         if np.any(self.values <= 0):
             raise InputError(f"{what} requires strictly positive atoms")
 
     # -- exact functionals -------------------------------------------------------
 
-    def barycenter(self):
-        """Mean of the atoms; a float for scalar atoms, a 2-vector otherwise."""
-        if self.is_scalar:
-            return float(np.dot(self.weights, self.values))
-        return self.weights @ self.values
+    def barycenter(self) -> float:
+        """Mean of the atoms."""
+        return float(np.dot(self.weights, self.values))
 
     def central_moment(self, p: float) -> float:
         """``int |t - mean|^p dmu`` for p >= 1."""
         if p < 1:
             raise InputError(f"moment order p must be >= 1, got {p}")
-        self._require_scalar("central moment")
         m = np.dot(self.weights, self.values)
         return float(np.dot(self.weights, np.abs(self.values - m) ** p))
 
     def exp_integral(self, c: float) -> float:
         """``int e^{c t} dmu``; overflow reports +inf rather than failing."""
-        self._require_scalar("exponential integral")
         with np.errstate(over="ignore"):
             out = float(np.dot(self.weights, np.exp(c * self.values)))
         return out
@@ -141,7 +122,6 @@ class DiscreteDistribution:
         """Mass of ``{|t - mean| >= lam}``."""
         if lam <= 0:
             raise InputError(f"tail threshold must be positive, got {lam}")
-        self._require_scalar("tail mass")
         m = np.dot(self.weights, self.values)
         return float(self.weights[np.abs(self.values - m) >= lam].sum())
 
@@ -169,16 +149,10 @@ class DiscreteDistribution:
     # -- serialization -------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        if self.is_scalar:
-            atoms = [
-                {"value": float(v), "weight": float(w)}
-                for v, w in zip(self.values, self.weights)
-            ]
-        else:
-            atoms = [
-                {"value": [float(v[0]), float(v[1])], "weight": float(w)}
-                for v, w in zip(self.values, self.weights)
-            ]
+        atoms = [
+            {"value": float(v), "weight": float(w)}
+            for v, w in zip(self.values, self.weights)
+        ]
         return {"atoms": atoms}
 
     @classmethod
@@ -199,8 +173,6 @@ def dist_mix(d0: DiscreteDistribution, d1: DiscreteDistribution, alpha: float) -
         return d0
     if alpha == 1.0:
         return d1
-    if d0.is_scalar != d1.is_scalar:
-        raise InputError("cannot mix scalar and plane distributions")
     values = np.concatenate((d0.values, d1.values))
     weights = np.concatenate(((1.0 - alpha) * d0.weights, alpha * d1.weights))
     return DiscreteDistribution(values, weights)
@@ -208,8 +180,6 @@ def dist_mix(d0: DiscreteDistribution, d1: DiscreteDistribution, alpha: float) -
 
 def tv_distance(d0: DiscreteDistribution, d1: DiscreteDistribution) -> float:
     """Total-variation distance; an atom of one matches an atom of the other when their values are equal."""
-    if d0.is_scalar != d1.is_scalar:
-        raise InputError("cannot compare scalar and plane distributions")
     _, diff = _merge(np.concatenate((d0.values, d1.values)), np.concatenate((d0.weights, -d1.weights)))
     return 0.5 * float(np.abs(diff).sum())
 

@@ -1,30 +1,27 @@
 """Simple finite-depth martingales, membership validation, and compilation.
 
-A martingale tree is a finite rooted tree whose nodes hold either plane
-points or finite atomic distributions; each edge carries a positive
-transition probability, and every node's value is the probability-weighted
-mixture (barycenter) of its children's values.  Point-valued trees living
-on a boundary curve lift to measure-valued trees whose node barycenters
-reproduce the points.  Measure-valued trees with delta leaves compile to
-circle functions through a left fold of gluings, which reproduces the root
-distribution exactly; oscillation control of the compiled function is not
-guaranteed by construction and must be verified by the circle searches.
+A martingale tree is a finite rooted tree whose nodes hold finite atomic
+distributions; each edge carries a positive transition probability, and
+every node's distribution is the probability-weighted mixture of its
+children's.  Trees with delta leaves compile to circle functions through a
+left fold of gluings, which reproduces the root distribution exactly;
+oscillation control of the compiled function is not guaranteed by
+construction and must be verified by the circle searches.
 
 Membership validation checks, for every node, the convex hull of its
 children against a domain.  The domains are not convex, but every
 functional's maximum over a hull lies on one of its edges (the edge
-principle).  The mixture's mean (for the strips, x) is linear in the
-weights, and with it held fixed the functional is linear in them or
-increasing in a linear function of them: the centered moments and the
-strip functionals are linear, and the weight form ``a·b^(p−1)`` is
-increasing in ``b``, the mean of ``x^(−1/(p−1))``.  So the maximum over the
+principle).  The mixture's mean is linear in the weights, and with it
+held fixed the functional is linear in them or increasing in a linear
+function of them: the centered moments are linear, and the weight form
+``a·b^(p−1)`` is increasing in ``b``, the mean of ``x^(−1/(p−1))``.  So the maximum over the
 slice of the hull at a fixed mean sits at a vertex of the slice, whose
 weights have at most two nonzero entries: a point of an edge.  Each edge is
 maximized in closed form (every domain's ``segment_max``): along mixtures
 of two distributions the variance is a concave quadratic, the mean
 deviation a quadratic between the times where the mean crosses an atom,
-and the weight form log-concave; the strip functionals are concave along
-segments.  Tests are strict (< 0) with signed margins reported.
+and the weight form log-concave.  Tests are strict (< 0) with signed
+margins reported.
 """
 from __future__ import annotations
 
@@ -43,23 +40,16 @@ __all__ = [
     "MartingaleTree",
     "MomentDomain",
     "ApDomain",
-    "ParabolaStrip",
-    "PowerCurveStrip",
-    "Parabola",
-    "PowerCurve",
     "ValidationReport",
     "validate_membership",
-    "lift",
     "compile_to_circle",
     "log_staircase",
-    "truncated_staircase",
     "power_staircase",
     "fold_alphas",
     "mix_children",
 ]
 
 _STRUCT_TOL = 1e-12
-_CURVE_TOL = 1e-10
 
 
 def fold_alphas(probs) -> list[float]:
@@ -81,18 +71,14 @@ def mix_children(dists, probs) -> DiscreteDistribution:
 
 
 class MartNode:
-    """One martingale node: a value and weighted children."""
+    """One martingale node: a distribution and weighted children."""
 
     __slots__ = ("value", "children")
 
     def __init__(self, value, children=()):
-        if isinstance(value, DiscreteDistribution):
-            self.value = value
-        else:
-            pt = np.asarray(value, dtype=float)
-            if pt.shape != (2,) or not np.all(np.isfinite(pt)):
-                raise InputError("point-valued nodes need a finite plane point")
-            self.value = (float(pt[0]), float(pt[1]))
+        if not isinstance(value, DiscreteDistribution):
+            raise InputError("node values must be DiscreteDistribution instances")
+        self.value = value
         kids = []
         for prob, node in children:
             if prob <= 0:
@@ -106,17 +92,12 @@ class MartNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    @property
-    def is_measure(self) -> bool:
-        return isinstance(self.value, DiscreteDistribution)
-
 
 class MartingaleTree:
-    """A finite-depth simple martingale, point- or measure-valued."""
+    """A finite-depth simple measure-valued martingale."""
 
     def __init__(self, root: MartNode):
         self.root = root
-        self.kind = "measure" if root.is_measure else "point"
 
     # -- traversal ----------------------------------------------------------
 
@@ -136,10 +117,8 @@ class MartingaleTree:
     # -- structural validation -------------------------------------------------
 
     def check_structure(self) -> None:
-        """Raise InputError unless this is a structurally valid martingale (a measure node repeats its children's atom values exactly)."""
+        """Raise InputError unless this is a structurally valid martingale (a node repeats its children's atom values exactly)."""
         for path, node in self.walk():
-            if node.is_measure != (self.kind == "measure"):
-                raise InputError(f"mixed node kinds at {list(path)}")
             if node.is_leaf:
                 continue
             total = math.fsum(w for w, _ in node.children)
@@ -148,65 +127,47 @@ class MartingaleTree:
                     f"edge probabilities at {list(path)} sum to {total!r}, not 1"
                 )
             probs = [w for w, _ in node.children]
-            if self.kind == "measure":
-                mixed = mix_children([c.value for _, c in node.children], probs)
-                err = tv_distance(node.value, mixed)
-                if err > _STRUCT_TOL:
-                    raise InputError(
-                        f"martingale property fails at {list(path)}: TV={err:.3e}"
-                    )
-            else:
-                mx = math.fsum(w * c.value[0] for w, c in node.children)
-                my = math.fsum(w * c.value[1] for w, c in node.children)
-                err = math.hypot(node.value[0] - mx, node.value[1] - my)
-                if err > _STRUCT_TOL:
-                    raise InputError(
-                        f"martingale property fails at {list(path)}: dist={err:.3e}"
-                    )
+            mixed = mix_children([c.value for _, c in node.children], probs)
+            err = tv_distance(node.value, mixed)
+            if err > _STRUCT_TOL:
+                raise InputError(
+                    f"martingale property fails at {list(path)}: TV={err:.3e}"
+                )
 
     # -- serialization -----------------------------------------------------------
 
     def to_dict(self) -> dict:
         def encode(node: MartNode) -> dict:
-            if node.is_measure:
-                value = node.value.to_dict()
-            else:
-                value = [node.value[0], node.value[1]]
             return {
-                "value": value,
+                "value": node.value.to_dict(),
                 "children": [
                     {"prob": w, "node": encode(child)} for w, child in node.children
                 ],
             }
 
-        return {"kind": self.kind, "root": encode(self.root)}
+        return {"kind": "measure", "root": encode(self.root)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MartingaleTree":
-        kind = d.get("kind")
-
         def decode(rec: dict) -> MartNode:
-            value = rec["value"]
-            if kind == "measure":
-                value = DiscreteDistribution.from_dict(value)
+            value = DiscreteDistribution.from_dict(rec["value"])
             children = [(c["prob"], decode(c["node"])) for c in rec.get("children", [])]
             return MartNode(value, children)
 
-        if kind not in ("measure", "point"):
-            raise InputError(f"unknown martingale kind: {kind!r}")
+        if d.get("kind") != "measure":
+            raise InputError(f"unknown martingale kind: {d.get('kind')!r}")
         return cls(decode(d["root"]))
 
 
 # -- membership domains ------------------------------------------------------------
 
 
-def _segment_max(dom, a, b, t: float) -> float:
+def _segment_max(dom, a: DiscreteDistribution, b: DiscreteDistribution, t: float) -> float:
     """The largest functional at the ends of the segment ``(1 − t)·a + t·b``, and at ``t`` if it lies between them."""
     ends = max(dom.functional(a), dom.functional(b))
     if not 0.0 < t < 1.0:
         return ends
-    mid = dist_mix(a, b, t) if dom.kind == "measure" else (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-    return max(ends, dom.functional(mid))
+    return max(ends, dom.functional(dist_mix(a, b, t)))
 
 
 def _variance_t(d0: DiscreteDistribution, d1: DiscreteDistribution) -> float:
@@ -256,8 +217,6 @@ def _weight_t(d0: DiscreteDistribution, d1: DiscreteDistribution, p: float) -> f
 class MomentDomain:
     """Distributions whose centered p-th moment is below ``eps**p``; p is 1 or 2, the orders with closed-form edge maxima."""
 
-    kind = "measure"
-
     def __init__(self, p: float, eps: float):
         if p not in (1, 2):
             raise InputError(f"moment order p must be 1 or 2, got {p}")
@@ -276,8 +235,6 @@ class MomentDomain:
 class ApDomain:
     """Positive distributions whose weight form stays below ``bound``."""
 
-    kind = "measure"
-
     def __init__(self, p: float, bound: float):
         if p <= 1:
             raise InputError(f"weight exponent p must be > 1, got {p}")
@@ -291,107 +248,6 @@ class ApDomain:
 
     def segment_max(self, d0: DiscreteDistribution, d1: DiscreteDistribution) -> float:
         return _segment_max(self, d0, d1, _weight_t(d0, d1, self.p))
-
-
-class ParabolaStrip:
-    """Plane region between the parabola ``y = x^2`` and its lift by ``eps**2``."""
-
-    kind = "point"
-
-    def __init__(self, eps: float):
-        if eps <= 0:
-            raise InputError(f"strip width must be positive, got {eps}")
-        self.eps = float(eps)
-
-    def functional(self, pt) -> float:
-        x, y = pt
-        return y - x * x - self.eps**2
-
-    def lower(self, pt) -> float:
-        x, y = pt
-        return y - x * x
-
-    def on_boundary(self, pt) -> bool:
-        return abs(self.lower(pt)) <= _CURVE_TOL
-
-    def segment_max(self, a, b) -> float:
-        # the functional is concave along segments: closed-form vertex
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        return _segment_max(self, a, b, (dy - 2.0 * a[0] * dx) / (2.0 * dx * dx) if dx else math.nan)
-
-
-class PowerCurveStrip:
-    """Region between ``y = x^{-1/(p-1)}`` and its multiple by ``C``, x > 0."""
-
-    kind = "point"
-
-    def __init__(self, p: float, bound: float):
-        if p <= 1:
-            raise InputError(f"weight exponent p must be > 1, got {p}")
-        if bound <= 1:
-            raise InputError(f"bound must exceed 1, got {bound}")
-        self.p = float(p)
-        self.bound = float(bound)
-        self.s = 1.0 / (p - 1.0)
-
-    def functional(self, pt) -> float:
-        x, y = pt
-        if x <= 0:
-            return math.inf
-        return y - self.bound * x ** (-self.s)
-
-    def lower(self, pt) -> float:
-        x, y = pt
-        if x <= 0:
-            return -math.inf
-        return y - x ** (-self.s)
-
-    def on_boundary(self, pt) -> bool:
-        x, y = pt
-        return x > 0 and abs(y - x ** (-self.s)) <= _CURVE_TOL * max(1.0, abs(y))
-
-    def segment_max(self, a, b) -> float:
-        # concave along segments with x > 0: stationary point in closed form
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        rhs = -self.bound * self.s * dx / dy if dy else 0.0
-        return _segment_max(self, a, b, (rhs ** (1.0 / (self.s + 1.0)) - a[0]) / dx if rhs > 0 else math.nan)
-
-
-# -- boundary curves ------------------------------------------------------------------
-
-
-class Parabola:
-    """The curve ``t -> (t, t^2)``."""
-
-    def embed(self, t: float) -> tuple[float, float]:
-        return (t, t * t)
-
-    def param(self, pt) -> float:
-        return float(pt[0])
-
-    def on_curve(self, pt) -> bool:
-        return abs(pt[1] - pt[0] * pt[0]) <= _CURVE_TOL
-
-
-class PowerCurve:
-    """The curve ``u -> (u, u^{-1/(p-1)})`` for u > 0."""
-
-    def __init__(self, p: float):
-        if p <= 1:
-            raise InputError(f"weight exponent p must be > 1, got {p}")
-        self.p = float(p)
-        self.s = 1.0 / (p - 1.0)
-
-    def embed(self, u: float) -> tuple[float, float]:
-        if u <= 0:
-            raise InputError("power curve parameters must be positive")
-        return (u, u ** (-self.s))
-
-    def param(self, pt) -> float:
-        return float(pt[0])
-
-    def on_curve(self, pt) -> bool:
-        return pt[0] > 0 and abs(pt[1] - pt[0] ** (-self.s)) <= _CURVE_TOL * max(1.0, abs(pt[1]))
 
 
 # -- validation --------------------------------------------------------------------------
@@ -430,31 +286,19 @@ def validate_membership(M: MartingaleTree, dom) -> ValidationReport:
 
     Condition 1: for every internal node the convex hull of its children's
     values stays strictly inside the domain (negative margin).  Condition 2:
-    leaves are delta measures (measure-valued) or boundary-curve points
-    (point-valued).  Structural violations raise InputError before any
-    membership is evaluated.
+    leaves are delta measures.  Structural violations raise InputError
+    before any membership is evaluated.
     """
     M.check_structure()
-    if (dom.kind == "measure") != (M.kind == "measure"):
-        raise InputError(f"domain expects {dom.kind}-valued martingales, tree is {M.kind}-valued")
     margins: dict = {}
     worst = -math.inf
     offender = None
     for path, node in M.walk():
         if node.is_leaf:
-            if M.kind == "measure":
-                if not node.value.is_delta:
-                    return ValidationReport(False, math.inf, margins, list(path))
-                margin = dom.functional(node.value)
-            else:
-                if not dom.on_boundary(node.value):
-                    return ValidationReport(False, math.inf, margins, list(path))
-                margin = dom.functional(node.value)
+            if not node.value.is_delta:
+                return ValidationReport(False, math.inf, margins, list(path))
+            margin = dom.functional(node.value)
         else:
-            if M.kind == "point":
-                bad_lower = min(dom.lower(c.value) for _, c in node.children)
-                if bad_lower < -_STRUCT_TOL:
-                    return ValidationReport(False, math.inf, margins, list(path))
             margin = _node_margin(dom, node)
         margins[path] = margin
         if margin > worst:
@@ -464,38 +308,7 @@ def validate_membership(M: MartingaleTree, dom) -> ValidationReport:
     return ValidationReport(passed, worst, margins, list(offender) if not passed else None)
 
 
-# -- lift and compile ------------------------------------------------------------------------
-
-
-def lift(M: MartingaleTree, curve) -> MartingaleTree:
-    """Lift a point-valued martingale on a boundary curve to measures.
-
-    Each node becomes the mixture of delta measures at its subtree leaves'
-    curve parameters; node barycenters under the curve embedding reproduce
-    the original points within 1e-10.
-    """
-    if M.kind != "point":
-        raise InputError("lift expects a point-valued martingale")
-
-    def build(node: MartNode) -> MartNode:
-        if node.is_leaf:
-            if not curve.on_curve(node.value):
-                raise InputError(f"leaf {node.value} is not on the boundary curve")
-            return MartNode(DiscreteDistribution.delta(curve.param(node.value)), ())
-        lifted = [(w, build(child)) for w, child in node.children]
-        dist = mix_children([c.value for _, c in lifted], [w for w, _ in lifted])
-        bx = math.fsum(
-            w * curve.embed(float(v))[0] for v, w in zip(dist.values, dist.weights)
-        )
-        by = math.fsum(
-            w * curve.embed(float(v))[1] for v, w in zip(dist.values, dist.weights)
-        )
-        err = math.hypot(bx - node.value[0], by - node.value[1])
-        if err > _CURVE_TOL * max(1.0, abs(node.value[0]), abs(node.value[1])):
-            raise InputError(f"barycenter drift {err:.3e} while lifting")
-        return MartNode(dist, lifted)
-
-    return MartingaleTree(build(M.root))
+# -- compile ------------------------------------------------------------------------------------
 
 
 def compile_to_circle(M: MartingaleTree, schedule: tuple[float, int] | None = None) -> ConstructExpr:
@@ -507,8 +320,6 @@ def compile_to_circle(M: MartingaleTree, schedule: tuple[float, int] | None = No
     is the ``(lam, levels)`` pair of homogenization parameters every gluing
     uses; None means ``lam = 0.9`` with ``default_levels(0.9)``.
     """
-    if M.kind != "measure":
-        raise InputError("compile expects a measure-valued martingale")
     M.check_structure()
     if schedule is None:
         schedule = (0.9, default_levels(0.9))
@@ -567,32 +378,6 @@ def log_staircase(lam: float, N: int) -> tuple[StepFunction, MartingaleTree]:
     vals = [tail_value] + values[::-1]
     f = StepFunction(Interval(0.0, 1.0), np.array(bp), np.array(vals))
     return f, _chain_martingale(values, tail_value, lam)
-
-
-def truncated_staircase(lam: float, N: int, n: int, s: float) -> StepFunction:
-    """The staircase truncated above its n-th value, restricted to [0, s].
-
-    Equals the full staircase below ``lam^-n`` and the constant n-th piece
-    average above; its distributions over [0, s] trace the segment between
-    the tail distribution and the delta at the n-th value.
-    """
-    if lam <= 1:
-        raise InputError(f"staircase ratio must exceed 1, got {lam}")
-    if not 1 <= n <= N:
-        raise InputError(f"truncation index must lie in [1, {N}], got {n}")
-    cut = lam ** -float(n)
-    if s < cut:
-        raise InputError(f"truncation domain must reach past {cut}, got {s}")
-    values = [_log_piece_average(lam**-k, lam ** -(k - 1)) for k in range(1, N + 1)]
-    tail_value = -N * math.log(lam)
-    bp = [0.0] + [lam**-k for k in range(N, n - 1, -1)]
-    vals = [tail_value] + values[n:][::-1]
-    if s > cut:
-        bp = bp + [s]
-        vals = vals + [values[n - 1]]
-    else:
-        bp[-1] = s
-    return StepFunction(Interval(0.0, s), np.array(bp), np.array(vals))
 
 
 def power_staircase(

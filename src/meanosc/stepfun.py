@@ -31,7 +31,6 @@ __all__ = [
     "average",
     "central_moment",
     "distribution",
-    "transfer",
     "compose_monotone",
     "monotone_rearrangement",
 ]
@@ -330,23 +329,6 @@ def central_moment(f: StepFunction, q, p: float) -> float:
 def distribution(f: StepFunction, q):
     """Exact value distribution of ``f`` restricted to the query."""
     return f.distribution(q)
-
-
-def transfer(f: StepFunction, q) -> StepFunction:
-    """Affinely rescale an interval function onto the target interval.
-
-    The rescaling preserves the value distribution exactly.
-    """
-    if f.is_circle:
-        raise InputError("transfer acts on interval functions only")
-    q = as_query(q)
-    a, b = f.breakpoints[0], f.breakpoints[-1]
-    scale = q.length / (b - a)
-    bp = q.left + (f.breakpoints - a) * scale
-    bp = bp.copy()
-    bp[0] = q.left
-    bp[-1] = q.right
-    return StepFunction(Interval(q.left, q.right), bp, f.values)
 
 
 class MonotoneMap:

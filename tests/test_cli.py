@@ -190,6 +190,43 @@ def test_exit_code_input_error(tmp_path):
     assert res.returncode == 2
 
 
+_STEP = {"domain": {"kind": "interval", "a": 0.0, "b": 1.0}, "breakpoints": [0.0, 1.0], "values": [2.0]}
+_CONST = {"kind": "const", "value": 2.0}
+_DELTA = {"atoms": [{"value": 2.0, "weight": 1.0}]}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("eval", {k: v for k, v in _STEP.items() if k != "breakpoints"}),
+        ("eval", {"kind": "hom", "lambda_hom": 0.5, "levels": 3}),
+        ("eval", {"kind": "hom", "child": _CONST, "lambda_hom": 0.5, "levels": "x"}),
+        ("compile", {"kind": "measure"}),
+        ("compile", {"kind": "measure", "root": {"value": _DELTA, "children": [{"node": {"value": _DELTA}}]}}),
+        ("compile", {"kind": "point", "root": {"value": [0.0, 1.0], "children": []}}),
+        ("monotone", {"slopes": [1.0]}),
+        ("eval", [_STEP]),
+    ],
+    ids=["step_no_breakpoints", "hom_no_child", "hom_levels_not_int", "martingale_no_root", "child_no_prob",
+         "point_martingale", "map_no_knots", "top_level_list"],
+)
+def test_malformed_input_is_input_error(tmp_path, command, doc):
+    # a decoding error of any input schema exits 2 and names the file, with no traceback
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    step = tmp_path / "step.json"
+    step.write_text(json.dumps(_STEP))
+    args = {
+        "eval": ("eval", "--in", str(path), "--left", "0", "--right", "1"),
+        "compile": ("compile", "--in", str(path)),
+        "monotone": ("monotone", "--in", str(step), "--in", str(path)),
+    }[command]
+    res = run_cli(*args)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("input error:") and "Traceback" not in res.stderr, res.stderr
+    assert str(path) in res.stderr, res.stderr
+
+
 def test_compile_invalid_lambda_is_input_error(tmp_path):
     mart_path = tmp_path / "mart.json"
     mart_path.write_text(json.dumps(log_staircase(1.5, 3)[1].to_dict()))

@@ -107,9 +107,8 @@ def test_atom_merging():
     d = DiscreteDistribution([1.0, 1.0 + 1e-13, 2.0, 1.0], [0.25, 0.25, 0.25, 0.25])
     assert d.values.tolist() == [1.0, 1.0 + 1e-13, 2.0]
     assert d.weights.tolist() == [0.5, 0.25, 0.25]
-    plane = DiscreteDistribution([[0.0, 1.0], [0.0, 1.0 + 1e-13], [0.0, 1.0]], [0.25, 0.25, 0.5])
-    assert plane.values.tolist() == [[0.0, 1.0], [0.0, 1.0 + 1e-13]]
-    assert plane.weights.tolist() == [0.75, 0.25]
+    with pytest.raises(InputError):
+        DiscreteDistribution([[0.0, 1.0], [0.0, 2.0]], [0.5, 0.5])
 
 
 def test_tv_distance_matches_only_equal_atoms():
@@ -118,9 +117,6 @@ def test_tv_distance_matches_only_equal_atoms():
     assert tv_distance(one, DiscreteDistribution.delta(1.0)) == 0.0
     d = DiscreteDistribution([1.0, 1.0 + 1e-13], [0.5, 0.5])
     assert tv_distance(d, one) == 0.5
-    point = DiscreteDistribution.delta([0.0, 1.0])
-    assert tv_distance(point, DiscreteDistribution.delta([0.0, 1.0 + 1e-13])) == 1.0
-    assert tv_distance(point, DiscreteDistribution.delta([0.0, 1.0])) == 0.0
 
 
 def test_weights_validation():
@@ -130,19 +126,6 @@ def test_weights_validation():
         DiscreteDistribution([0.0], [-1.0])
     with pytest.raises(InputError):
         DiscreteDistribution([], [])
-
-
-# -- plane atoms ------------------------------------------------------------------
-
-
-def test_plane_barycenter_and_mixing():
-    d = DiscreteDistribution([[0.0, 0.0], [2.0, 4.0]], [0.5, 0.5])
-    assert np.allclose(d.barycenter(), [1.0, 2.0])
-    m = dist_mix(d, DiscreteDistribution([[2.0, 4.0]], [1.0]), 0.5)
-    assert np.allclose(m.weights, [0.25, 0.75])
-    assert tv_distance(d, d) == 0.0
-    with pytest.raises(InputError):
-        d.central_moment(2.0)
 
 
 # -- dispatcher and serialization ----------------------------------------------------

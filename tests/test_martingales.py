@@ -1,4 +1,4 @@
-"""Martingale trees: membership validation, lifts, compilation, staircases."""
+"""Martingale trees: membership validation, compilation, staircases."""
 import itertools
 import math
 
@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanosc.construct import query
 from meanosc.distributions import DiscreteDistribution, dist_mix, tv_distance
 from meanosc.errors import InputError
 from meanosc.martingales import (
@@ -15,17 +14,11 @@ from meanosc.martingales import (
     MartNode,
     MartingaleTree,
     MomentDomain,
-    Parabola,
-    ParabolaStrip,
-    PowerCurve,
-    PowerCurveStrip,
     _node_margin,
     compile_to_circle,
-    lift,
     log_staircase,
     mix_children,
     power_staircase,
-    truncated_staircase,
     validate_membership,
 )
 from meanosc.search import exp_integral
@@ -170,128 +163,46 @@ def _barycentric_weights(m: int, resolution: int) -> np.ndarray:
     return (np.diff(ends, axis=1) - 1) / resolution
 
 
-_HULL_DOMAINS = [
-    MomentDomain(1.0, 1.0), MomentDomain(2.0, 1.0), ApDomain(1.5, 2.0), ApDomain(2.0, 2.0), ApDomain(3.0, 2.0),
-    ParabolaStrip(1.0), PowerCurveStrip(2.0, 2.0),
-]
-
-
-@pytest.mark.parametrize("dom", _HULL_DOMAINS, ids=["moment_1", "moment_2", "ap_1.5", "ap_2", "ap_3", "parabola", "power_curve"])
+@pytest.mark.parametrize(
+    "dom",
+    [MomentDomain(1.0, 1.0), MomentDomain(2.0, 1.0), ApDomain(1.5, 2.0), ApDomain(2.0, 2.0), ApDomain(3.0, 2.0)],
+    ids=["moment_1", "moment_2", "ap_1.5", "ap_2", "ap_3"],
+)
 @settings(max_examples=40, deadline=None)
-# per child: its atoms (a point takes its x from the first) and a point's height above the boundary curve
-@given(st.lists(st.tuples(_ATOMS, st.floats(0.0, 2.0)), min_size=3, max_size=6))
+@given(st.lists(_ATOMS, min_size=3, max_size=6))
 def test_node_margin_is_at_least_a_dense_hull_grid(dom, children):
     # the edge principle: the largest functional over the hull of 3-6
     # children lies on an edge, where segment_max finds it, so no point of
     # a dense barycentric grid beats the margin by more than rounding
     w = _barycentric_weights(len(children), _HULL_RESOLUTION[len(children)])
-    if dom.kind == "measure":
-        values = [_domain_dist(dom, atoms) for atoms, _ in children]
-        raw, offset, scale = _mixture_functionals(dom, values, w)
-    else:
-        # x in (-4.9, 5) for the parabola and (0.1, 10) for the power curve
-        xs = np.array([atoms[0][0] for atoms, _ in children])
-        if isinstance(dom, ParabolaStrip):
-            xs -= 5.0
-            curve, offset = xs * xs, dom.eps**2
-        else:
-            curve, offset = xs ** (-dom.s), 0.0
-        ys = curve + np.array([height for _, height in children])
-        hx, hy = w @ xs, w @ ys
-        raw = hy - (hx * hx if isinstance(dom, ParabolaStrip) else dom.bound * hx ** (-dom.s))
-        scale = float(np.abs(ys).max() + (dom.bound if isinstance(dom, PowerCurveStrip) else 1.0) * np.abs(curve).max())
-        values = list(zip(xs.tolist(), ys.tolist()))
+    values = [_domain_dist(dom, atoms) for atoms in children]
+    raw, offset, scale = _mixture_functionals(dom, values, w)
     # neither the node's own value nor the transition probabilities play a part in its margin
     node = MartNode(values[0], [(1.0 / len(values), MartNode(v)) for v in values])
     grid = float(raw.max())
     assert _node_margin(dom, node) + offset >= grid - 1e-15 * max(abs(grid), scale)
 
-def test_parabola_strip_point_martingale():
-    root = MartNode((0.0, 1.0), ((0.5, MartNode((-1.0, 1.0))), (0.5, MartNode((1.0, 1.0)))))
-    tree = MartingaleTree(root)
-    # segment max of y - x^2 equals 1 at the midpoint; strict test fails at eps=1
-    assert not validate_membership(tree, ParabolaStrip(1.0)).passed
-    report = validate_membership(tree, ParabolaStrip(1.01))
-    assert report.passed
-    assert report.worst_margin == pytest.approx(1.0 - 1.01**2, abs=1e-12)
 
-
-def test_parabola_leaf_off_curve_fails():
-    root = MartNode((0.5, 0.3), ((1.0, MartNode((0.5, 0.3))),))
-    report = validate_membership(MartingaleTree(root), ParabolaStrip(1.5))
+def test_non_delta_leaf_fails():
+    d = DiscreteDistribution([-0.5, 0.5], [0.5, 0.5])
+    root = MartNode(d, ((1.0, MartNode(d)),))
+    report = validate_membership(MartingaleTree(root), MomentDomain(2.0, 1.5))
     assert not report.passed
     assert report.offending_path == [0]
 
 
-def test_power_curve_strip_segment_max_matches_numeric():
-    strip = PowerCurveStrip(2.0, 2.0)
-    a, b = (0.5, 2.0), (3.0, 1.0 / 3.0)
-    ts = np.linspace(0.0, 1.0, 20001)
-    xs = a[0] + ts * (b[0] - a[0])
-    ys = a[1] + ts * (b[1] - a[1])
-    oracle = float(np.max(ys - strip.bound / xs))
-    assert strip.segment_max(a, b) == pytest.approx(oracle, abs=1e-7)
-
-
-def test_power_curve_martingale_validation():
-    curve = PowerCurve(2.0)
-    pts = [curve.embed(u) for u in (0.5, 2.0)]
-    mid = (0.5 * (pts[0][0] + pts[1][0]), 0.5 * (pts[0][1] + pts[1][1]))
-    root = MartNode(mid, ((0.5, MartNode(pts[0])), (0.5, MartNode(pts[1]))))
+def test_two_delta_weight_martingale_validation():
+    # the A_2 form of the mixtures of deltas at 0.5 and 2.0 peaks at 1.25² = 1.5625 at t = 1/2
+    leaves = [MartNode(DiscreteDistribution.delta(u)) for u in (0.5, 2.0)]
+    root = MartNode(DiscreteDistribution([0.5, 2.0], [0.5, 0.5]), ((0.5, leaves[0]), (0.5, leaves[1])))
     tree = MartingaleTree(root)
-    assert validate_membership(tree, PowerCurveStrip(2.0, 2.0)).passed
-    assert not validate_membership(tree, PowerCurveStrip(2.0, 1.05)).passed
+    assert validate_membership(tree, ApDomain(2.0, 2.0)).passed
+    assert not validate_membership(tree, ApDomain(2.0, 1.05)).passed
 
 
-def test_domain_kind_mismatch_rejected():
+def test_tuple_node_value_rejected():
     with pytest.raises(InputError):
-        validate_membership(two_leaf_tree(), ParabolaStrip(1.5))
-
-
-# -- lift ------------------------------------------------------------------------------
-
-
-def test_lift_two_leaf_parabola():
-    root = MartNode((0.0, 1.0), ((0.5, MartNode((-1.0, 1.0))), (0.5, MartNode((1.0, 1.0)))))
-    lifted = lift(MartingaleTree(root), Parabola())
-    assert np.allclose(lifted.root.value.values, [-1.0, 1.0])
-    assert np.allclose(lifted.root.value.weights, [0.5, 0.5])
-
-
-def test_lift_single_node_is_delta():
-    tree = MartingaleTree(MartNode((2.0, 4.0)))
-    lifted = lift(tree, Parabola())
-    assert lifted.root.value.is_delta
-
-
-def test_lift_rejects_off_curve_leaf():
-    tree = MartingaleTree(MartNode((1.0, 2.0)))
-    with pytest.raises(InputError):
-        lift(tree, Parabola())
-
-
-def test_lift_random_recombining_tree_barycenters():
-    rng = np.random.default_rng(17)
-    curve = Parabola()
-
-    def random_tree(depth: int, x: float):
-        if depth == 0:
-            return MartNode(curve.embed(x))
-        dx = float(rng.uniform(0.2, 1.0))
-        w = float(rng.uniform(0.3, 0.7))
-        left = random_tree(depth - 1, x - (1 - w) * dx)
-        right = random_tree(depth - 1, x + w * dx)
-        y = w * left.value[1] + (1 - w) * right.value[1]
-        xx = w * left.value[0] + (1 - w) * right.value[0]
-        return MartNode((xx, y), ((w, left), (1 - w, right)))
-
-    tree = MartingaleTree(random_tree(4, 0.0))
-    lifted = lift(tree, curve)
-    for (path, pnode), (_, lnode) in zip(tree.walk(), lifted.walk()):
-        d = lnode.value
-        bx = float(np.dot(d.weights, d.values))
-        by = float(np.dot(d.weights, d.values**2))
-        assert math.hypot(bx - pnode.value[0], by - pnode.value[1]) < 1e-10
+        MartNode((0.0, 1.0))
 
 
 # -- compile ----------------------------------------------------------------------------
@@ -349,16 +260,6 @@ def test_membership_pass_controls_compiled_oscillation():
     assert worst < eps**2 + 1e-9
 
 
-def test_compile_lift_consistency():
-    root = MartNode((0.0, 1.0), ((0.5, MartNode((-1.0, 1.0))), (0.5, MartNode((1.0, 1.0)))))
-    lifted = lift(MartingaleTree(root), Parabola())
-    expr = compile_to_circle(lifted, (0.9, 20))
-    d = query(expr, (0.0, 1.0)).distribution
-    bx = float(np.dot(d.weights, d.values))
-    by = float(np.dot(d.weights, d.values**2))
-    assert math.hypot(bx - 0.0, by - 1.0) < 1e-10
-
-
 # -- staircase factories ------------------------------------------------------------------
 
 
@@ -394,43 +295,6 @@ def test_log_staircase_rejects_bad_lambda():
 def test_staircase_distribution_matches_root():
     f, M = log_staircase(1.4, 8)
     assert tv_distance(f.distribution((0.0, 1.0)), M.root.value) < 1e-12
-
-
-# -- truncated staircase -------------------------------------------------------------------
-
-
-def test_truncated_staircase_at_cut_matches_tail():
-    lam, N, n = 1.4, 8, 3
-    f, _ = log_staircase(lam, N)
-    cut = lam**-n
-    t = truncated_staircase(lam, N, n, cut)
-    assert tv_distance(t.distribution((0.0, cut)), f.distribution((0.0, cut))) < 1e-12
-
-
-def test_truncated_staircase_large_s_approaches_delta():
-    lam, N, n = 1.4, 8, 3
-    t = truncated_staircase(lam, N, n, 1e6)
-    d = t.distribution((0.0, 1e6))
-    v_n = t.values[-1]
-    assert d.weights[np.argmin(np.abs(d.values - v_n))] > 1.0 - 1e-5
-
-
-def test_truncated_staircase_traces_segment():
-    lam, N, n = 1.4, 8, 3
-    f, _ = log_staircase(lam, N)
-    cut = lam**-n
-    tail = f.distribution((0.0, cut))
-    v_n = truncated_staircase(lam, N, n, cut + 1.0).values[-1]
-    delta = DiscreteDistribution.delta(v_n)
-    for s in (cut * 1.5, cut * 4.0, cut * 20.0):
-        d = truncated_staircase(lam, N, n, s).distribution((0.0, s))
-        alpha = 1.0 - cut / s
-        assert tv_distance(d, dist_mix(tail, delta, alpha)) < 1e-10
-
-
-def test_truncated_staircase_rejects_small_s():
-    with pytest.raises(InputError):
-        truncated_staircase(1.4, 8, 3, 1.4**-3 * 0.5)
 
 
 # -- power staircase ------------------------------------------------------------------------
@@ -473,10 +337,9 @@ def test_martingale_json_round_trip():
     M2 = MartingaleTree.from_dict(M.to_dict())
     assert M2.to_dict() == M.to_dict()
     M2.check_structure()
-    root = MartNode((0.0, 1.0), ((0.5, MartNode((-1.0, 1.0))), (0.5, MartNode((1.0, 1.0)))))
-    P = MartingaleTree(root)
-    P2 = MartingaleTree.from_dict(P.to_dict())
-    assert P2.to_dict() == P.to_dict()
+    point = {"kind": "point", "root": {"value": [0.0, 1.0], "children": []}}
+    with pytest.raises(InputError):
+        MartingaleTree.from_dict(point)
 
 
 def test_validation_report_serialization():

@@ -20,7 +20,6 @@ from meanosc.stepfun import (
     compose_monotone,
     distribution,
     monotone_rearrangement,
-    transfer,
 )
 
 
@@ -171,40 +170,6 @@ def test_interval_query_outside_domain_rejected():
         sign_step().average((-2.0, 0.0))
     with pytest.raises(InputError):
         IntervalQuery(1.0, 0.0)
-
-
-# -- transfer -----------------------------------------------------------------------
-
-
-def test_transfer_identity_on_own_domain():
-    f = sign_step()
-    t = transfer(f, (-1.0, 1.0))
-    assert np.array_equal(t.breakpoints, f.breakpoints)
-    assert np.array_equal(t.values, f.values)
-
-
-def test_transfer_sign_to_unit():
-    t = transfer(sign_step(), (0.0, 1.0))
-    assert np.allclose(t.breakpoints, [0.0, 0.5, 1.0])
-    assert np.array_equal(t.values, [-1.0, 1.0])
-
-
-def test_transfer_rejects_circle():
-    with pytest.raises(InputError):
-        transfer(circle_sign(), (0.0, 1.0))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_transfer_preserves_distribution(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 7))
-    bp = np.concatenate(([0.0], np.sort(rng.uniform(0.01, 0.99, n - 1)), [1.0]))
-    f = StepFunction(Interval(0.0, 1.0), bp, rng.normal(size=n))
-    a = float(rng.uniform(-5.0, 5.0))
-    b = a + float(rng.uniform(0.1, 4.0))
-    t = transfer(f, (a, b))
-    assert tv_distance(t.distribution((a, b)), f.distribution((0.0, 1.0))) < 1e-12
 
 
 # -- monotone composition --------------------------------------------------------------
