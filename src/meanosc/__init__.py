@@ -22,7 +22,7 @@ from .construct import (
     query,
     required_pieces,
 )
-from .distributions import DiscreteDistribution, dist_functional, dist_mix, tv_distance
+from .distributions import DiscreteDistribution, dist_mix, tv_distance
 from .errors import BudgetError, InputError, InternalError
 from .martingales import (
     ApDomain,
@@ -94,7 +94,6 @@ __all__ = [
     "compile_to_circle",
     "compose_monotone",
     "constant",
-    "dist_functional",
     "dist_mix",
     "distribution",
     "exp_integral",

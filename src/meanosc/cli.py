@@ -18,7 +18,7 @@ from . import constants as consts
 from .construct import ConstructExpr, default_levels, expr_from_dict, homogenize as hom_node
 from .construct import glue as glue_node
 from .construct import leaf, query
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, decoder
 from .martingales import MartingaleTree, compile_to_circle, log_staircase, power_staircase
 from .search import (
     SearchConfig,
@@ -42,8 +42,8 @@ def _check_out(path: str | None):
         raise InputError(f"output directory does not exist: {parent}")
 
 
-def _load(path: str, decoder):
-    """``decoder`` applied to the JSON in ``path``; a missing file, malformed JSON or any decoding error is an InputError naming the file."""
+def _load(path: str, decode):
+    """``decode`` applied to the JSON in ``path``; a missing file, malformed JSON or a decoding error is an InputError naming the file."""
     if not os.path.exists(path):
         raise InputError(f"input file does not exist: {path}")
     with open(path) as fh:
@@ -52,13 +52,12 @@ def _load(path: str, decoder):
         except json.JSONDecodeError as exc:
             raise InputError(f"malformed JSON in {path}: {exc}") from exc
     try:
-        return decoder(d)
-    except KeyError as exc:
-        raise InputError(f"{path}: missing field {exc}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:  # InputError is a ValueError
+        return decode(d)
+    except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
+@decoder
 def _target_from_dict(d: dict):
     if "domain" in d:
         return StepFunction.from_dict(d)

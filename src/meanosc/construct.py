@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .distributions import DiscreteDistribution
-from .errors import BudgetError, InputError, InternalError
+from .errors import BudgetError, InputError, InternalError, decoder
 from .stepfun import CIRCLE, Interval, StepFunction, as_query
 
 __all__ = [
@@ -58,9 +58,6 @@ __all__ = [
     "periodize",
     "default_levels",
     "query",
-    "query_batch",
-    "query_batches",
-    "QueryBatch",
     "materialize",
     "required_pieces",
     "QueryResult",
@@ -100,18 +97,16 @@ def _contiguous_span(mapping: np.ndarray):
 class QueryResult:
     """Outcome of an interval query against a construction node.
 
-    ``value`` is the requested functional of the exact restriction
-    distribution (``None`` when the raw distribution was requested),
-    ``depth`` the deepest recursion level touched, ``partial_end_weight``
-    the query-mass fraction resolved through partial end copies at the
-    outermost decomposition, and ``nodes_visited`` an operation-count
-    telemetry figure.  A node with one atom answers without recursion, so
+    ``distribution`` is the exact restriction distribution, ``depth`` the
+    deepest recursion level touched, ``partial_end_weight`` the query-mass
+    fraction resolved through partial end copies at the outermost
+    decomposition, and ``nodes_visited`` an operation-count telemetry
+    figure.  A node with one atom answers without recursion, so
     ``depth`` and ``nodes_visited`` count no node below one; a one-atom
     query root still reports the ``partial_end_weight`` of its own
     decomposition.
     """
 
-    value: float | None
     distribution: DiscreteDistribution
     depth: int
     partial_end_weight: float
@@ -709,79 +704,27 @@ def _pass(groups: list, q: np.ndarray, limits: np.ndarray):
     return [(masses[id(root)][s : s + k], (partials[id(root)], s)) for root, s, k in slots], trail
 
 
-class QueryBatch:
-    """Outcome of a batch of interval queries, one row per query.
-
-    ``masses`` holds each query's restriction masses over ``atom_values`` in
-    length units; ``depth``, ``partial_end_weight`` and ``nodes_visited``
-    are per row what :class:`QueryResult` reports for one query (tallied
-    on first access).
-    """
-
-    def __init__(self, atom_values: np.ndarray, masses: np.ndarray, lengths: np.ndarray, chunks: list):
-        self.atom_values = atom_values
-        self.masses = masses
-        self._lengths = lengths
-        # per chunk, the (visits, depth) pair and the partial-end lengths of its rows, or functions returning them
-        self._chunks = chunks
-
-    @cached_property
-    def _telemetry(self):
-        stats = [t() if callable(t) else t for t, _ in self._chunks] or [(np.zeros(0, int), np.zeros(0, int))]
-        return tuple(np.concatenate(col) for col in zip(*stats))
-
-    @property
-    def nodes_visited(self) -> np.ndarray:
-        return self._telemetry[0]
-
-    @property
-    def depth(self) -> np.ndarray:
-        return self._telemetry[1]
-
-    @cached_property
-    def partial_end_weight(self) -> np.ndarray:
-        parts = [p() if callable(p) else p for _, p in self._chunks]
-        return np.concatenate(parts or [np.zeros(0)]) / self._lengths
-
-    def result(self, i: int, functional=None) -> QueryResult:
-        """Row ``i`` as a :class:`QueryResult` (see :func:`query` for ``functional``)."""
-        vec = self.masses[i]
-        mask = vec > 0
-        dist = DiscreteDistribution._presorted(self.atom_values[mask], vec[mask] / vec.sum())
-        if functional is None:
-            value = None
-        elif callable(functional):
-            value = float(functional(dist))
-        else:
-            from .distributions import dist_functional
-
-            name, params = functional
-            value = float(dist_functional(dist, name, **params))
-        return QueryResult(
-            value=value,
-            distribution=dist,
-            depth=int(self.depth[i]),
-            partial_end_weight=float(self.partial_end_weight[i]),
-            nodes_visited=int(self.nodes_visited[i]),
-        )
+def _limit(e: ConstructExpr) -> int:
+    """The deepest recursion level a range of ``e`` may reach: 10x its construction depth, and 10 more."""
+    return 10 * (e.depth + 1) + 10
 
 
-def _query_masses(requests, record=None) -> list[np.ndarray]:
-    """The chunk loop of :func:`query_batches`, without its input checks: per request, its ``(rows, atoms)`` masses in length units.
+def _query_masses(requests) -> list[np.ndarray]:
+    """Masses-only interval queries against several construction nodes: per request, its ``(rows, atoms)`` masses in length units.
 
     ``requests`` lists ``(node, lefts, rights)`` triples of float arrays
-    whose rows are finite, nonempty and inside their node's carrier.
-    ``record``, if given, is called as ``record(request, start, stop,
-    trail, (partial, offset), single)`` for the rows ``start:stop`` of
-    every chunk's :func:`_pass`; ``single`` says whether one chunk holds
-    every row.
+    whose rows are finite, nonempty and inside their node's carrier; they
+    are not checked.  All rows go through one :func:`_pass` per chunk of
+    rows whose roots' atom counts sum to at most ``_BATCH_BUDGET`` (or of
+    one row).  Rows never influence each other, so every row equals a
+    request of one row against its own node bitwise.
     """
     nodes = [e for e, _, _ in requests]
     sizes = [l.size for _, l, _ in requests]
     q = np.stack([np.concatenate([row[k] for row in requests] or [np.zeros(0)]) for k in (1, 2)])
     ends = np.cumsum(sizes).tolist()
     weight = np.cumsum(np.repeat([e.atom_values.size for e in nodes], sizes))
-    limits = np.repeat([10 * (e.depth + 1) + 10 for e in nodes], sizes)
+    limits = np.repeat([_limit(e) for e in nodes], sizes)
     bounds, s = [], 0
     while s < weight.size:
         e = max(s + 1, int(weight.searchsorted((weight[s - 1] if s else 0) + _BATCH_BUDGET, "right")))
@@ -790,8 +733,8 @@ def _query_masses(requests, record=None) -> list[np.ndarray]:
     masses: list = [None] * len(nodes)
     for s, e in bounds:
         groups = [(g, max(b - n, s) - s, min(b, e) - s) for g, (n, b) in enumerate(zip(sizes, ends)) if b - n < e and b > s]
-        results, trail = _pass([(nodes[g], a, b) for g, a, b in groups], q[:, s:e], limits[s:e])
-        for (g, a, b), (mass, partial) in zip(groups, results):
+        results, _ = _pass([(nodes[g], a, b) for g, a, b in groups], q[:, s:e], limits[s:e])
+        for (g, a, b), (mass, _) in zip(groups, results):
             if b - a == sizes[g]:
                 masses[g] = mass
             else:
@@ -799,74 +742,25 @@ def _query_masses(requests, record=None) -> list[np.ndarray]:
                     masses[g] = np.empty((sizes[g], nodes[g].atom_values.size))
                 first = s + a - (ends[g] - sizes[g])
                 masses[g][first : first + b - a] = mass
-            if record is not None:
-                record(g, a, b, trail, partial, len(bounds) == 1)
     return [np.zeros((0, node.atom_values.size)) if m is None else m for node, m in zip(nodes, masses)]
 
 
-def query_batches(requests) -> list[QueryBatch]:
-    """Exact interval queries against several construction nodes, answered together.
-
-    ``requests`` lists ``(node, lefts, rights)`` triples; the result holds
-    one :class:`QueryBatch` per triple.  All rows go through one
-    topological pass over the nodes' DAGs, in chunks of rows whose roots'
-    atom counts sum to at most ``_BATCH_BUDGET`` (or of one row).  Rows
-    never influence each other, so every row equals a batch of one against
-    its own node bitwise.  The input checks and the telemetry sit on top
-    of :func:`_query_masses`.
-    """
-    nodes = [e for e, _, _ in requests]
-    ls = [np.asarray(l, dtype=float) for _, l, _ in requests]
-    rs = [np.asarray(r, dtype=float) for _, _, r in requests]
-    if any(l.ndim != 1 or l.shape != r.shape for l, r in zip(ls, rs)):
-        raise InputError("queries need finite ends with left < right, as two 1-D arrays of one length")
-    sizes = [l.size for l in ls]
-    q = np.stack((np.concatenate(ls or [np.zeros(0)]), np.concatenate(rs or [np.zeros(0)])))
-    if not (np.isfinite(q).all() and (q[0] < q[1]).all()):
-        raise InputError("queries need finite ends with left < right, as two 1-D arrays of one length")
-    carriers = [(-math.inf, math.inf) if e.is_circle else e.carrier for e in nodes]
-    outside = (q[0] < np.repeat([a - 1e-12 for a, _ in carriers], sizes)) | (q[1] > np.repeat([b + 1e-12 for _, b in carriers], sizes))
-    if outside.any():
-        k = int(outside.argmax())
-        a, b = carriers[int(np.searchsorted(np.cumsum(sizes), k, "right"))]
-        raise InputError(f"query [{q[0, k]}, {q[1, k]}] outside carrier [{a}, {b}]")
-    chunks: list = [[] for _ in nodes]
-
-    def record(g, a, b, trail, partial, single):
-        (resolved, start), k = partial, b - a
-
-        def telemetry():
-            return tuple(col[a:b] for col in trail.stats)
-
-        def partial_end():
-            return resolved()[start : start + k]
-
-        # a batch of several chunks settles each chunk before the next
-        # runs, so that no chunk's pass outlives it
-        chunks[g].append((telemetry, partial_end) if single else (telemetry(), partial_end()))
-
-    masses = _query_masses(list(zip(nodes, ls, rs)), record)
-    return [QueryBatch(node.atom_values, m, r - l, c) for node, m, l, r, c in zip(nodes, masses, ls, rs, chunks)]
-
-
-def query_batch(e: ConstructExpr, lefts, rights) -> QueryBatch:
-    """Exact interval queries ``[lefts[i], rights[i]]`` against one construction node, all at once.
-
-    The one-root case of :func:`query_batches`: a batch of n queries equals
-    n batches of one bitwise.
-    """
-    return query_batches([(e, lefts, rights)])[0]
-
-
-def query(e: ConstructExpr, q, functional=None) -> QueryResult:
-    """Exact interval query against a construction node (a batch of one).
-
-    ``functional`` may be ``None`` (raw distribution), a callable taking a
-    :class:`DiscreteDistribution`, or a ``(name, params)`` pair understood
-    by :func:`meanosc.distributions.dist_functional`.
-    """
+def query(e: ConstructExpr, q) -> QueryResult:
+    """Exact interval query against a construction node: one :func:`_pass` of one row."""
     q = as_query(q)
-    return query_batch(e, [q.left], [q.right]).result(0, functional)
+    a, b = (-math.inf, math.inf) if e.is_circle else e.carrier
+    if q.left < a - 1e-12 or q.right > b + 1e-12:
+        raise InputError(f"query [{q.left}, {q.right}] outside carrier [{a}, {b}]")
+    [(mass, (partial, start))], trail = _pass([(e, 0, 1)], np.array([[q.left], [q.right]]), np.array([_limit(e)]))
+    vec = mass[0]
+    mask = vec > 0
+    visits, deepest = trail.stats
+    return QueryResult(
+        distribution=DiscreteDistribution._presorted(e.atom_values[mask], vec[mask] / vec.sum()),
+        depth=int(deepest[0]),
+        partial_end_weight=float(partial()[start] / (q.right - q.left)),
+        nodes_visited=int(visits[0]),
+    )
 
 
 # -- materialization ----------------------------------------------------------------
@@ -1007,6 +901,7 @@ def materialize(e: ConstructExpr, max_pieces: int | None = 100_000) -> StepFunct
 # -- serialization -------------------------------------------------------------------
 
 
+@decoder
 def expr_from_dict(d: dict) -> ConstructExpr:
     kind = d.get("kind")
     if kind == "leaf":

@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, decoder
 
 __all__ = [
     "DiscreteDistribution",
     "dist_mix",
     "tv_distance",
-    "dist_functional",
-    "FUNCTIONAL_NAMES",
 ]
 
 _SUM_TOL = 1e-9
@@ -156,6 +154,7 @@ class DiscreteDistribution:
         return {"atoms": atoms}
 
     @classmethod
+    @decoder
     def from_dict(cls, d: dict) -> "DiscreteDistribution":
         atoms = d["atoms"]
         return cls([a["value"] for a in atoms], [a["weight"] for a in atoms])
@@ -182,35 +181,3 @@ def tv_distance(d0: DiscreteDistribution, d1: DiscreteDistribution) -> float:
     """Total-variation distance; an atom of one matches an atom of the other when their values are equal."""
     _, diff = _merge(np.concatenate((d0.values, d1.values)), np.concatenate((d0.weights, -d1.weights)))
     return 0.5 * float(np.abs(diff).sum())
-
-
-FUNCTIONAL_NAMES = (
-    "barycenter",
-    "central_p_moment",
-    "exp_integral",
-    "tail_mass",
-    "power_mean",
-    "ap_form",
-)
-
-
-def dist_functional(d: DiscreteDistribution, name: str, **params) -> float:
-    """Evaluate a named functional of the distribution.
-
-    Names: ``barycenter``; ``central_p_moment`` (param ``p``);
-    ``exp_integral`` (param ``c``); ``tail_mass`` (param ``lam``);
-    ``power_mean`` (param ``q``); ``ap_form`` (param ``p``).
-    """
-    if name == "barycenter":
-        return d.barycenter()
-    if name in ("central_p_moment", "central_moment"):
-        return d.central_moment(params["p"])
-    if name == "exp_integral":
-        return d.exp_integral(params.get("c", params.get("C")))
-    if name == "tail_mass":
-        return d.tail_mass(params.get("lam", params.get("lambda")))
-    if name == "power_mean":
-        return d.power_mean(params["q"])
-    if name == "ap_form":
-        return d.ap_form(params["p"])
-    raise InputError(f"unknown functional: {name!r}")

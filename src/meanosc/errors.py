@@ -4,6 +4,7 @@ The CLI maps these onto exit codes: invalid inputs exit with 2, blown
 piece budgets with 3, and internal invariant violations are genuine bugs
 and propagate as ordinary tracebacks.
 """
+import functools
 
 
 class InputError(ValueError):
@@ -23,3 +24,20 @@ class BudgetError(RuntimeError):
 
 class InternalError(RuntimeError):
     """Raised when an internal invariant breaks (e.g. a malformed DAG cycle)."""
+
+
+def decoder(fn):
+    """``fn``, a decoder of JSON-shaped data, re-raising a missing field, a wrong type or a bad value as an InputError."""
+
+    @functools.wraps(fn)
+    def decode(*args):
+        try:
+            return fn(*args)
+        except InputError:
+            raise
+        except KeyError as exc:
+            raise InputError(f"missing field {exc}") from exc
+        except (TypeError, ValueError, AttributeError, IndexError) as exc:
+            raise InputError(str(exc)) from exc
+
+    return decode

@@ -32,7 +32,7 @@ import numpy as np
 
 from .construct import ConstructExpr, constant, default_levels, glue, periodize
 from .distributions import DiscreteDistribution, dist_mix, tv_distance
-from .errors import InputError
+from .errors import InputError, decoder
 from .stepfun import Interval, StepFunction
 
 __all__ = [
@@ -148,6 +148,7 @@ class MartingaleTree:
         return {"kind": "measure", "root": encode(self.root)}
 
     @classmethod
+    @decoder
     def from_dict(cls, d: dict) -> "MartingaleTree":
         def decode(rec: dict) -> MartNode:
             value = DiscreteDistribution.from_dict(rec["value"])

@@ -38,7 +38,7 @@ glued or periodized) has that value on every arc; it is neither scanned
 nor queried, and the walk does not enter the nodes below it.
 
 DAG arcs are evaluated a batch at a time through the masses-only chunk
-loop of ``construct.query_batches``, whose rows may belong to different
+loop ``construct._query_masses``, whose rows may belong to different
 nodes.
 The junction scans of every node the walk enters run in lockstep: the
 junction grids of all nodes and the long-arc grids of all circle nodes

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, decoder
 
 __all__ = [
     "Interval",
@@ -309,6 +309,7 @@ class StepFunction:
         }
 
     @classmethod
+    @decoder
     def from_dict(cls, d: dict) -> "StepFunction":
         return cls(domain_from_dict(d["domain"]), d["breakpoints"], d["values"])
 
@@ -396,6 +397,7 @@ class MonotoneMap:
         return {"knots": [[float(x), float(y)] for x, y in zip(self.xs, self.ys)]}
 
     @classmethod
+    @decoder
     def from_dict(cls, d: dict) -> "MonotoneMap":
         knots = d["knots"]
         return cls([k[0] for k in knots], [k[1] for k in knots])

@@ -115,8 +115,8 @@ class _Recorder:
         return recorded
 
     def _wrap_query(self, original):
-        def recorded(e, q, functional=None):
-            res = original(e, q, functional)
+        def recorded(e, q):
+            res = original(e, q)
             iq = self._construct.as_query(q)
             fields = (
                 self.test_id,

@@ -7,9 +7,10 @@ import sys
 import pytest
 
 from meanosc.construct import expr_from_dict, glue, homogenize, leaf, required_pieces
-from meanosc.distributions import tv_distance
-from meanosc.martingales import log_staircase
-from meanosc.stepfun import Interval, StepFunction
+from meanosc.distributions import DiscreteDistribution, tv_distance
+from meanosc.errors import InputError
+from meanosc.martingales import MartingaleTree, log_staircase
+from meanosc.stepfun import Interval, MonotoneMap, StepFunction
 
 
 def run_cli(*args, timeout=300):
@@ -193,6 +194,30 @@ def test_exit_code_input_error(tmp_path):
 _STEP = {"domain": {"kind": "interval", "a": 0.0, "b": 1.0}, "breakpoints": [0.0, 1.0], "values": [2.0]}
 _CONST = {"kind": "const", "value": 2.0}
 _DELTA = {"atoms": [{"value": 2.0, "weight": 1.0}]}
+
+
+@pytest.mark.parametrize(
+    "decode, doc",
+    [
+        (MartingaleTree.from_dict, {"kind": "measure"}),
+        (MartingaleTree.from_dict, {"kind": "measure", "root": {"value": _DELTA, "children": [{"node": {"value": _DELTA}}]}}),
+        (expr_from_dict, {"kind": "hom", "child": _CONST, "lambda_hom": 0.5, "levels": "x"}),
+        (expr_from_dict, {"kind": "hom", "lambda_hom": 0.5, "levels": 3}),
+        (expr_from_dict, [_CONST]),
+        (StepFunction.from_dict, {k: v for k, v in _STEP.items() if k != "breakpoints"}),
+        (MonotoneMap.from_dict, {"slopes": [1.0]}),
+        (MonotoneMap.from_dict, {"knots": [1, 2]}),
+        (MonotoneMap.from_dict, {"knots": [[0.0, 0.0], [1.0]]}),
+        (DiscreteDistribution.from_dict, {"weights": [1.0]}),
+        (DiscreteDistribution.from_dict, [_DELTA]),
+    ],
+    ids=["martingale_no_root", "child_no_prob", "hom_levels_not_int", "hom_no_child", "expr_list", "step_no_breakpoints",
+         "map_no_knots", "map_knots_not_pairs", "map_knot_too_short", "dist_no_atoms", "dist_list"],
+)
+def test_decoders_raise_input_error(decode, doc):
+    # the library's decoders report a malformed document as an InputError, not a bare KeyError or TypeError
+    with pytest.raises(InputError):
+        decode(doc)
 
 
 @pytest.mark.parametrize(

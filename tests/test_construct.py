@@ -19,8 +19,6 @@ from meanosc.construct import (
     materialize,
     periodize,
     query,
-    query_batch,
-    query_batches,
     required_pieces,
 )
 from meanosc.distributions import dist_mix, tv_distance
@@ -155,8 +153,8 @@ def test_glue_alpha_validation():
 def test_periodize_whole_periods_average():
     p = periodize(homogenize(leaf(sign_step()), 0.5, 3))
     for k in (1, 2, 5):
-        res = query(p, (0.0, float(k)), functional=("barycenter", {}))
-        assert res.value == pytest.approx(0.0, abs=1e-15)
+        res = query(p, (0.0, float(k)))
+        assert res.distribution.barycenter() == pytest.approx(0.0, abs=1e-15)
         assert res.partial_end_weight == 0.0
 
 
@@ -173,14 +171,8 @@ def test_leaf_query_matches_stepfun():
 def test_glue_constant_moment_formula():
     a, b, alpha = -2.0, 3.0, 0.25
     g = glue(constant(a), constant(b), alpha, 0.5, 3)
-    res = query(g, (0.0, 1.0), functional=("central_p_moment", {"p": 1.0}))
-    assert res.value == pytest.approx(2 * alpha * (1 - alpha) * abs(a - b), abs=1e-12)
-
-
-def test_query_functional_callable():
-    g = glue(constant(0.0), constant(1.0), 0.5, 0.5, 2)
-    res = query(g, (0.0, 1.0), functional=lambda d: d.central_moment(2.0))
-    assert res.value == pytest.approx(0.25, abs=1e-15)
+    res = query(g, (0.0, 1.0))
+    assert res.distribution.central_moment(1.0) == pytest.approx(2 * alpha * (1 - alpha) * abs(a - b), abs=1e-12)
 
 
 def test_query_outside_interval_carrier_rejected():
@@ -390,6 +382,11 @@ def _batch_cases(rng):
     }
 
 
+def _masses(e, ls, rs):
+    """The masses of the rows ``ls``, ``rs`` against ``e``, from the masses-only chunk loop."""
+    return construct._query_masses([(e, np.asarray(ls, dtype=float), np.asarray(rs, dtype=float))])[0]
+
+
 def _batch_arcs(rng, e):
     if not e.is_circle:
         a = rng.uniform(-0.5, 0.45, 12)
@@ -418,15 +415,14 @@ def test_batched_query_matches_batches_of_one(seed):
     rng = np.random.default_rng(seed)
     for name, e in _batch_cases(rng).items():
         ls, rs = _batch_arcs(rng, e)
-        batch = query_batch(e, ls, rs)
-        assert batch.masses.shape == (ls.size, e.atom_values.size)
+        masses = _masses(e, ls, rs)
+        assert masses.shape == (ls.size, e.atom_values.size)
         for i, (l, r) in enumerate(zip(ls.tolist(), rs.tolist())):
-            assert batch.masses[i].tobytes() == query_batch(e, [l], [r]).masses[0].tobytes(), (name, l, r)
-            many, one = batch.result(i), query(e, (l, r))
-            for field in ("depth", "nodes_visited", "partial_end_weight"):
-                assert getattr(many, field) == getattr(one, field), (name, l, r, field)
-            assert many.distribution.values.tobytes() == one.distribution.values.tobytes(), (name, l, r)
-            assert many.distribution.weights.tobytes() == one.distribution.weights.tobytes(), (name, l, r)
+            assert masses[i].tobytes() == _masses(e, [l], [r])[0].tobytes(), (name, l, r)
+            # a query's distribution is its batched row's, normalized
+            vec, one = masses[i], query(e, (l, r)).distribution
+            assert one.values.tobytes() == e.atom_values[vec > 0].tobytes(), (name, l, r)
+            assert one.weights.tobytes() == (vec[vec > 0] / vec.sum()).tobytes(), (name, l, r)
 
 
 def test_batched_query_of_a_long_two_valued_leaf_stays_small():
@@ -440,17 +436,15 @@ def test_batched_query_of_a_long_two_valued_leaf_stays_small():
     rs = np.minimum(ls + rng.uniform(1e-6, 0.3, 300), 0.5)
     tracemalloc.start()
     try:
-        batch = query_batch(e, ls, rs)
+        masses = _masses(e, ls, rs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # unsliced, the overlaps of the 300 to 600 leaf ranges take 48 to 96 MB
     assert peak < 8 * 2**20
-    assert np.allclose(batch.masses.sum(axis=1), rs - ls, rtol=1e-12, atol=0.0)
+    assert np.allclose(masses.sum(axis=1), rs - ls, rtol=1e-12, atol=0.0)
     for i in range(0, 300, 15):
-        one = query_batch(e, ls[i : i + 1], rs[i : i + 1])
-        assert batch.masses[i].tobytes() == one.masses[0].tobytes()
-        assert batch.result(i).nodes_visited == one.result(0).nodes_visited
+        assert masses[i].tobytes() == _masses(e, ls[i : i + 1], rs[i : i + 1])[0].tobytes()
 
 
 def _descendants(root):
@@ -494,15 +488,12 @@ def test_multi_root_batch_matches_per_root_batches_of_one(seed):
     for name, e in cases.items():
         nodes = _descendants(e)
         requests = [(node, *_node_arcs(rng, node, 6)) for node in nodes]
-        batches = query_batches(requests)
+        batches = construct._query_masses(requests)
         assert len(batches) == len(nodes)
-        for (node, ls, rs), batch in zip(requests, batches):
-            assert batch.masses.shape == (ls.size, node.atom_values.size)
+        for (node, ls, rs), masses in zip(requests, batches):
+            assert masses.shape == (ls.size, node.atom_values.size)
             for i, (l, r) in enumerate(zip(ls.tolist(), rs.tolist())):
-                one = query_batch(node, [l], [r])
-                assert batch.masses[i].tobytes() == one.masses[0].tobytes(), (name, node, l, r)
-                for field in ("depth", "nodes_visited", "partial_end_weight"):
-                    assert getattr(batch, field)[i] == getattr(one, field)[0], (name, node, l, r, field)
+                assert masses[i].tobytes() == _masses(node, [l], [r])[0].tobytes(), (name, node, l, r)
 
 
 def _unshadowed(roots):
@@ -547,7 +538,7 @@ def test_pass_enters_each_distinct_node_once(monkeypatch):
         for roots, k in ((nodes, 4), ([e], 20)):
             splits.clear()
             trails.clear()
-            query_batches([(node, *_node_arcs(rng, node, k)) for node in roots])
+            construct._query_masses([(node, *_node_arcs(rng, node, k)) for node in roots])
             ran = _unshadowed(roots)
             # one pass, one run per node; a one-atom node answers from its
             # ranges' lengths and splits none
@@ -579,18 +570,19 @@ def test_one_atom_roots_answer_with_lengths():
     for name, (e, twin) in _one_atom_cases().items():
         assert e.atom_values.size == 1 and twin.atom_values.size > 1
         ls, rs = _node_arcs(rng, e, 16)
-        batch, twins = query_batch(e, ls, rs), query_batch(twin, ls, rs)
-        # the masses are the lengths, and nothing below the root runs
-        assert batch.masses[:, 0].tobytes() == (rs - ls).tobytes(), name
-        assert (batch.depth == 1).all() and (batch.nodes_visited == 1).all(), name
-        # the partial end weight is the root's own decomposition's: the twin's
-        assert batch.partial_end_weight.tobytes() == twins.partial_end_weight.tobytes(), name
-        assert twins.partial_end_weight.max() > 0, name
+        # the masses are the lengths
+        masses = _masses(e, ls, rs)
+        assert masses[:, 0].tobytes() == (rs - ls).tobytes(), name
+        twin_partial = []
         for i, (l, r) in enumerate(zip(ls.tolist(), rs.tolist())):
-            one = query_batch(e, [l], [r])
-            assert batch.masses[i].tobytes() == one.masses[0].tobytes(), (name, l, r)
-            assert batch.partial_end_weight[i] == one.partial_end_weight[0], (name, l, r)
-            assert query(e, (l, r)).distribution.is_delta
+            assert masses[i].tobytes() == _masses(e, [l], [r])[0].tobytes(), (name, l, r)
+            one, other = query(e, (l, r)), query(twin, (l, r))
+            # nothing below the root runs
+            assert one.distribution.is_delta and one.depth == 1 and one.nodes_visited == 1, (name, l, r)
+            # the partial end weight is the root's own decomposition's: the twin's
+            assert one.partial_end_weight == other.partial_end_weight, (name, l, r)
+            twin_partial.append(other.partial_end_weight)
+        assert max(twin_partial) > 0, name
 
 
 def test_one_atom_subtrees_keep_batches_of_one():
@@ -603,9 +595,6 @@ def test_one_atom_subtrees_keep_batches_of_one():
         cases += [e, glue(leaf(sign_step()), e, 0.45, 0.8, 4)]
     for e in cases:
         ls, rs = _node_arcs(rng, e, 24)
-        batch = query_batch(e, ls, rs)
+        masses = _masses(e, ls, rs)
         for i, (l, r) in enumerate(zip(ls.tolist(), rs.tolist())):
-            one = query_batch(e, [l], [r])
-            assert batch.masses[i].tobytes() == one.masses[0].tobytes(), (e, l, r)
-            for field in ("depth", "nodes_visited", "partial_end_weight"):
-                assert getattr(batch, field)[i] == getattr(one, field)[0], (e, l, r, field)
+            assert masses[i].tobytes() == _masses(e, [l], [r])[0].tobytes(), (e, l, r)

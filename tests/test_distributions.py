@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanosc.distributions import DiscreteDistribution, dist_functional, dist_mix, tv_distance
+from meanosc.distributions import DiscreteDistribution, dist_mix, tv_distance
 from meanosc.errors import InputError
 
 
@@ -15,12 +15,15 @@ def two_point() -> DiscreteDistribution:
 
 
 def test_two_point_second_moment():
+    assert two_point().barycenter() == 0.0
     assert two_point().central_moment(2.0) == 1.0
+    assert two_point().exp_integral(1.0) == pytest.approx(math.cosh(1.0), abs=1e-15)
 
 
 def test_ap_form_quarter_example():
     d = DiscreteDistribution([2.0, 0.5], [0.5, 0.5])
     assert d.ap_form(2.0) == pytest.approx(25.0 / 16.0, abs=1e-15)
+    assert d.power_mean(1.0) == pytest.approx(1.25, abs=1e-15)
 
 
 def test_delta_exp_integral():
@@ -31,6 +34,7 @@ def test_delta_exp_integral():
 
 def test_tail_mass():
     d = two_point()
+    assert d.tail_mass(0.5) == 1.0
     assert d.tail_mass(1.0) == 1.0
     assert d.tail_mass(1.0001) == 0.0
 
@@ -128,20 +132,7 @@ def test_weights_validation():
         DiscreteDistribution([], [])
 
 
-# -- dispatcher and serialization ----------------------------------------------------
-
-
-def test_dist_functional_dispatch():
-    d = two_point()
-    assert dist_functional(d, "barycenter") == 0.0
-    assert dist_functional(d, "central_p_moment", p=2.0) == 1.0
-    assert dist_functional(d, "exp_integral", c=1.0) == pytest.approx(math.cosh(1.0), abs=1e-15)
-    assert dist_functional(d, "tail_mass", lam=0.5) == 1.0
-    w = DiscreteDistribution([2.0, 0.5], [0.5, 0.5])
-    assert dist_functional(w, "power_mean", q=1.0) == pytest.approx(1.25, abs=1e-15)
-    assert dist_functional(w, "ap_form", p=2.0) == pytest.approx(25.0 / 16.0, abs=1e-15)
-    with pytest.raises(InputError):
-        dist_functional(d, "nope")
+# -- serialization ----------------------------------------------------------------
 
 
 def test_json_round_trip():
