@@ -326,19 +326,21 @@ def compile_to_circle(M: MartingaleTree, schedule: tuple[float, int] | None = No
         schedule = (0.9, default_levels(0.9))
     lam, levels = float(schedule[0]), int(schedule[1])
 
-    def build(node: MartNode) -> ConstructExpr:
+    # children first, by path: a node object repeated in the tree compiles to separate copies
+    built: dict[tuple, ConstructExpr] = {}
+    for path, node in reversed(list(M.walk())):
         if node.is_leaf:
             if not node.value.is_delta:
                 raise InputError("leaves must be delta measures")
-            return constant(float(node.value.values[0]))
-        exprs = [build(child) for _, child in node.children]
+            built[path] = constant(float(node.value.values[0]))
+            continue
+        exprs = [built.pop(path + (i,)) for i in range(len(node.children))]
         probs = [w for w, _ in node.children]
         acc = exprs[0]
         for e, a in zip(exprs[1:], fold_alphas(probs)):
             acc = glue(acc, e, a, lam=lam, levels=levels)
-        return acc
-
-    return periodize(build(M.root))
+        built[path] = acc
+    return periodize(built[()])
 
 
 # -- staircase factories ------------------------------------------------------------------------

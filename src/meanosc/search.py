@@ -26,8 +26,8 @@ at most ``_FLAT_LIMIT`` pieces once materialized, are evaluated in
 vectorized chunks.  A flat circle searches the arcs of up to two periods
 as subintervals of its two-period unrolling, and longer arcs on a grid.
 Larger construction DAGs use a structure-aware strategy: intervals inside
-a single copy are affine images of child intervals, so child searches
-recurse and their witnesses embed through a representative copy;
+a single copy are affine images of child intervals, so children are
+searched first and their witnesses embed through a representative copy;
 boundary-straddling intervals are scanned around each junction type on a
 logarithmic length grid; arcs covering at least ``r_long`` whole periods
 have distributions within total variation ``2 / (r_long + 1)`` of the
@@ -35,18 +35,19 @@ node distribution, which caps their values provably.
 
 A node with one atom (a constant, or constants of one value homogenized,
 glued or periodized) has that value on every arc; it is neither scanned
-nor queried, and the walk does not enter the nodes below it.
+nor queried, and the nodes below it are not searched.
 
 DAG arcs are evaluated a batch at a time through the masses-only chunk
 loop ``construct._query_masses``, whose rows may belong to different
 nodes.
-The junction scans of every node the walk enters run in lockstep: the
+The junction scans of every node searched run in lockstep: the
 junction grids of all nodes and the long-arc grids of all circle nodes
 are one query, and the block golden-section refinement of all their
 junction leaders takes one query per round, whose best probes are the
 refined arcs; a node's full carrier or base period takes the node
-distribution, and embedded child witnesses are single queries.  Each
-node takes its offers where the structural walk reaches it.
+distribution, and embedded child witnesses are single queries.  Then
+one children-first pass over the DAG's nodes, with no recursion, gives
+each node its offers.
 
 The witness of a search depends on the set of its offers alone, never on
 their order or batching: it is the offer first in (left, length) order
@@ -1179,10 +1180,10 @@ class _DagSearch:
     of child witnesses through one representative copy.  A node with one
     atom gets none of these and no query: every arc of it has the value of
     its distribution, and its witness is its carrier (a circle's base
-    period), so the walk never enters the nodes below it.  The junction
-    scans and long-arc grids of every node the walk enters run first, in
-    lockstep (see ``_lockstep_scans``); each node takes its offers where
-    its walk reaches them.
+    period), so the nodes below it are not searched.  The junction scans
+    and long-arc grids of every node searched run first, in lockstep (see
+    ``_lockstep_scans``); then one children-first pass over the DAG's
+    nodes, with no recursion, gives each node its offers.
     Candidates whose embedding would collapse below float
     resolution still contribute to the certified raw maximum; only
     anchored candidates (re-evaluated at the node itself) feed the
@@ -1194,8 +1195,6 @@ class _DagSearch:
         self.cfg = cfg
         self.evaluations = 0
         self.raw_max = -math.inf
-        self._memo: dict[int, tuple[float, tuple[float, float] | None]] = {}
-        self._scans: dict[int, tuple] = {}
 
     def raws(self, groups: list) -> np.ndarray:
         """Raw functional of every arc of ``groups``, ``(node, ls, rs)`` triples, in one multi-root query."""
@@ -1215,30 +1214,29 @@ class _DagSearch:
         best.offer(self.objective.value_from_raw(raw), l, r)
 
     def run(self, root: ConstructExpr) -> tuple[float, tuple[float, float] | None]:
-        """Scan every junction and long-arc grid of the DAG in lockstep, then walk it from ``root``."""
-        # the nodes the walk below searches through their copies and
-        # junctions: those with children and more than one atom, reached
-        # from the root through such nodes
-        walked, stack = set(), [root]
-        while stack:
-            node = stack.pop()
-            if id(node) not in walked and node.children and node.atom_values.size > 1:
-                walked.add(id(node))
-                stack.extend(node.children)
-        self._scans = self._lockstep_scans([node for node in root.nodes if id(node) in walked])
-        return self.search(root)
-
-    def search(self, node: ConstructExpr) -> tuple[float, tuple[float, float] | None]:
-        key = id(node)
-        if key in self._memo:
-            return self._memo[key]
-        if isinstance(node, LeafExpr) and node.atom_values.size > 1:
-            # the leaf's proven ceiling where its objective enumerates, else its lower bound
-            lower, witness, evaluations, ceiling = _subinterval_search(_FlatTarget(node.function, self.objective), self.cfg, None)
-            self.evaluations += evaluations
-            self.raw_max = max(self.raw_max, self.objective.raw_of_value(lower) if ceiling is None else ceiling)
-            out = (lower, witness)
-        else:
+        """Scan every junction and long-arc grid of the DAG in lockstep, then search its nodes children first."""
+        nodes = root.nodes
+        # parents first, the nodes searched: the root and every child of an
+        # expanded node, one with children and more than one atom, which is
+        # searched through its copies and junctions
+        searched, expanded = {id(root)}, []
+        for node in nodes:
+            if id(node) in searched and node.children and node.atom_values.size > 1:
+                expanded.append(node)
+                searched.update(map(id, node.children))
+        scans = self._lockstep_scans(expanded)
+        # children first: every searched node's (lower, witness)
+        found: dict[int, tuple[float, tuple[float, float] | None]] = {}
+        for node in reversed(nodes):
+            if id(node) not in searched:
+                continue
+            if isinstance(node, LeafExpr) and node.atom_values.size > 1:
+                # the leaf's proven ceiling where its objective enumerates, else its lower bound
+                lower, witness, evaluations, ceiling = _subinterval_search(_FlatTarget(node.function, self.objective), self.cfg, None)
+                self.evaluations += evaluations
+                self.raw_max = max(self.raw_max, self.objective.raw_of_value(lower) if ceiling is None else ceiling)
+                found[id(node)] = (lower, witness)
+                continue
             # the full carrier or base period holds the node distribution
             # exactly, and on a one-atom node so does every arc
             self.evaluations += 1
@@ -1247,22 +1245,18 @@ class _DagSearch:
             best = _Best()
             best.offer(self.objective.value_from_raw(raw), *node.content_bounds())
             if node.atom_values.size > 1:
-                self._search_copies(node, best)
-            found = best.finish()
-            out = (best.value, None if found is None else found[:2])
-        self._memo[key] = out
-        return out
-
-    def _search_copies(self, node, best: _Best):
-        """Embedded child witnesses, the node's junction offers, and long arcs on circles."""
-        for child, lo, hi in _layout(node)[1]:
-            child_best, child_wit = self.search(child)
-            self.raw_max = max(self.raw_max, self.objective.raw_of_value(child_best))
-            self._embed(node, child, child_wit, lo, hi, best)
-        offers, long_raws = self._scans.pop(id(node))
-        best.offer_array(*offers)
-        if node.is_circle:
-            best.offer_array(self.objective.value_from_raw(long_raws), *_long_arc_grid(0.0, self.cfg))
+                # embedded child witnesses, the node's junction offers, and long arcs on circles
+                for child, lo, hi in _layout(node)[1]:
+                    child_best, child_wit = found[id(child)]
+                    self.raw_max = max(self.raw_max, self.objective.raw_of_value(child_best))
+                    self._embed(node, child, child_wit, lo, hi, best)
+                offers, long_raws = scans[id(node)]
+                best.offer_array(*offers)
+                if node.is_circle:
+                    best.offer_array(self.objective.value_from_raw(long_raws), *_long_arc_grid(0.0, self.cfg))
+            witness = best.finish()
+            found[id(node)] = (best.value, None if witness is None else witness[:2])
+        return found[id(root)]
 
     def _embed(self, node, child, witness, lo: float, hi: float, best: _Best):
         """Map a child witness through the copy occupying [lo, hi] of node."""

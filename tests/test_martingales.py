@@ -240,6 +240,20 @@ def test_compile_staircase_identity_and_exp_integral():
     assert abs(exp_integral(expr, None, 1.0) - atom_sum) < 1e-12
 
 
+def test_compile_deep_staircase_without_recursion():
+    # deeper than a recursive build fits under the default recursion limit
+    _, M = log_staircase(math.exp(0.01), 600)
+    e = compile_to_circle(M)
+    assert tv_distance(e.distribution(), M.root.value) == 0.0
+    assert e.depth == 600
+
+
+def test_compile_repeated_node_to_separate_copies():
+    leaf = MartNode(DiscreteDistribution.delta(1.0))
+    e = compile_to_circle(MartingaleTree(MartNode(DiscreteDistribution.delta(1.0), ((0.5, leaf), (0.5, leaf)))))
+    assert e.hom0.child is not e.hom1.child
+
+
 def test_membership_pass_controls_compiled_oscillation():
     # a strict membership margin bounds the compiled function's interval
     # moments on a dense grid once the homogenization ratio is close to 1

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from meanosc import search as search_module
-from meanosc.construct import constant, glue, homogenize, leaf, materialize, periodize, required_pieces
+from meanosc.construct import constant, glue, homogenize, leaf, materialize, periodize, query, required_pieces
 from meanosc.errors import InputError
 from meanosc.martingales import compile_to_circle, log_staircase
 from meanosc.search import (
@@ -1067,6 +1067,18 @@ def test_martingale_circle_dag_query_counts_are_pinned(monkeypatch):
         # 12 when full arcs were single queries too
         assert len(calls["single"]) == 7
         assert all(q != node.content_bounds() for node, q in calls["single"])
+
+
+def test_deep_glue_chain_searches_structurally():
+    # deeper than a recursive search fits under the default recursion limit
+    e = constant(0.0)
+    for k in range(300):
+        e = glue(e, constant(float(k % 3)), 0.3, 0.9, 5)
+    assert required_pieces(e) > search_module._FLAT_LIMIT
+    r = circle_bmo_norm(e, 2.0, SearchConfig(refine_iters=4))
+    objective = _BmoObjective(2.0)
+    value = objective.value_from_raw(objective.raw_from_dist(query(e, (r.witness.left, r.witness.right)).distribution))
+    assert value == pytest.approx(r.lower, rel=1e-12)
 
 
 # -- circle searches -------------------------------------------------------------

@@ -228,6 +228,24 @@ def test_compare_reports_exact_compares_query_records(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-2] == "0 query record(s) differ; only in the first file: 0, only in the second: 0"
 
 
+def test_compare_reports_exact_names_reordered_records(tmp_path, capsys):
+    compare_reports = _load("compare_reports")
+
+    def query(test, left):
+        return "\t".join((test, "query", left.hex(), "0x1p+0", "0x0p+0", "0x1p+0", "1", "1", "0x0p+0")) + "\n"
+
+    before = tmp_path / "before.tsv"
+    after = tmp_path / "after.tsv"
+    # t::a swaps its two queries; t::b's second query truly differs
+    before.write_text(query("t::a", 0.0) + query("t::a", 0.5) + query("t::b", 0.0) + query("t::b", 0.5))
+    after.write_text(query("t::a", 0.5) + query("t::a", 0.0) + query("t::b", 0.0) + query("t::b", 0.25))
+    assert compare_reports.main([str(before), str(after), "--exact"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "same records in another order, query of t::a: 2 differ by position" in lines
+    assert not any(line.startswith("same records in another order") and "t::b" in line for line in lines)
+    assert "3 query record(s) differ; only in the first file: 0, only in the second: 0" in lines
+
+
 def test_compare_reports_exact_fails_on_records_of_a_shared_test_in_one_file(tmp_path, capsys):
     compare_reports = _load("compare_reports")
 

@@ -23,7 +23,9 @@ apart from one that moved with its value.  With ``--exact`` it lists
 every pair of membership records that differs in any field (passed,
 worst margin, offending path), then every pair of query records that
 differs in any field (ends, distribution, depth, nodes visited, partial
-end weight), then every pair
+end weight), with one line for each test whose differing membership or
+query records are the same records in another order (its records,
+sorted, are equal in both files), then every pair
 of reports whose ``lower``, ``upper``, witness, evaluation count or
 witness value differs in any bit, naming the fields, then one line per
 field that some paired report differs in: how many do, and for
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 
 _RECORD_KINDS = ("query", "membership")
@@ -146,6 +148,17 @@ def field_summary(before: dict, after: dict, diffs: list) -> list:
     return lines
 
 
+def reorderings(before: dict, after: dict, diffs: list) -> list:
+    """``(test id, count)`` of every test of ``diffs`` (see ``exact_differences``) whose records, sorted, are equal in both files."""
+    counts = Counter(test for test, _, _ in diffs)
+    sides = (defaultdict(list), defaultdict(list))
+    for side, records in zip(sides, (before, after)):
+        for (test, _), fields in records.items():
+            if test in counts:
+                side[test].append(fields)
+    return [(test, n) for test, n in sorted(counts.items()) if sorted(sides[0][test]) == sorted(sides[1][test])]
+
+
 def unpaired(before: dict, after: dict, tests) -> list:
     """``(test id, k, "first" or "second")`` of every record of a test in ``tests`` that only that file holds."""
     return sorted((*key, "first" if key in before else "second") for key in before.keys() ^ after.keys() if key[0] in tests)
@@ -216,6 +229,8 @@ def main(argv=None) -> int:
                 print(f"differs, {kind} {k} of {test}: {', '.join(names)}")
             for test, k, where in lost:
                 print(f"unpaired, {kind} {k} of {test}: only in the {where} file")
+            for test, n in reorderings(rb, ra, diffs):
+                print(f"same records in another order, {kind} of {test}: {n} differ by position")
             print(f"{len(diffs)} {kind} record(s) differ; only in the first file: {len(rb.keys() - ra.keys())}, "
                   f"only in the second: {len(ra.keys() - rb.keys())}")
             status = 1 if diffs or lost else status
